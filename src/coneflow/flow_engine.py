@@ -91,8 +91,11 @@ class FlowOps:
     def density_values(self, phi_values) -> np.ndarray:
         return self.area + 0.5 * lap_values(phi_values) + self.half_lap_cone
 
-    def rhs_values(self, phi_values) -> np.ndarray:
-        density = self.density_values(phi_values)
+    def rhs_values(self, phi_values, density=None) -> np.ndarray:
+        """Flow right-hand side at phi; density, when given, must be
+        density_values(phi_values), which then is not recomputed."""
+        if density is None:
+            density = self.density_values(phi_values)
         if density.min() <= 0.0:
             raise PositivityError(
                 "flow state left the Kahler cone (nonpositive density)")
@@ -125,15 +128,16 @@ def _backward_euler(ops: FlowOps, phi, dt, tol=1e-12, max_newton=30):
     exact-preconditioner ansatz that keeps CG counts at a handful.
     """
     lm = _lap_multiplier(ops.n)
-    u = phi + dt * ops.rhs_values(phi)      # explicit predictor
-    if ops.density_values(u).min() <= 0.0:
-        u = phi.copy()
+    density_phi = ops.density_values(phi)
+    u = phi + dt * ops.rhs_values(phi, density_phi)     # explicit predictor
+    density = ops.density_values(u)
+    if density.min() <= 0.0:
+        u, density = phi.copy(), density_phi
     for it in range(max_newton):
-        resid = u - phi - dt * ops.rhs_values(u)
+        resid = u - phi - dt * ops.rhs_values(u, density)
         sup = float(np.abs(resid).max())
         if sup <= tol:
             return u, it
-        density = ops.density_values(u)
         symbol = (1.0 + dt) * float(density.mean()) - dt * 0.5 * lm
 
         def apply_op(w):
@@ -145,8 +149,9 @@ def _backward_euler(ops: FlowOps, phi, dt, tol=1e-12, max_newton=30):
         accepted = False
         for _ in range(30):
             un = u + step * w
-            if ops.density_values(un).min() > 0.0:
-                rn = un - phi - dt * ops.rhs_values(un)
+            density_n = ops.density_values(un)
+            if density_n.min() > 0.0:
+                rn = un - phi - dt * ops.rhs_values(un, density_n)
                 if np.abs(rn).max() < sup:
                     accepted = True
                     break
@@ -154,7 +159,7 @@ def _backward_euler(ops: FlowOps, phi, dt, tol=1e-12, max_newton=30):
         if not accepted:
             raise DivergenceError(
                 f"backward-Euler Newton stalled (residual {sup:.3e})")
-        u = u + step * w
+        u, density = un, density_n
     raise DivergenceError("backward-Euler Newton did not converge")
 
 
@@ -222,7 +227,7 @@ def run_flow(problem: KEProblem, T: float, dt: float,
             state = flow_step(state, problem, scheme, ops=ops)
             phi = state.phi.values
             density = ops.density_values(phi)
-            rhs = ops.rhs_values(phi)
+            rhs = ops.rhs_values(phi, density)
             gaps = {}
             if target is not None:
                 diff = np.abs(phi - target)
@@ -318,20 +323,32 @@ class ProductFlow4D:
         return phi
 
     def rhs(self, phi, t):
+        # p = e^-t A + lap_w/2, q = area + lap_s/2 + half_lap_cone,
+        # det = p q - m_re^2 - m_im^2 with m = z2/2; the result is
+        # t + log_prefactor + log(det) - phi - cone.  Evaluated in place,
+        # with the same operations in the same order (bitwise the same
+        # values), to spare the 4D temporaries of a per-step call.
         hat = _fft.fftn(phi, workers=2)
-        z1 = _fft.ifftn(self._mult_lap * hat, workers=2)
-        z2 = _fft.ifftn(self._mult_mixed * hat, workers=2)
-        lap_w = z1.real
-        lap_s = z1.imag
-        m_re = 0.5 * z2.real
-        m_im = 0.5 * z2.imag
-        p = math.exp(-t) * self.fiber_area + 0.5 * lap_w
-        q = self.area + 0.5 * lap_s + self._half_lap_cone
-        det = p * q - m_re**2 - m_im**2
+        z1 = _fft.ifftn(self._mult_lap * hat, workers=2, overwrite_x=True)
+        z2 = _fft.ifftn(np.multiply(self._mult_mixed, hat, out=hat),
+                        workers=2, overwrite_x=True)
+        p = np.multiply(z1.real, 0.5)
+        p += math.exp(-t) * self.fiber_area
+        det = np.multiply(z1.imag, 0.5)
+        np.add(self.area, det, out=det)
+        det += self._half_lap_cone
+        det *= p
+        m = np.multiply(z2.real, 0.5)
+        det -= np.square(m, out=m)
+        np.multiply(z2.imag, 0.5, out=m)
+        det -= np.square(m, out=m)
         if p.min() <= 0.0 or det.min() <= 0.0:
             raise PositivityError("4D determinant left the Kahler cone")
-        return (t + self._base_log_prefactor + np.log(det)
-                - phi - self._cone)
+        out = np.add(t + self._base_log_prefactor, np.log(det, out=det),
+                     out=det)
+        out -= phi
+        out -= self._cone
+        return out
 
     def stability_limit(self, horizon_t: float) -> float:
         """Euler step bound 2/lambda for the stiffest linear mode."""
@@ -364,7 +381,9 @@ class ProductFlow4D:
         samples = {"t": [], "fiber_gap": [], "reduced_diff": []}
         for s in range(n_steps):
             t = s * dt
-            phi = phi + dt * self.rhs(phi, t)
+            step = self.rhs(phi, t)
+            step *= dt
+            phi += step         # phi is this run's own copy
             if reduced_reference:
                 phi_red = phi_red + dt * self.base_ops.rhs_values(phi_red)
             if (s + 1) % sample_every == 0 or s + 1 == n_steps:

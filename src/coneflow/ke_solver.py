@@ -26,8 +26,8 @@ import numpy as np
 from .cone_smoothing import chi_values
 from .errors import ConfigurationError, DivergenceError, PositivityError
 from .fibration_model import BackgroundGeometry, DensityData
-from .torus_field import ScalarField, circle_samples, lap_values, _lap_multiplier
-import scipy.fft as _fft
+from .torus_field import (ScalarField, circle_samples, from_half_spectrum,
+                          half_spectrum, lap_values, _lap_multiplier)
 
 __all__ = [
     "KEProblem",
@@ -90,10 +90,11 @@ def ke_residual(problem: KEProblem, v: ScalarField) -> ScalarField:
 
 def preconditioned_cg(apply_op, b, fourier_symbol, rel_tol=1e-12, max_iter=500):
     """CG for an SPD grid operator with an exact diagonal-in-Fourier
-    preconditioner given by its symbol array."""
+    preconditioner given by its real, even symbol on the rfft2 half
+    spectrum (shape (N, N//2+1), as built from _lap_multiplier)."""
     x = np.zeros_like(b)
     r = b.copy()
-    z = _fft.ifft2(_fft.fft2(r) / fourier_symbol).real
+    z = from_half_spectrum(half_spectrum(r) / fourier_symbol)
     p = z.copy()
     rz = float(np.vdot(r, z).real)
     b_norm = float(np.linalg.norm(b))
@@ -106,7 +107,7 @@ def preconditioned_cg(apply_op, b, fourier_symbol, rel_tol=1e-12, max_iter=500):
         r -= alpha * ap
         if np.linalg.norm(r) <= rel_tol * b_norm:
             return x, it + 1
-        z = _fft.ifft2(_fft.fft2(r) / fourier_symbol).real
+        z = from_half_spectrum(half_spectrum(r) / fourier_symbol)
         rz_new = float(np.vdot(r, z).real)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -128,12 +129,13 @@ def newton_solve(problem: KEProblem, v0: ScalarField = None,
     if np.any(m_coeff <= 0):
         raise PositivityError("equation coefficient must be positive")
     v = np.zeros((n, n)) if v0 is None else np.array(v0.values, dtype=float)
-    if (bg.area + 0.5 * lap_values(v)).min() <= 0:
+    density = bg.area + 0.5 * lap_values(v)
+    if density.min() <= 0:
         raise PositivityError("initial density is outside the Kahler cone")
     lm = _lap_multiplier(n)
     history = []
+    g = density - m_coeff * np.exp(v)
     for it in range(max_iter + 1):
-        g = bg.area + 0.5 * lap_values(v) - m_coeff * np.exp(v)
         sup = float(np.abs(g).max())
         history.append(sup)
         if sup <= tol:
@@ -164,7 +166,7 @@ def newton_solve(problem: KEProblem, v0: ScalarField = None,
         if not accepted:
             raise DivergenceError(
                 f"Newton line search stalled at iteration {it}", history)
-        v = v + step * w
+        v, g = vn, gn     # the accepted trial's residual is the next one
     raise DivergenceError(
         f"Newton did not reach tol={tol} in {max_iter} iterations", history)
 

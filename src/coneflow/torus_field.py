@@ -32,7 +32,6 @@ __all__ = [
     "field_from_function",
     "constant_field",
     "laplacian",
-    "gradient_squared",
     "solve_poisson",
     "green_potential",
     "grid_delta",
@@ -119,10 +118,29 @@ def _wavenumbers(n: int):
 
 @lru_cache(maxsize=32)
 def _lap_multiplier(n: int):
-    kx, ky = _wavenumbers(n)
+    """Laplacian symbol on the rfft2 half spectrum, shape (n, n//2+1)."""
+    kx = np.fft.fftfreq(n, d=1.0 / n)[:, None]
+    ky = np.fft.rfftfreq(n, d=1.0 / n)[None, :]
     m = -4.0 * np.pi**2 * (kx**2 + ky**2)
     m.setflags(write=False)
     return m
+
+
+def half_spectrum(values: np.ndarray) -> np.ndarray:
+    """rfft2 of a real N x N field: its (N, N//2+1) half spectrum."""
+    return _fft.rfft2(values, workers=_workers())
+
+
+def from_half_spectrum(hat: np.ndarray) -> np.ndarray:
+    """The real N x N field whose half spectrum is hat.
+
+    Callers apply only multipliers that are real and even in k between
+    half_spectrum and this inverse; for those the result equals the real
+    part of the full complex transform pair, Nyquist row and column
+    included.  (An odd multiplier would not: see ProductFlow4D.)
+    """
+    n = hat.shape[0]
+    return _fft.irfft2(hat, s=(n, n), workers=_workers())
 
 
 def make_grid(n: int) -> Grid:
@@ -153,9 +171,8 @@ def constant_field(grid: Grid, c: float) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 def lap_values(values: np.ndarray) -> np.ndarray:
-    n = values.shape[0]
-    hat = _fft.fft2(values, workers=_workers())
-    return _fft.ifft2(_lap_multiplier(n) * hat, workers=_workers()).real
+    return from_half_spectrum(_lap_multiplier(values.shape[0])
+                              * half_spectrum(values))
 
 
 def laplacian(f: ScalarField) -> ScalarField:
@@ -172,24 +189,18 @@ def gradient_values(values: np.ndarray):
     return gx, gy
 
 
-def gradient_squared(f: ScalarField) -> ScalarField:
-    gx, gy = gradient_values(f.values)
-    return ScalarField(f.grid, gx * gx + gy * gy)
-
-
 def solve_poisson_values(rhs: np.ndarray, mean_tol: float = 1e-10) -> np.ndarray:
     m = rhs.mean()
     if abs(m) > mean_tol:
         raise SolvabilityError(
             f"Poisson right-hand side must have zero mean; got mean={m:.3e} "
             f"(tolerance {mean_tol:.1e})")
-    n = rhs.shape[0]
-    hat = _fft.fft2(rhs, workers=_workers())
-    mult = 0.5 * _lap_multiplier(n)
+    hat = half_spectrum(rhs)
+    mult = 0.5 * _lap_multiplier(rhs.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         sol = hat / mult
     sol[0, 0] = 0.0
-    return _fft.ifft2(sol, workers=_workers()).real
+    return from_half_spectrum(sol)
 
 
 def solve_poisson(rhs: ScalarField, mean_tol: float = 1e-10) -> ScalarField:
@@ -234,11 +245,8 @@ def green_potential(grid: Grid, p) -> GreenPotential:
 
 def mollify_values(values: np.ndarray, scale: float) -> np.ndarray:
     """Gaussian mollification at a fixed physical length scale (spectral)."""
-    n = values.shape[0]
-    kx, ky = _wavenumbers(n)
-    filt = np.exp(-0.5 * (2.0 * np.pi * scale)**2 * (kx**2 + ky**2))
-    hat = _fft.fft2(values, workers=_workers())
-    return _fft.ifft2(filt * hat, workers=_workers()).real
+    filt = np.exp(0.5 * scale**2 * _lap_multiplier(values.shape[0]))
+    return from_half_spectrum(filt * half_spectrum(values))
 
 
 def mollify(f: ScalarField, scale: float) -> ScalarField:

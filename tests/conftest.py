@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from coneflow.fibration_model import (FibrationModel, SingularFiber,
@@ -76,3 +77,26 @@ def m2():
 @pytest.fixture(scope="session")
 def i1():
     return i1_model()
+
+
+@pytest.fixture(scope="session")
+def nyquist_field():
+    """nyquist_field(n, seed): a random N x N field plus the Nyquist row,
+    column and corner modes, the modes where the real and the complex FFT
+    paths could part."""
+    def make(n, seed):
+        sign = (-1.0) ** np.arange(n)
+        return (np.random.default_rng(seed).normal(size=(n, n))
+                + sign[:, None] + 2.0 * sign[None, :]
+                + 3.0 * np.outer(sign, sign))
+    return make
+
+
+@pytest.fixture(scope="session")
+def full_k2():
+    """full_k2(n): |k|^2 on the full complex-FFT grid."""
+    def make(n):
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        kx, ky = np.meshgrid(k, k, indexing="ij")
+        return kx**2 + ky**2
+    return make

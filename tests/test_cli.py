@@ -122,6 +122,21 @@ def test_flow_run_artifacts_and_gaps(model_file, tmp_path):
     assert -1.15 < fit["slope"] < -0.85
 
 
+def test_flow_run_byte_identical_across_reruns_and_threads(
+        model_file, tmp_path, monkeypatch):
+    names = ("trajectory.csv", "final_phi.csv", "decay_report.json")
+    runs = []
+    for label, threads in (("a", None), ("b", None), ("t1", "1"), ("t2", "2")):
+        if threads is not None:
+            monkeypatch.setenv("CONEFLOW_THREADS", threads)
+        out = tmp_path / label
+        assert main(["flow", "run", "--quick", "--model", model_file,
+                     "--out", str(out)]) == 0
+        runs.append({name: (out / name).read_bytes() for name in names})
+    for other in runs[1:]:
+        assert other == runs[0]
+
+
 def test_flow_run_rk4_guard_violation(model_file, tmp_path, capsys):
     rc = main(["flow", "run", "--model", model_file, "--grid-n", "64",
                "--T", "1", "--dt", "0.05", "--epsilon", "0.1",

@@ -70,6 +70,14 @@ def test_rhs_identity_case_formula(problem64):
     assert np.abs(rhs - expected).max() < 1e-12
 
 
+def test_rhs_reuses_given_density_bitwise(problem64):
+    x, y = problem64.bg.grid.mesh()
+    phi = 0.02 * np.cos(2 * np.pi * x) * np.sin(4 * np.pi * y)
+    ops = FlowOps(problem64)
+    assert np.array_equal(ops.rhs_values(phi, ops.density_values(phi)),
+                          ops.rhs_values(phi))
+
+
 def test_step_fixed_point(problem64, solved64):
     st = state_of(problem64, solved64.phi.values, dt=0.1)
     out = flow_step(st, problem64)
@@ -238,6 +246,24 @@ def test_oracle_preserves_fiber_constancy(oracle):
     dt = 1e-4
     phi4 = phi4 + dt * oracle.rhs(phi4, 0.0)
     assert oracle.fiber_gap(phi4) <= 1e-10
+
+
+def test_oracle_rhs_matches_direct_formula_bitwise(oracle):
+    # rhs is evaluated in place; it must give exactly the values of the
+    # plain formula, on a field with content in every mode
+    import math
+    import scipy.fft as sfft
+    phi = 1e-4 * np.random.default_rng(7).normal(size=(16, 16, 32, 32))
+    t = 0.3
+    hat = sfft.fftn(phi, workers=2)
+    z1 = sfft.ifftn(oracle._mult_lap * hat, workers=2)
+    z2 = sfft.ifftn(oracle._mult_mixed * hat, workers=2)
+    p = math.exp(-t) * oracle.fiber_area + 0.5 * z1.real
+    q = oracle.area + 0.5 * z1.imag + oracle._half_lap_cone
+    det = p * q - (0.5 * z2.real)**2 - (0.5 * z2.imag)**2
+    expected = (t + oracle._base_log_prefactor + np.log(det)
+                - phi - oracle._cone)
+    assert np.array_equal(oracle.rhs(phi, t), expected)
 
 
 def test_oracle_stability_guard(oracle):

@@ -8,9 +8,10 @@ from coneflow.ke_solver import (KEProblem, continuation_solve,
                                 default_extrapolation_schedule,
                                 extrapolated_solution,
                                 holder_exponent_estimate, ke_residual,
-                                newton_solve)
+                                newton_solve, preconditioned_cg)
 from coneflow.torus_field import (field_from_function, field_from_values,
-                                  integrate, lap_values, make_grid)
+                                  integrate, lap_values, make_grid,
+                                  _lap_multiplier)
 
 
 def raw_density(grid, log_values):
@@ -108,6 +109,20 @@ def test_monotone_dependence_on_area(product_problem64):
     bg_bumped = replace(product_problem64.bg, area=product_problem64.bg.area * 1.01)
     sol_b = newton_solve(replace(product_problem64, bg=bg_bumped))
     assert sol_b.v.values.max() > sol.v.values.max()
+
+
+@pytest.mark.parametrize("n", [16, 64, 512])
+def test_preconditioned_cg_matches_complex_formula(n, nyquist_field, full_k2):
+    # constant coefficient: the half-spectrum preconditioner is the exact
+    # inverse, so CG must land on the complex-FFT solution
+    b = nyquist_field(n, seed=n + 1)
+    c = 3.0
+    x, iters = preconditioned_cg(lambda u: -0.5 * lap_values(u) + c * u, b,
+                                 -0.5 * _lap_multiplier(n) + c)
+    full_symbol = 2.0 * np.pi**2 * full_k2(n) + c
+    ref = np.fft.ifft2(np.fft.fft2(b) / full_symbol).real
+    assert iters >= 1
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_continuation_schedule_validation(product_problem64):

@@ -5,10 +5,11 @@ from coneflow.errors import ConfigurationError, SolvabilityError
 from coneflow.torus_field import (GreenPotential, circle_samples,
                                   constant_field, field_from_function,
                                   field_from_values, green_potential,
-                                  grid_delta, integrate, laplacian, make_grid,
+                                  grid_delta, integrate, lap_values,
+                                  laplacian, make_grid, mollify_values,
                                   radial_profile, read_field_csv,
-                                  solve_poisson, write_field_csv,
-                                  write_field_pgm)
+                                  solve_poisson, solve_poisson_values,
+                                  write_field_csv, write_field_pgm)
 
 
 def test_make_grid_basic():
@@ -67,6 +68,26 @@ def test_solve_poisson_round_trip(grid128):
     back = 0.5 * laplacian(u).values
     assert np.abs(back - rhs.values).max() < 1e-10
     assert abs(u.mean()) < 1e-13
+
+
+@pytest.mark.parametrize("n", [16, 64, 512])
+def test_real_transforms_match_complex_formula(n, nyquist_field, full_k2):
+    vals = nyquist_field(n, seed=n)
+    vals -= vals.mean()
+    k2 = full_k2(n)
+    lap = -4.0 * np.pi**2 * k2
+    inv_half_lap = np.zeros_like(lap)
+    inv_half_lap[k2 > 0] = 1.0 / (0.5 * lap[k2 > 0])
+    gauss = np.exp(-0.5 * (2.0 * np.pi * 0.04)**2 * k2)
+
+    def complex_formula(mult):
+        return np.fft.ifft2(mult * np.fft.fft2(vals)).real
+
+    for got, mult in ((lap_values(vals), lap),
+                      (solve_poisson_values(vals), inv_half_lap),
+                      (mollify_values(vals, 0.04), gauss)):
+        ref = complex_formula(mult)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_solve_poisson_rejects_nonzero_mean(grid64):
