@@ -112,31 +112,6 @@ def trace_field(rho_num: ScalarField, rho_den: ScalarField) -> ScalarField:
     return ScalarField(rho_num.grid, rho_num.values / den)
 
 
-def ricci_epsilon_correction(sol) -> ScalarField:
-    """The known positive-epsilon correction carried by the residual.
-
-    Smoothing the divisor profile shifts the curvature term by
-    (1-beta) (1/2) Lap [log(q + eps^2) - log q]; with the background's
-    exact off-atom identity (1/2) Lap log q = -2 pi this evaluates to
-
-        (1-beta) eps^2 [ 2 pi / (q + eps^2) + q |grad psi|^2 / (2 (q+eps^2)^2) ].
-
-    Subtracting it isolates the genuine defect of a positive-epsilon
-    solution; the term scales like eps^2 / q, so it is only small on
-    regions where the schedule's eps^2 stays below q.
-    """
-    problem = sol.problem
-    bg = problem.bg
-    q = bg.q.values
-    gx, gy = gradient_values(bg.log_q.values)
-    grad_psi_sq = gx * gx + gy * gy
-    e2 = sol.epsilon**2
-    vals = (1.0 - problem.beta) * e2 * (
-        2.0 * np.pi / (q + e2)
-        + q * grad_psi_sq / (2.0 * (q + e2)**2))
-    return ScalarField(bg.grid, vals)
-
-
 def _min_dominating_constant(log_trace, sigma_vals, lam, c_cap=1e9):
     """Smallest C with log T <= log C + C / sigma^lam at every sample."""
     weight = sigma_vals ** (-float(lam))
@@ -217,13 +192,9 @@ def ricci_residual(sol, mask) -> tuple:
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ConfigurationError("ricci_residual needs a nonempty mask")
-    problem = sol.problem
     rho = sol.density_values()
-    log_rho = (problem.density.log_density.values + sol.v.values
-               - (1.0 - problem.beta)
-               * np.log(problem.bg.q.values + sol.epsilon**2)
-               + math.log(problem.bg.area))
-    resid = -0.5 * lap_values(log_rho) + rho - problem.bg.wp.density.values
+    resid = (-0.5 * lap_values(_log_density_values(sol)) + rho
+             - sol.problem.bg.wp.density.values)
     field_out = ScalarField(sol.v.grid, resid)
     return field_out, float(np.abs(resid[mask]).max())
 

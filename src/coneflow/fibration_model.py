@@ -167,6 +167,12 @@ def _wp_density_values(model: FibrationModel, grid: Grid, im_tau, mask):
     raise ConfigurationError(f"unknown tau model kind {kind!r}")
 
 
+def _class_area(model: FibrationModel, w_mass: float) -> float:
+    """A = 2 pi (1 - beta) + W + 2 pi sum (m_i - 1)/m_i."""
+    return 2.0 * np.pi * (1.0 - model.beta) + w_mass + \
+        2.0 * np.pi * sum(model.multiplicity_weights)
+
+
 def required_area(model: FibrationModel, grid: Grid) -> float:
     """Base area forced by the class constraint:
     A = 2 pi (1 - beta) + W + 2 pi sum (m_i - 1)/m_i."""
@@ -175,9 +181,7 @@ def required_area(model: FibrationModel, grid: Grid) -> float:
     ibs = [f.ib_index for f in snapped.fibers]
     im, mask = tau_field(snapped.tau_model, grid, points, ibs)
     wp = _wp_density_values(snapped, grid, im.values, mask)
-    w_mass = float(wp.mean())
-    a = 2.0 * np.pi * (1.0 - model.beta) + w_mass + \
-        2.0 * np.pi * sum(model.multiplicity_weights)
+    a = _class_area(model, float(wp.mean()))
     assert a > 0.0, "area must be positive for beta < 1 and W >= 0"
     return a
 
@@ -214,8 +218,7 @@ def build_background(model: FibrationModel, grid: Grid,
     if not varying_family and np.any(wp_vals[mask] < -1e-8):
         raise ModelError("moduli density dips below -1e-8 on the valid mask")
     w_mass = float(wp_vals.mean())
-    area = 2.0 * np.pi * (1.0 - model.beta) + w_mass + \
-        2.0 * np.pi * sum(model.multiplicity_weights)
+    area = _class_area(model, w_mass)
 
     bg = BackgroundGeometry(
         grid=grid,
@@ -247,11 +250,12 @@ def assemble_density(model: FibrationModel, bg: BackgroundGeometry,
     log F = sum_i -( (m_i-1)/m_i ) psi_{s_i} + u_F + c_F where u_F solves
     (1/2) Lap u_F = A - 2 pi (1 - beta) - rho_WP - 2 pi sum (m_i-1)/m_i.
     The source is mean-zero exactly because A was defined from the same
-    mass bookkeeping; the residual mean is asserted below 1e-9.
+    mass bookkeeping; the residual mean is asserted below 1e-9.  bg must
+    be the background of this model on this grid.
     """
     grid = grid or bg.grid
-    if abs(bg.area - required_area(model, grid)) > 1e-9:
-        raise ModelError("background area is inconsistent with the model")
+    if grid != bg.grid or _snap_model(model, grid) != bg.model:
+        raise ModelError("background was not built from this model and grid")
     n = grid.n
     log_f = np.zeros((n, n))
     exponents = []

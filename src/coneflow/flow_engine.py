@@ -87,9 +87,19 @@ class FlowOps:
             - math.log(self.area))
         self.n = problem.bg.grid.n
         self.grid = problem.bg.grid
+        self._accepted = (None, None)   # (phi, density) of the last BE step
 
     def density_values(self, phi_values) -> np.ndarray:
         return self.area + 0.5 * lap_values(phi_values) + self.half_lap_cone
+
+    def accepted_density(self, phi_values) -> np.ndarray:
+        """density_values(phi_values), taken without a transform when
+        phi_values is the potential the last backward-Euler flow_step
+        through these ops returned (its Newton loop already holds it)."""
+        phi, density = self._accepted
+        if phi_values is phi:
+            return density
+        return self.density_values(phi_values)
 
     def rhs_values(self, phi_values, density=None) -> np.ndarray:
         """Flow right-hand side at phi; density, when given, must be
@@ -120,15 +130,21 @@ def _rk4_guard(ops: FlowOps, phi_values, dt):
             f"(0.2 h^2 A / max density)")
 
 
-def _backward_euler(ops: FlowOps, phi, dt, tol=1e-12, max_newton=30):
+def _backward_euler(ops: FlowOps, phi, dt, density_phi=None, tol=1e-12,
+                    max_newton=30):
     """Solve u - dt * rhs(u) = phi by Newton with a CG inner solve.
 
+    Returns (u, its density, Newton steps).  density_phi, when given, must
+    be ops.density_values(phi), which then is not recomputed.
+
     The linearization is (1+dt) I - dt (1/2) Lap / D; multiplying through
-    by the density D makes it SPD, and a mean-density Fourier symbol is an
-    exact-preconditioner ansatz that keeps CG counts at a handful.
+    by the density D makes it SPD, (1+dt) D w - dt (1/2) Lap w: a diagonal
+    plus a Fourier multiplier, the operator form preconditioned_cg takes.
+    Its mean-density preconditioner keeps CG counts at a handful.
     """
-    lm = _lap_multiplier(ops.n)
-    density_phi = ops.density_values(phi)
+    op_symbol = -dt * 0.5 * _lap_multiplier(ops.n)
+    if density_phi is None:
+        density_phi = ops.density_values(phi)
     u = phi + dt * ops.rhs_values(phi, density_phi)     # explicit predictor
     density = ops.density_values(u)
     if density.min() <= 0.0:
@@ -137,14 +153,9 @@ def _backward_euler(ops: FlowOps, phi, dt, tol=1e-12, max_newton=30):
         resid = u - phi - dt * ops.rhs_values(u, density)
         sup = float(np.abs(resid).max())
         if sup <= tol:
-            return u, it
-        symbol = (1.0 + dt) * float(density.mean()) - dt * 0.5 * lm
-
-        def apply_op(w):
-            return (1.0 + dt) * density * w - dt * 0.5 * lap_values(w)
-
-        w, _ = preconditioned_cg(apply_op, -density * resid, symbol,
-                                 rel_tol=1e-13)
+            return u, density, it
+        w, _ = preconditioned_cg((1.0 + dt) * density, op_symbol,
+                                 -density * resid, rel_tol=1e-13)
         step = 1.0
         accepted = False
         for _ in range(30):
@@ -177,7 +188,11 @@ def _rk4(ops: FlowOps, phi, dt):
 def flow_step(state: FlowState, problem: KEProblem,
               scheme: str = "backward-euler-newton",
               ops: FlowOps = None) -> FlowState:
-    """Advance the state by its dt with the chosen scheme."""
+    """Advance the state by its dt with the chosen scheme.
+
+    Backward-Euler steps through shared ops hand the accepted state's
+    density on (FlowOps.accepted_density) instead of recomputing it.
+    """
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}; pick from {SCHEMES}")
     if state.dt <= 0:
@@ -188,7 +203,10 @@ def flow_step(state: FlowState, problem: KEProblem,
         _rk4_guard(ops, phi, state.dt)
         new_phi = _rk4(ops, phi, state.dt)
     else:
-        new_phi, _ = _backward_euler(ops, phi, state.dt)
+        new_phi, density, _ = _backward_euler(
+            ops, phi, state.dt, ops.accepted_density(state.phi.values))
+        density.setflags(write=False)
+        ops._accepted = (new_phi, density)   # new_phi becomes the state's
     return FlowState(phi=ScalarField(state.phi.grid, new_phi),
                      t=state.t + state.dt, epsilon=state.epsilon, dt=state.dt)
 
@@ -226,7 +244,7 @@ def run_flow(problem: KEProblem, T: float, dt: float,
         for _ in range(n_steps):
             state = flow_step(state, problem, scheme, ops=ops)
             phi = state.phi.values
-            density = ops.density_values(phi)
+            density = ops.accepted_density(phi)
             rhs = ops.rhs_values(phi, density)
             gaps = {}
             if target is not None:

@@ -88,28 +88,44 @@ def ke_residual(problem: KEProblem, v: ScalarField) -> ScalarField:
     return ScalarField(v.grid, vals)
 
 
-def preconditioned_cg(apply_op, b, fourier_symbol, rel_tol=1e-12, max_iter=500):
-    """CG for an SPD grid operator with an exact diagonal-in-Fourier
-    preconditioner given by its real, even symbol on the rfft2 half
-    spectrum (shape (N, N//2+1), as built from _lap_multiplier)."""
+def preconditioned_cg(coeff, op_symbol, b, rel_tol=1e-12, max_iter=500):
+    """Solve A x = b by preconditioned CG; returns (x, iterations).
+
+    The operator is A u = coeff * u + F^-1[op_symbol * F u]: a positive
+    pointwise coefficient plus a Fourier multiplier whose real, even symbol
+    lives on the rfft2 half spectrum (shape (N, N//2+1), as built from
+    _lap_multiplier), with A symmetric positive definite.  The
+    preconditioner is the multiplier shifted by the coefficient's mean,
+    P = op_symbol + mean(coeff), so A = P + diag(coeff - mean(coeff)).
+
+    Eisenstat's trick: for z = P^-1 r the product A z equals
+    r + (coeff - mean(coeff)) z with no transform, and A p follows by the
+    same recurrence as p.  Each iteration therefore costs one transform
+    pair, the preconditioner's.
+    """
     x = np.zeros_like(b)
-    r = b.copy()
-    z = from_half_spectrum(half_spectrum(r) / fourier_symbol)
-    p = z.copy()
-    rz = float(np.vdot(r, z).real)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return x, 0
+    c_mean = float(np.mean(coeff))
+    symbol = op_symbol + c_mean
+    shift = coeff - c_mean
+    r = b.copy()
+    z = from_half_spectrum(half_spectrum(r) / symbol)
+    p = z.copy()
+    ap = r + shift * z
+    rz = float(np.vdot(r, z).real)
     for it in range(max_iter):
-        ap = apply_op(p)
         alpha = rz / float(np.vdot(p, ap).real)
         x += alpha * p
         r -= alpha * ap
         if np.linalg.norm(r) <= rel_tol * b_norm:
             return x, it + 1
-        z = from_half_spectrum(half_spectrum(r) / fourier_symbol)
+        z = from_half_spectrum(half_spectrum(r) / symbol)
         rz_new = float(np.vdot(r, z).real)
-        p = z + (rz_new / rz) * p
+        beta = rz_new / rz
+        p = z + beta * p
+        ap = (r + shift * z) + beta * ap
         rz = rz_new
     return x, max_iter
 
@@ -132,7 +148,7 @@ def newton_solve(problem: KEProblem, v0: ScalarField = None,
     density = bg.area + 0.5 * lap_values(v)
     if density.min() <= 0:
         raise PositivityError("initial density is outside the Kahler cone")
-    lm = _lap_multiplier(n)
+    op_symbol = -0.5 * _lap_multiplier(n)
     history = []
     g = density - m_coeff * np.exp(v)
     for it in range(max_iter + 1):
@@ -148,10 +164,8 @@ def newton_solve(problem: KEProblem, v0: ScalarField = None,
                 newton_iters=it,
                 residual_history=tuple(history),
             )
-        c = m_coeff * np.exp(v)
-        symbol = -0.5 * lm + float(c.mean())
-        w, _ = preconditioned_cg(lambda u: -0.5 * lap_values(u) + c * u,
-                                 g, symbol, rel_tol=cg_tol)
+        w, _ = preconditioned_cg(m_coeff * np.exp(v), op_symbol, g,
+                                 rel_tol=cg_tol)
         step = 1.0
         accepted = False
         for _ in range(30):

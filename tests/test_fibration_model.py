@@ -111,6 +111,12 @@ def test_assemble_density_product_is_constant(product, product_bg64, grid64):
     assert dens.singular_exponents == ()
 
 
+def test_assemble_density_rejects_foreign_background(product_bg64, grid64,
+                                                    m2):
+    with pytest.raises(ModelError):
+        assemble_density(m2, product_bg64, grid64)
+
+
 def test_assemble_density_normalized(grid64, m2):
     bg = build_background(m2, grid64)
     dens = assemble_density(m2, bg, grid64)

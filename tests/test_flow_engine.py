@@ -167,6 +167,36 @@ def test_run_flow_converges_and_reports(problem64, solved64):
         assert np.isfinite(traj.monitors[key]).all()
 
 
+def test_run_flow_matches_public_steps_bitwise(problem64, solved64):
+    # run_flow reuses each accepted step's density for its diagnostics and
+    # the next step; fresh ops per public call recompute every density
+    masks = {"all": np.ones((64, 64), dtype=bool),
+             "qr>=0.1": problem64.bg.q.values >= 0.1}
+    monitor = masks["qr>=0.1"]
+    final, traj, _ = run_flow(problem64, T=1.0, dt=0.05, masks=masks,
+                              target_phi=solved64.phi, monitor_mask=monitor)
+    ops = FlowOps(problem64)
+    state = state_of(problem64, np.zeros((64, 64)))
+    target = solved64.phi.values
+    for k in range(20):
+        state = flow_step(state, problem64)
+        phi = state.phi.values
+        density = ops.density_values(phi)
+        rhs = ops.rhs_values(phi, density)
+        assert traj.times[k] == state.t
+        for name, mask in masks.items():
+            assert traj.gaps[name][k] == np.abs(phi - target)[mask].max()
+        assert traj.energy[k] == phi.mean()
+        assert traj.min_density[k] == density.min()
+        assert traj.monitors["sup_psi"][k] == \
+            np.abs((phi + ops.cone)[monitor]).max()
+        assert traj.monitors["sup_dt_psi"][k] == np.abs(rhs[monitor]).max()
+        assert traj.monitors["trace_ref"][k] == \
+            (ops.area / density[monitor]).max()
+    assert len(traj.times) == 20
+    assert np.array_equal(final.phi.values, state.phi.values)
+
+
 def test_run_flow_rejects_long_horizon(problem64):
     with pytest.raises(ConfigurationError):
         run_flow(problem64, T=60.0, dt=0.05)
