@@ -6,9 +6,9 @@ and verifies the convergence statements and a priori estimates at desk
 scale.  See the README for the module map and the CLI surface.
 """
 
-from .errors import (ConfigurationError, DivergenceError, ModelError,
-                     NumericalError, PositivityError, SolvabilityError,
-                     StabilityGuardError)
+from .errors import (ConeflowError, ConfigurationError, DivergenceError,
+                     ModelError, NumericalError, PositivityError,
+                     SolvabilityError, StabilityGuardError)
 from .torus_field import (Grid, GreenPotential, ScalarField, green_potential,
                           integrate, laplacian, make_grid, radial_profile,
                           solve_poisson)

@@ -28,15 +28,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
-from .fibration_model import (assemble_density, build_background,
-                              model_from_json_dict, validate_lp)
+from .errors import ConeflowError, ConfigurationError, ModelError
+from .fibration_model import (_read, assemble_density, build_background,
+                              lp_threshold, model_from_json_dict)
 from .flow_engine import SCHEMES, run_flow
 from .ke_solver import (KEProblem, continuation_solve, newton_solve)
 from .torus_field import make_grid, write_field_csv, write_field_pgm
 from .verify import run_verification_suite
 from . import elliptic_periods as periods_mod
-from .estimates import sigma_barrier
+from .estimates import flow_masks
 
 DEFAULT_GRID_N = 128
 DEFAULT_EPSILON_SCHEDULE = (0.4, 0.2, 0.1, 0.05)
@@ -80,41 +80,44 @@ def parse_config_dict(d: dict, base_dir=".") -> RunConfig:
             raise ConfigurationError(f"config.{key}: unknown key")
     if "model" not in d:
         raise ConfigurationError("config.model: required (path to a model JSON)")
-    model_path = os.path.join(base_dir, d["model"]) \
-        if not os.path.isabs(d["model"]) else d["model"]
+    model = _read(d, "model", "config", str)
+    model_path = model if os.path.isabs(model) \
+        else os.path.join(base_dir, model)
     if not os.path.exists(model_path):
         raise ConfigurationError(f"config.model: no such file {model_path!r}")
-    grid_n = int(d.get("grid_n", DEFAULT_GRID_N))
+    grid_n = _read(d, "grid_n", "config", int, DEFAULT_GRID_N)
     if grid_n < 16 or grid_n % 2:
         raise ConfigurationError(f"config.grid_n: must be even and >= 16, got {grid_n}")
-    schedule = tuple(float(e) for e in d.get("epsilon_schedule",
-                                             DEFAULT_EPSILON_SCHEDULE))
+    schedule = _read(d, "epsilon_schedule", "config",
+                     lambda v: tuple(float(e) for e in v),
+                     DEFAULT_EPSILON_SCHEDULE)
     for e in schedule:
         if not (0.0 < e <= 1.0):
             raise ConfigurationError(f"config.epsilon_schedule: value {e} out of (0, 1]")
     flow = dict(DEFAULT_FLOW)
-    for key, value in d.get("flow", {}).items():
+    for key, value in _read(d, "flow", "config", dict, {}).items():
         if key not in _FLOW_KEYS:
             raise ConfigurationError(f"config.flow.{key}: unknown key")
         flow[key] = value
-    flow["T"] = float(flow["T"])
-    flow["dt"] = float(flow["dt"])
+    flow["T"] = _read(flow, "T", "config.flow", float)
+    flow["dt"] = _read(flow, "dt", "config.flow", float)
     if flow["scheme"] not in SCHEMES:
         raise ConfigurationError(
             f"config.flow.scheme: unknown scheme {flow['scheme']!r}")
     if not (0.0 < flow["dt"] <= flow["T"] <= 50.0):
         raise ConfigurationError("config.flow: need 0 < dt <= T <= 50")
     masks = dict(DEFAULT_MASKS)
-    for key, value in d.get("masks", {}).items():
+    for key, value in _read(d, "masks", "config", dict, {}).items():
         if key not in _MASK_KEYS:
             raise ConfigurationError(f"config.masks.{key}: unknown key")
         masks[key] = value
-    masks["qr_min"] = float(masks["qr_min"])
-    masks["sigma_levels"] = [float(v) for v in masks["sigma_levels"]]
+    masks["qr_min"] = _read(masks, "qr_min", "config.masks", float)
+    masks["sigma_levels"] = _read(masks, "sigma_levels", "config.masks",
+                                  lambda v: [float(x) for x in v])
     return RunConfig(model_path=model_path, grid_n=grid_n,
                      epsilon_schedule=schedule, flow=flow, masks=masks,
                      output_dir=str(d.get("output_dir", "out")),
-                     seed=int(d.get("seed", 0)))
+                     seed=_read(d, "seed", "config", int, 0))
 
 
 def parse_config(path) -> RunConfig:
@@ -170,10 +173,10 @@ def _cmd_model_check(cfg: RunConfig) -> int:
     grid = make_grid(cfg.grid_n)
     bg = build_background(model, grid)
     density = assemble_density(model, bg, grid)
-    lp = validate_lp(model, grid_sizes=(cfg.grid_n,))
+    p_star = lp_threshold(model)
     print(f"A = {bg.area:.12g}")
     print(f"W = {bg.wp_mass:.12g}")
-    print(f"p_star = {lp['p_star']:.12g}" if math.isfinite(lp["p_star"])
+    print(f"p_star = {p_star:.12g}" if math.isfinite(p_star)
           else "p_star = inf")
     resid = abs(np.exp(density.log_density.values).mean() - 1.0)
     print(f"consistency residual = {resid:.3e}")
@@ -217,11 +220,7 @@ def _cmd_flow_run(cfg: RunConfig) -> int:
     problem = KEProblem(bg=bg, density=density, beta=model.beta,
                         delta=model.delta, epsilon=eps)
     target = newton_solve(problem)
-    gamma = [bg.model.cone_point] + [f.point for f in bg.model.fibers]
-    barrier = sigma_barrier(grid, gamma, reference_area=bg.area)
-    masks = {f"sigma>={lvl}": barrier.level_mask(lvl)
-             for lvl in cfg.masks["sigma_levels"]}
-    masks[f"qr>={cfg.masks['qr_min']}"] = bg.q.values >= cfg.masks["qr_min"]
+    _, masks = flow_masks(bg, cfg.masks["sigma_levels"], cfg.masks["qr_min"])
     state, traj, decay = run_flow(
         problem, cfg.flow["T"], cfg.flow["dt"], cfg.flow["scheme"],
         masks=masks, target_phi=target.phi,
@@ -274,7 +273,13 @@ def _cmd_periods(input_path, output_dir) -> int:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = [float(v) for v in line.split(",")]
+            where = f"{input_path}:{line_no}"
+            try:
+                parts = [float(v) for v in line.split(",")]
+            except ValueError as exc:
+                raise ConfigurationError(f"{where}: {exc}") from None
+            if not all(map(math.isfinite, parts)):
+                raise ConfigurationError(f"{where}: values must be finite")
             if len(parts) == 2:
                 g2, g3 = complex(parts[0]), complex(parts[1])
             elif len(parts) == 4:
@@ -282,10 +287,13 @@ def _cmd_periods(input_path, output_dir) -> int:
                 g3 = complex(parts[2], parts[3])
             else:
                 raise ConfigurationError(
-                    f"{input_path}:{line_no}: expected 2 or 4 numbers per row")
+                    f"{where}: expected 2 or 4 numbers per row")
             curve = periods_mod.WeierstrassCurve(g2, g3)
             disc = periods_mod.discriminant(curve)
-            w1, w2, tau = periods_mod.periods_from_weierstrass(curve)
+            try:
+                w1, w2, tau = periods_mod.periods_from_weierstrass(curve)
+            except ModelError as exc:
+                raise ConfigurationError(f"{where}: {exc}") from None
             rows.append((g2, g3, w1, w2, tau, disc))
 
     def _w(tmp):
@@ -386,7 +394,7 @@ def main(argv=None) -> int:
         if args.group == "verify" and args.action == "all":
             return _cmd_verify_all(cfg)
         raise ConfigurationError(f"unhandled command {args.group}")
-    except (ConfigurationError, NumericalError, OSError) as exc:
+    except (ConeflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

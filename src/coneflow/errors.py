@@ -1,19 +1,24 @@
 """Exception types shared across the package."""
 
 
-class ConfigurationError(ValueError):
+class ConeflowError(Exception):
+    """Base of every error the package raises on purpose; the CLI reports
+    these as one `error:` line."""
+
+
+class ConfigurationError(ConeflowError, ValueError):
     """Invalid grid sizes, parameter ranges, schedules or config files."""
 
 
-class ModelError(ValueError):
+class ModelError(ConeflowError, ValueError):
     """A synthetic geometry model is internally inconsistent."""
 
 
-class SolvabilityError(ValueError):
+class SolvabilityError(ConeflowError, ValueError):
     """A linear problem has no solution under the stated constraints."""
 
 
-class NumericalError(RuntimeError):
+class NumericalError(ConeflowError, RuntimeError):
     """An iteration failed to converge or produced invalid values."""
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "BarrierSigma",
     "EstimateReport",
     "sigma_barrier",
+    "flow_masks",
     "trace_field",
     "fit_trace_constants",
     "verify_trace_bound",
@@ -101,6 +102,18 @@ def sigma_barrier(grid: Grid, points, width: float = 0.1,
     bound = max(grad_sq, half_lap) / reference_area
     return BarrierSigma(sigma=ScalarField(grid, sig), points=tuple(pts),
                         width=width, bound_constant=bound)
+
+
+def flow_masks(bg, sigma_levels, qr_min):
+    """(barrier, masks) for a background: the sigma barrier around the cone
+    point and the singular fibers, its level masks "sigma>=<level>" and the
+    compact-region mask "qr>=<qr_min>" on which flow gaps are measured."""
+    points = [bg.model.cone_point] + [f.point for f in bg.model.fibers]
+    barrier = sigma_barrier(bg.grid, points, reference_area=bg.area)
+    masks = {f"sigma>={level}": barrier.level_mask(level)
+             for level in sigma_levels}
+    masks[f"qr>={qr_min}"] = bg.q.values >= qr_min
+    return barrier, masks
 
 
 def trace_field(rho_num: ScalarField, rho_den: ScalarField) -> ScalarField:

@@ -44,6 +44,7 @@ __all__ = [
     "required_area",
     "build_background",
     "assemble_density",
+    "lp_threshold",
     "validate_lp",
     "model_to_json_dict",
     "model_from_json_dict",
@@ -127,12 +128,22 @@ class DensityData:
 
 
 def _snap_model(model: FibrationModel, grid: Grid) -> FibrationModel:
+    """The model with its marked points snapped to the lattice; the snapped
+    points must be more than 8/N apart."""
     def snap(p):
         i, j = grid.point_index(p)
         return (i / grid.n, j / grid.n)
 
-    fibers = tuple(replace(f, point=snap(f.point)) for f in model.fibers)
-    return replace(model, cone_point=snap(model.cone_point), fibers=fibers)
+    given = [model.cone_point] + [f.point for f in model.fibers]
+    pts = [snap(p) for p in given]
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if pair_distance(pts[i], pts[j]) <= 8.0 / grid.n:
+                raise ConfigurationError(
+                    f"marked points {given[i]} and {given[j]} closer than "
+                    f"8/N at N={grid.n}")
+    fibers = tuple(replace(f, point=p) for f, p in zip(model.fibers, pts[1:]))
+    return replace(model, cone_point=pts[0], fibers=fibers)
 
 
 def _wp_density_values(model: FibrationModel, grid: Grid, im_tau, mask):
@@ -195,13 +206,6 @@ def build_background(model: FibrationModel, grid: Grid,
     positive at the given smoothing levels.
     """
     model = _snap_model(model, grid)
-    pts = [model.cone_point] + [f.point for f in model.fibers]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if pair_distance(pts[i], pts[j]) <= 8.0 / grid.n:
-                raise ConfigurationError(
-                    f"marked points {pts[i]} and {pts[j]} closer than 8/N at N={grid.n}")
-
     psi_r = green_values(grid, model.cone_point)
     log_q = psi_r - psi_r.max()
     q = np.exp(log_q)
@@ -280,19 +284,26 @@ def assemble_density(model: FibrationModel, bg: BackgroundGeometry,
     )
 
 
-def validate_lp(model: FibrationModel, grid_sizes=(128, 256, 512)) -> dict:
-    """Report integrability of F across grid refinements.
-
-    p_star = min_i m_i/(m_i - 1) (infinite when every m_i = 1), capped by
-    1/(1 - beta).  Reports int F^p at p = 0.95 p_star (expected to settle)
-    and, when p_star is finite, at p = 1.05 p_star (expected to keep
-    growing).  Report-only: no thresholds are enforced here.
-    """
-    from .torus_field import make_grid
+def lp_threshold(model: FibrationModel) -> float:
+    """p_star = min_i m_i/(m_i - 1) (infinite when every m_i = 1), capped
+    by 1/(1 - beta): the integrability threshold of F, a function of the
+    model alone."""
     ratios = [f.multiplicity / (f.multiplicity - 1.0)
               for f in model.fibers if f.multiplicity > 1]
     p_star = min(ratios) if ratios else math.inf
-    p_star = min(p_star, 1.0 / (1.0 - model.beta))
+    return min(p_star, 1.0 / (1.0 - model.beta))
+
+
+def validate_lp(model: FibrationModel, grid_sizes=(128, 256, 512)) -> dict:
+    """Report integrability of F across grid refinements.
+
+    With p_star = lp_threshold(model), reports int F^p at p = 0.95 p_star
+    (expected to settle) and, when p_star is finite, at p = 1.05 p_star
+    (expected to keep growing).  Report-only: no thresholds are enforced
+    here.
+    """
+    from .torus_field import make_grid
+    p_star = lp_threshold(model)
     p_low = 0.95 * p_star
     p_high = 1.05 * p_star if math.isfinite(p_star) else None
 
@@ -344,6 +355,39 @@ def _tau_to_dict(tm: TauModel) -> dict:
     raise ConfigurationError(f"unknown tau model kind {tm.kind!r}")
 
 
+_REQUIRED = object()
+
+
+def _read(d, key, path, convert, default=_REQUIRED):
+    """convert(d[key]), or default when the key is absent; a missing
+    required key or a value convert rejects raises a ConfigurationError
+    that names the key path."""
+    if key not in d:
+        if default is _REQUIRED:
+            raise ConfigurationError(f"{path}: missing required key {key!r}")
+        return default
+    try:
+        return convert(d[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}.{key}: {exc}") from None
+
+
+def _pair(v):
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise ValueError(f"expected [x, y], got {v!r}")
+    return float(v[0]), float(v[1])
+
+
+def _complex(v):
+    return complex(*_pair(v))
+
+
+def _modes(v):
+    """[[kx, ky, re, im], ...] as (kx, ky, complex amplitude) tuples."""
+    return tuple((int(kx), int(ky), complex(float(re), float(im)))
+                 for kx, ky, re, im in v)
+
+
 def _tau_from_dict(d: dict, path="tau_model") -> TauModel:
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigurationError(f"{path}: expected an object with a 'kind' key")
@@ -353,26 +397,25 @@ def _tau_from_dict(d: dict, path="tau_model") -> TauModel:
         "ib_local": {"kind", "baseline", "cap_radius"},
         "weierstrass": {"kind", "g2", "g3", "g2_modes", "g3_modes"},
     }
-    if kind not in known:
+    if not isinstance(kind, str) or kind not in known:
         raise ConfigurationError(f"{path}.kind: unknown kind {kind!r}")
     for key in d:
         if key not in known[kind]:
             raise ConfigurationError(f"{path}.{key}: unknown key")
-    if kind == "constant":
-        t = d.get("tau", [0.0, 1.0])
-        return ConstantTau(complex(t[0], t[1]))
-    if kind == "ib_local":
-        return LocalLogTau(baseline=float(d.get("baseline", 1.0)),
-                           cap_radius=float(d.get("cap_radius", 0.25)))
-    modes2 = tuple((int(m[0]), int(m[1]), complex(m[2], m[3]))
-                   for m in d.get("g2_modes", []))
-    modes3 = tuple((int(m[0]), int(m[1]), complex(m[2], m[3]))
-                   for m in d.get("g3_modes", []))
-    g2 = d.get("g2", [4.0, 0.0])
-    g3 = d.get("g3", [0.0, 0.0])
-    return WeierstrassFamilyTau(g2=complex(g2[0], g2[1]),
-                                g3=complex(g3[0], g3[1]),
-                                g2_modes=modes2, g3_modes=modes3)
+    try:
+        if kind == "constant":
+            return ConstantTau(_read(d, "tau", path, _complex, 1j))
+        if kind == "ib_local":
+            return LocalLogTau(
+                baseline=_read(d, "baseline", path, float, 1.0),
+                cap_radius=_read(d, "cap_radius", path, float, 0.25))
+        return WeierstrassFamilyTau(
+            g2=_read(d, "g2", path, _complex, 4.0 + 0j),
+            g3=_read(d, "g3", path, _complex, 0j),
+            g2_modes=_read(d, "g2_modes", path, _modes, ()),
+            g3_modes=_read(d, "g3_modes", path, _modes, ()))
+    except ModelError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
 
 
 _MODEL_KEYS = {"beta", "delta", "cone_point", "fibers", "tau_model",
@@ -401,27 +444,27 @@ def model_from_json_dict(d: dict, path="model"):
     for key in d:
         if key not in _MODEL_KEYS:
             raise ConfigurationError(f"{path}.{key}: unknown key")
-    try:
-        beta = float(d["beta"])
-        delta = float(d["delta"])
-        cone_point = tuple(float(v) for v in d["cone_point"])
-    except KeyError as exc:
-        raise ConfigurationError(f"{path}: missing required key {exc.args[0]!r}")
+    beta = _read(d, "beta", path, float)
+    delta = _read(d, "delta", path, float)
+    cone_point = _read(d, "cone_point", path, _pair)
     if not (0.0 < beta < 1.0):
         raise ConfigurationError(f"{path}.beta: must lie in (0, 1), got {beta}")
     if delta <= 0:
         raise ConfigurationError(f"{path}.delta: must be positive, got {delta}")
-    if len(cone_point) != 2:
-        raise ConfigurationError(f"{path}.cone_point: expected [x, y]")
+    fiber_dicts = d.get("fibers", [])
+    if not isinstance(fiber_dicts, list):
+        raise ConfigurationError(f"{path}.fibers: expected a list")
     fibers = []
-    for i, fd in enumerate(d.get("fibers", [])):
+    for i, fd in enumerate(fiber_dicts):
         fpath = f"{path}.fibers[{i}]"
+        if not isinstance(fd, dict):
+            raise ConfigurationError(f"{fpath}: expected an object")
         for key in fd:
             if key not in {"point", "m", "b"}:
                 raise ConfigurationError(f"{fpath}.{key}: unknown key")
-        pt = tuple(float(v) for v in fd["point"])
-        m = int(fd.get("m", 1))
-        b = int(fd.get("b", 0))
+        pt = _read(fd, "point", fpath, _pair)
+        m = _read(fd, "m", fpath, int, 1)
+        b = _read(fd, "b", fpath, int, 0)
         if m < 1:
             raise ConfigurationError(f"{fpath}.m: must be >= 1, got {m}")
         if b < 0:
@@ -429,12 +472,10 @@ def model_from_json_dict(d: dict, path="model"):
         fibers.append(SingularFiber(point=pt, multiplicity=m, ib_index=b))
     tau = _tau_from_dict(d.get("tau_model", {"kind": "constant", "tau": [0, 1]}),
                          f"{path}.tau_model")
-    fiber_area = float(d.get("fiber_area", 1.0))
+    fiber_area = _read(d, "fiber_area", path, float, 1.0)
     if fiber_area <= 0:
         raise ConfigurationError(f"{path}.fiber_area: must be positive")
-    grid_n = d.get("grid_n")
-    if grid_n is not None:
-        grid_n = int(grid_n)
+    grid_n = _read(d, "grid_n", path, int, None)
     try:
         model = FibrationModel(beta=beta, delta=delta, cone_point=cone_point,
                                fibers=tuple(fibers), tau_model=tau,

@@ -19,14 +19,15 @@ to round-off, which is the reduction's correctness certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.fft as _fft
 
 from .errors import (ConfigurationError, DivergenceError, PositivityError,
                      StabilityGuardError)
-from .ke_solver import KEProblem, preconditioned_cg
+from .ke_solver import KEProblem, damped_newton
 from .torus_field import ScalarField, lap_values, make_grid, _lap_multiplier
 
 __all__ = [
@@ -41,6 +42,15 @@ __all__ = [
 ]
 
 SCHEMES = ("backward-euler-newton", "rk4-explicit")
+
+# the second of ProductFlow4D.rhs's two threads (started on first use)
+_HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="coneflow-4d")
+
+
+def _inverse(mult, hat, out):
+    """ifftn(mult * hat), with the product written into out."""
+    return _fft.ifftn(np.multiply(mult, hat, out=out), workers=1,
+                      overwrite_x=True)
 
 
 @dataclass(frozen=True)
@@ -76,7 +86,6 @@ class FlowOps:
     """Cached per-problem quantities for one epsilon level."""
 
     def __init__(self, problem: KEProblem):
-        self.problem = problem
         self.area = problem.bg.area
         self.cone = problem.cone_field_values()           # delta chi field
         self.half_lap_cone = 0.5 * lap_values(self.cone)
@@ -85,7 +94,6 @@ class FlowOps:
             * np.log(problem.bg.q.values + problem.epsilon**2)
             - problem.density.log_density.values
             - math.log(self.area))
-        self.n = problem.bg.grid.n
         self.grid = problem.bg.grid
         self._accepted = (None, None)   # (phi, density) of the last BE step
 
@@ -132,46 +140,36 @@ def _rk4_guard(ops: FlowOps, phi_values, dt):
 
 def _backward_euler(ops: FlowOps, phi, dt, density_phi=None, tol=1e-12,
                     max_newton=30):
-    """Solve u - dt * rhs(u) = phi by Newton with a CG inner solve.
+    """Solve u - dt * rhs(u) = phi by damped Newton (damped_newton) from the
+    explicit predictor, or from phi when the predictor leaves the Kahler
+    cone.  Returns (u, its density, Newton steps); density_phi, when given,
+    must be ops.density_values(phi).
 
-    Returns (u, its density, Newton steps).  density_phi, when given, must
-    be ops.density_values(phi), which then is not recomputed.
-
-    The linearization is (1+dt) I - dt (1/2) Lap / D; multiplying through
-    by the density D makes it SPD, (1+dt) D w - dt (1/2) Lap w: a diagonal
-    plus a Fourier multiplier, the operator form preconditioned_cg takes.
-    Its mean-density preconditioner keeps CG counts at a handful.
+    The linearization (1+dt) I - dt (1/2) Lap / D, multiplied through by
+    the density D, is SPD: (1+dt) D w - dt (1/2) Lap w, solved by CG to the
+    relative tolerance max(1e-13, 0.1 * tol / sup|u - phi - dt rhs(u)|).
     """
-    op_symbol = -dt * 0.5 * _lap_multiplier(ops.n)
+    op_symbol = -dt * 0.5 * _lap_multiplier(ops.grid.n)
     if density_phi is None:
         density_phi = ops.density_values(phi)
+
+    def evaluate(u, density=None):
+        if density is None:
+            density = ops.density_values(u)
+            if density.min() <= 0.0:
+                return None
+        return u - phi - dt * ops.rhs_values(u, density), density
+
     u = phi + dt * ops.rhs_values(phi, density_phi)     # explicit predictor
-    density = ops.density_values(u)
-    if density.min() <= 0.0:
-        u, density = phi.copy(), density_phi
-    for it in range(max_newton):
-        resid = u - phi - dt * ops.rhs_values(u, density)
-        sup = float(np.abs(resid).max())
-        if sup <= tol:
-            return u, density, it
-        w, _ = preconditioned_cg((1.0 + dt) * density, op_symbol,
-                                 -density * resid, rel_tol=1e-13)
-        step = 1.0
-        accepted = False
-        for _ in range(30):
-            un = u + step * w
-            density_n = ops.density_values(un)
-            if density_n.min() > 0.0:
-                rn = un - phi - dt * ops.rhs_values(un, density_n)
-                if np.abs(rn).max() < sup:
-                    accepted = True
-                    break
-            step *= 0.5
-        if not accepted:
-            raise DivergenceError(
-                f"backward-Euler Newton stalled (residual {sup:.3e})")
-        u, density = un, density_n
-    raise DivergenceError("backward-Euler Newton did not converge")
+    start = evaluate(u)
+    if start is None:
+        u, start = phi, evaluate(phi, density_phi)
+    u, density, history = damped_newton(
+        u, start, evaluate,
+        lambda u, density, resid: ((1.0 + dt) * density, op_symbol,
+                                   -density * resid),
+        tol, max_newton, cg_floor=1e-13)
+    return u, density, len(history) - 1
 
 
 def _rk4(ops: FlowOps, phi, dt):
@@ -309,10 +307,8 @@ class ProductFlow4D:
         self.fiber_area = float(fiber_area)
         self.base_grid = make_grid(nb)
         bg = build_background(model, self.base_grid)
-        dens = assemble_density(model, bg)
-        self.base_problem = KEProblem(bg=bg, density=dens, beta=problem.beta,
-                                      delta=problem.delta,
-                                      epsilon=problem.epsilon)
+        self.base_problem = replace(problem, bg=bg,
+                                    density=assemble_density(model, bg))
         self.base_ops = FlowOps(self.base_problem)
         self.area = bg.area
 
@@ -331,6 +327,7 @@ class ProductFlow4D:
             - math.log(self.fiber_area)
         self._cone = self.base_ops.cone
         self._half_lap_cone = self.base_ops.half_lap_cone
+        self._spectra = np.empty((2, nf, nf, nb, nb), dtype=complex)
 
     def initial_state(self, fiber_mode_amplitude: float = 0.0):
         phi = np.zeros((self.nf, self.nf, self.nb, self.nb))
@@ -343,30 +340,51 @@ class ProductFlow4D:
     def rhs(self, phi, t):
         # p = e^-t A + lap_w/2, q = area + lap_s/2 + half_lap_cone,
         # det = p q - m_re^2 - m_im^2 with m = z2/2; the result is
-        # t + log_prefactor + log(det) - phi - cone.  Evaluated in place,
-        # with the same operations in the same order (bitwise the same
-        # values), to spare the 4D temporaries of a per-step call.
+        # t + log_prefactor + log(det) - phi - cone.  Same operations in
+        # the same order as that plain formula (bitwise the same values),
+        # on two threads: the two multiplier products and inverse transforms
+        # run side by side, then each thread takes half the fiber rows of
+        # the pointwise part.
         hat = _fft.fftn(phi, workers=2)
-        z1 = _fft.ifftn(self._mult_lap * hat, workers=2, overwrite_x=True)
-        z2 = _fft.ifftn(np.multiply(self._mult_mixed, hat, out=hat),
-                        workers=2, overwrite_x=True)
-        p = np.multiply(z1.real, 0.5)
-        p += math.exp(-t) * self.fiber_area
-        det = np.multiply(z1.imag, 0.5)
-        np.add(self.area, det, out=det)
-        det += self._half_lap_cone
-        det *= p
-        m = np.multiply(z2.real, 0.5)
-        det -= np.square(m, out=m)
-        np.multiply(z2.imag, 0.5, out=m)
-        det -= np.square(m, out=m)
-        if p.min() <= 0.0 or det.min() <= 0.0:
+        pending = _HELPER.submit(_inverse, self._mult_lap, hat,
+                                 self._spectra[0])
+        z2 = _inverse(self._mult_mixed, hat, self._spectra[1])
+        z1 = pending.result()
+        out = np.empty(phi.shape)
+        half = phi.shape[0] // 2
+        pending = _HELPER.submit(self._rows, z1, z2, phi, t, out,
+                                 range(half, phi.shape[0]))
+        inside = self._rows(z1, z2, phi, t, out, range(half))
+        if not (pending.result() and inside):
             raise PositivityError("4D determinant left the Kahler cone")
-        out = np.add(t + self._base_log_prefactor, np.log(det, out=det),
-                     out=det)
-        out -= phi
-        out -= self._cone
         return out
+
+    def _rows(self, z1, z2, phi, t, out, rows):
+        """The pointwise part of rhs on the given fiber rows, one row
+        (nf x nb x nb, in cache) at a time; False as soon as p or det is
+        not positive."""
+        fiber = math.exp(-t) * self.fiber_area
+        shift = t + self._base_log_prefactor
+        p = np.empty(phi.shape[1:])
+        m = np.empty_like(p)
+        for i in rows:
+            det = out[i]
+            np.multiply(z1[i].real, 0.5, out=p)
+            p += fiber
+            np.multiply(z1[i].imag, 0.5, out=det)
+            np.add(self.area, det, out=det)
+            det += self._half_lap_cone
+            det *= p
+            np.multiply(z2[i].real, 0.5, out=m)
+            det -= np.square(m, out=m)
+            np.multiply(z2[i].imag, 0.5, out=m)
+            det -= np.square(m, out=m)
+            if p.min() <= 0.0 or det.min() <= 0.0:
+                return False
+            np.add(shift, np.log(det, out=det), out=det)
+            det -= phi[i]
+            det -= self._cone
+        return True
 
     def stability_limit(self, horizon_t: float) -> float:
         """Euler step bound 2/lambda for the stiffest linear mode."""

@@ -34,6 +34,7 @@ __all__ = [
     "KESolution",
     "ContinuationReport",
     "ke_residual",
+    "damped_newton",
     "newton_solve",
     "continuation_solve",
     "extrapolated_solution",
@@ -130,59 +131,77 @@ def preconditioned_cg(coeff, op_symbol, b, rel_tol=1e-12, max_iter=500):
     return x, max_iter
 
 
-def newton_solve(problem: KEProblem, v0: ScalarField = None,
-                 tol: float = 1e-9, max_iter: int = 50,
-                 cg_tol: float = 1e-12) -> KESolution:
-    """Damped Newton iteration from v0 (default 0).
+def damped_newton(x, start, evaluate, linearize, tol, max_iter, cg_floor):
+    """Damped Newton for G(x) = 0 from x; returns (x, state, sup history).
 
-    Each step solves (-(1/2) Lap + M e^v) w = G by preconditioned CG and
-    halves the step until the sup residual decreases and the metric density
-    A + (1/2) Lap v stays positive.  Terminates at sup|G| <= tol.
+    evaluate(x) gives (G(x), state), state being what linearize reuses, or
+    None outside the Kahler cone; start is evaluate(x) at the initial x,
+    checked by the caller.  linearize(x, state, g) gives the Newton system
+    (coeff, op_symbol, b) for preconditioned_cg, solved to the relative
+    tolerance max(cg_floor, 0.1 * tol / sup) (Kelley's safeguard).  Steps
+    are halved, at most 30 times, until the trial is in the cone and lowers
+    sup|G|; the accepted trial's evaluation is the next iterate's.
     """
-    bg = problem.bg
-    n = bg.grid.n
-    m_coeff = problem.coefficient_values()
-    if np.any(m_coeff <= 0):
-        raise PositivityError("equation coefficient must be positive")
-    v = np.zeros((n, n)) if v0 is None else np.array(v0.values, dtype=float)
-    density = bg.area + 0.5 * lap_values(v)
-    if density.min() <= 0:
-        raise PositivityError("initial density is outside the Kahler cone")
-    op_symbol = -0.5 * _lap_multiplier(n)
-    history = []
-    g = density - m_coeff * np.exp(v)
-    for it in range(max_iter + 1):
+    (g, state), history = start, []
+    while True:
         sup = float(np.abs(g).max())
         history.append(sup)
         if sup <= tol:
-            vf = ScalarField(bg.grid, v)
-            return KESolution(
-                problem=problem,
-                v=vf,
-                phi=ScalarField(bg.grid, v - problem.cone_field_values()),
-                residual_sup=sup,
-                newton_iters=it,
-                residual_history=tuple(history),
-            )
-        w, _ = preconditioned_cg(m_coeff * np.exp(v), op_symbol, g,
-                                 rel_tol=cg_tol)
-        step = 1.0
-        accepted = False
-        for _ in range(30):
-            vn = v + step * w
-            density = bg.area + 0.5 * lap_values(vn)
-            if density.min() > 0:
-                gn = density - m_coeff * np.exp(vn)
-                if np.abs(gn).max() < sup:
-                    accepted = True
-                    break
-            step *= 0.5
-        if not accepted:
+            return x, state, history
+        if len(history) > max_iter:
             raise DivergenceError(
-                f"Newton line search stalled at iteration {it}", history)
-        v, g = vn, gn     # the accepted trial's residual is the next one
-    raise DivergenceError(
-        f"Newton did not reach tol={tol} in {max_iter} iterations", history)
+                f"Newton did not reach tol={tol} in {max_iter} iterations",
+                history)
+        w, _ = preconditioned_cg(*linearize(x, state, g),
+                                 rel_tol=max(cg_floor, 0.1 * tol / sup))
+        step = 1.0
+        for _ in range(30):
+            xn = x + step * w
+            trial = evaluate(xn)
+            if trial is not None and np.abs(trial[0]).max() < sup:
+                break
+            step *= 0.5
+        else:
+            raise DivergenceError(
+                f"Newton line search stalled at iteration {len(history) - 1}"
+                f" (residual {sup:.3e})", history)
+        x, (g, state) = xn, trial
+
+
+def newton_solve(problem: KEProblem, v0: ScalarField = None,
+                 tol: float = 1e-9, max_iter: int = 50,
+                 cg_tol: float = 1e-12) -> KESolution:
+    """Damped Newton (damped_newton) from v0 (default 0) to sup|G| <= tol.
+
+    Each step solves (-(1/2) Lap + M e^v) w = G by CG to the relative
+    tolerance max(cg_tol, 0.1 * tol / sup|G|); trials must keep the metric
+    density A + (1/2) Lap v positive.
+    """
+    bg = problem.bg
+    m_coeff = problem.coefficient_values()
+    if np.any(m_coeff <= 0):
+        raise PositivityError("equation coefficient must be positive")
+    op_symbol = -0.5 * _lap_multiplier(bg.grid.n)
+
+    def evaluate(v):
+        density = bg.area + 0.5 * lap_values(v)
+        if density.min() <= 0:
+            return None
+        m_exp = m_coeff * np.exp(v)
+        return density - m_exp, m_exp
+
+    v = np.zeros((bg.grid.n,) * 2) if v0 is None \
+        else np.array(v0.values, dtype=float)
+    start = evaluate(v)
+    if start is None:
+        raise PositivityError("initial density is outside the Kahler cone")
+    v, _, history = damped_newton(v, start, evaluate,
+                                  lambda v, m_exp, g: (m_exp, op_symbol, g),
+                                  tol, max_iter, cg_tol)
+    return KESolution(problem=problem, v=ScalarField(bg.grid, v),
+                      phi=ScalarField(bg.grid, v - problem.cone_field_values()),
+                      residual_sup=history[-1], newton_iters=len(history) - 1,
+                      residual_history=tuple(history))
 
 
 @dataclass(frozen=True)
@@ -222,26 +241,20 @@ def continuation_solve(problem: KEProblem, schedule):
     schedule = _check_schedule(schedule, problem.bg.grid.n)
     region = problem.bg.q.values >= 0.1
     sols = []
-    residuals = []
-    iters = []
-    v_prev = None
     cone_prev = None
     for eps in schedule:
         p_eps = replace(problem, epsilon=eps)
         cone_now = p_eps.cone_field_values()
         v0 = None
-        if v_prev is not None:
+        if sols:
             v0 = ScalarField(problem.bg.grid,
-                             v_prev.values - cone_prev + cone_now)
+                             sols[-1].v.values - cone_prev + cone_now)
         try:
             sol = newton_solve(p_eps, v0)
         except DivergenceError as exc:
             raise DivergenceError(f"continuation failed at eps={eps}: {exc}",
                                   exc.history)
         sols.append(sol)
-        residuals.append(sol.residual_sup)
-        iters.append(sol.newton_iters)
-        v_prev = sol.v
         cone_prev = cone_now
     cauchy = tuple(
         float(np.abs(b.v.values - a.v.values)[region].max())
@@ -249,8 +262,8 @@ def continuation_solve(problem: KEProblem, schedule):
     hold = holder_exponent_estimate(sols[-1].v, problem.bg.model.cone_point)
     report = ContinuationReport(
         epsilons=tuple(schedule),
-        residuals=tuple(residuals),
-        newton_iters=tuple(iters),
+        residuals=tuple(s.residual_sup for s in sols),
+        newton_iters=tuple(s.newton_iters for s in sols),
         cauchy_sups=cauchy,
         holder_exponent=hold,
     )
@@ -305,7 +318,6 @@ def extrapolated_solution(problem: KEProblem, schedule=None):
         phi=ScalarField(problem.bg.grid, v_star - cone0),
         residual_sup=float(np.abs(resid.values).max()),
         newton_iters=0,
-        residual_history=(),
     )
     return sol, report, sols
 

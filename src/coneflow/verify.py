@@ -17,8 +17,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .estimates import (EstimateReport, cone_angle, multiplicity_exponent,
-                        ricci_residual, sigma_barrier, trace_field,
+from .estimates import (EstimateReport, cone_angle, flow_masks,
+                        multiplicity_exponent, ricci_residual, trace_field,
                         verify_c0_convergence, verify_trace_bound)
 from .fibration_model import (FibrationModel, assemble_density,
                               build_background, validate_lp)
@@ -56,11 +56,7 @@ def run_verification_suite(model: FibrationModel, grid_n: int = 128,
     problem = KEProblem(bg=bg, density=density, beta=model.beta,
                         delta=model.delta, epsilon=flow_epsilon)
 
-    gamma_points = [bg.model.cone_point] + [f.point for f in bg.model.fibers]
-    barrier = sigma_barrier(grid, gamma_points, reference_area=bg.area)
-    masks = {f"sigma>={level}": barrier.level_mask(level)
-             for level in SIGMA_LEVELS}
-    masks[f"qr>={qr_mask_level}"] = bg.q.values >= qr_mask_level
+    barrier, masks = flow_masks(bg, SIGMA_LEVELS, qr_mask_level)
 
     # stationary target at the flow's epsilon, then the flow itself
     target = newton_solve(problem)

@@ -100,3 +100,26 @@ def full_k2():
         kx, ky = np.meshgrid(k, k, indexing="ij")
         return kx**2 + ky**2
     return make
+
+
+@pytest.fixture()
+def cg_tolerances(monkeypatch):
+    """cg_tolerances(pin=None) routes ke_solver.preconditioned_cg through a
+    wrapper and returns the list it fills with each requested rel_tol.
+    With pin set, every solve runs at rel_tol=pin instead: a Newton loop
+    with a fixed CG tolerance and no forcing."""
+    from coneflow import ke_solver
+    real = ke_solver.preconditioned_cg
+
+    def install(pin=None):
+        asked = []
+
+        def cg(coeff, op_symbol, b, rel_tol=1e-12, max_iter=500):
+            asked.append(rel_tol)
+            return real(coeff, op_symbol, b,
+                        rel_tol=rel_tol if pin is None else pin,
+                        max_iter=max_iter)
+
+        monkeypatch.setattr(ke_solver, "preconditioned_cg", cg)
+        return asked
+    return install

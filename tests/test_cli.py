@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import coneflow
+from coneflow import cli, fibration_model
 from coneflow.cli import (DEFAULT_EPSILON_SCHEDULE, main, parse_config,
                           parse_config_dict)
 from coneflow.errors import ConfigurationError
@@ -47,6 +51,18 @@ def test_parse_config_nested_unknown_key(tmp_path, model_file):
         parse_config(path)
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"grid_n": "abc"}, "config.grid_n"),
+    ({"flow": {"T": "x"}}, "config.flow.T"),
+    ({"masks": {"sigma_levels": 0.2}}, "config.masks.sigma_levels"),
+])
+def test_parse_config_bad_value_names_key_path(tmp_path, model_file,
+                                               overrides, key):
+    path = write_config(tmp_path, model_file, **overrides)
+    with pytest.raises(ConfigurationError, match=key):
+        parse_config(path)
+
+
 def test_parse_config_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -81,6 +97,66 @@ def test_model_check_product(capsys, model_file, tmp_path):
     assert area == pytest.approx(np.pi, abs=1e-12)
     assert "W = 0" in out
     assert "p_star = 2" in out
+
+
+def test_model_check_builds_background_once(model_file, tmp_path,
+                                            monkeypatch, capsys):
+    calls = []
+    real = fibration_model.build_background
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fibration_model, "build_background", counting)
+    monkeypatch.setattr(cli, "build_background", counting)
+    assert main(["model", "check", "--model", model_file,
+                 "--grid-n", "64"]) == 0
+    assert len(calls) == 1
+    assert "p_star = 2\n" in capsys.readouterr().out
+
+
+BAD_MODEL = {"beta": 0.5, "delta": 0.1, "cone_point": [0.5, 0.5]}
+
+
+BAD_INPUTS = {
+    "delta_breaks_positivity": "delta=50.0 breaks positivity",
+    "fiber_without_point": "model.fibers[0]: missing required key 'point'",
+    "points_snap_together": "closer than 8/N at N=64",
+    "periods_non_numeric_cell": "curves.csv:3: could not convert",
+    "periods_degenerate_curve": "curves.csv:3: degenerate fiber",
+    "periods_non_finite_cell": "curves.csv:3: values must be finite",
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_gives_one_error_line(case, tmp_path):
+    model = dict(BAD_MODEL)
+    if case == "delta_breaks_positivity":
+        model["delta"] = 50.0
+    elif case == "fiber_without_point":
+        model["fibers"] = [{"m": 2}]
+    elif case == "points_snap_together":
+        # 0.501 snaps onto the cone point's lattice site at N=64
+        model["fibers"] = [{"point": [0.501, 0.5], "m": 2}]
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    cell = {"periods_non_numeric_cell": "abc,1",
+            "periods_non_finite_cell": "nan,1"}.get(case, "3,1")
+    (tmp_path / "curves.csv").write_text(f"# g2, g3\n4,0\n{cell}\n")
+    if case.startswith("periods"):
+        args = ["periods", "--input", "curves.csv", "--out", "out"]
+    else:
+        args = ["model", "check", "--model", "model.json", "--grid-n", "64"]
+    src = os.path.dirname(os.path.dirname(coneflow.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "coneflow"] + args,
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert BAD_INPUTS[case] in lines[0]
 
 
 def test_solve_ke_writes_artifacts(model_file, tmp_path):

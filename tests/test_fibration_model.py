@@ -198,3 +198,19 @@ def test_model_json_range_error_names_key():
     with pytest.raises(ConfigurationError, match="beta"):
         model_from_json_dict({"beta": 1.2, "delta": 0.1,
                               "cone_point": [0.5, 0.5]})
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"beta": "half"}, "model.beta"),
+    ({"cone_point": [0.5]}, "model.cone_point"),
+    ({"fibers": [{"point": [0.25, "x"]}]}, r"model.fibers\[0\].point"),
+    ({"tau_model": {"kind": "weierstrass", "g2_modes": [[1, 0, 0.2]]}},
+     "model.tau_model.g2_modes"),
+    ({"tau_model": {"kind": "constant", "tau": [0.0, -1.0]}},
+     "model.tau_model: constant tau"),
+])
+def test_model_json_bad_value_names_key_path(overrides, key):
+    d = {"beta": 0.5, "delta": 0.1, "cone_point": [0.5, 0.5]}
+    d.update(overrides)
+    with pytest.raises(ConfigurationError, match=key):
+        model_from_json_dict(d)

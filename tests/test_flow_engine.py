@@ -4,6 +4,7 @@ from dataclasses import replace
 
 from coneflow.errors import (ConfigurationError, PositivityError,
                              StabilityGuardError)
+from coneflow import flow_engine
 from coneflow.fibration_model import (assemble_density, build_background,
                                       product_model)
 from coneflow.flow_engine import (FlowOps, FlowState, ProductFlow4D,
@@ -195,6 +196,30 @@ def test_run_flow_matches_public_steps_bitwise(problem64, solved64):
             (ops.area / density[monitor]).max()
     assert len(traj.times) == 20
     assert np.array_equal(final.phi.values, state.phi.values)
+
+
+def test_backward_euler_forcing_matches_fixed_cg_tolerance(
+        problem64, cg_tolerances, monkeypatch):
+    steps = []
+    real = flow_engine._backward_euler
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        steps.append(out[2])
+        return out
+
+    monkeypatch.setattr(flow_engine, "_backward_euler", counting)
+    runs = []
+    for pin in (1e-13, None):
+        steps.clear()
+        asked = cg_tolerances(pin)
+        final, _, _ = run_flow(problem64, T=2.0, dt=0.05)
+        runs.append((final.phi.values, list(steps), asked))
+    (phi_pinned, steps_pinned, _), (phi, steps_forced, asked) = runs
+    assert len(steps_forced) == 40
+    assert steps_forced == steps_pinned
+    assert np.abs(phi - phi_pinned).max() <= 1e-10
+    assert min(asked) >= 1e-13 < max(asked)
 
 
 def test_run_flow_rejects_long_horizon(problem64):

@@ -80,6 +80,20 @@ def test_newton_quadratic_convergence(product_problem64):
         assert b <= 10.0 * a * a   # r_{k+1} <= c r_k^2 with modest c
 
 
+def test_newton_forcing_matches_fixed_cg_tolerance(product_problem64,
+                                                   cg_tolerances):
+    cg_tolerances(pin=1e-12)
+    pinned = newton_solve(product_problem64)
+    asked = cg_tolerances()
+    sol = newton_solve(product_problem64)
+    assert sol.newton_iters == pinned.newton_iters
+    assert sol.residual_sup <= 1e-9
+    assert np.abs(sol.v.values - pinned.v.values).max() <= 1e-9
+    assert min(asked) >= 1e-12
+    assert asked == [max(1e-12, 0.1 * 1e-9 / sup)
+                     for sup in sol.residual_history[:-1]]
+
+
 def test_uniqueness_two_initializations(product_problem64):
     grid = product_problem64.bg.grid
     sol_a = newton_solve(product_problem64)
