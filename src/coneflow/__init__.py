@@ -16,15 +16,15 @@ from .elliptic_periods import (ConstantTau, LocalLogTau, TauModel,
                                WeierstrassCurve, WeierstrassFamilyTau, agm,
                                discriminant, periods_from_weierstrass,
                                tau_field)
-from .cone_smoothing import (SmoothingParams, chi, chi_derivative, chi_values,
-                             regularized_cone_potential)
-from .fibration_model import (BackgroundGeometry, Current11, DensityData,
-                              FibrationModel, SingularFiber, assemble_density,
+from .cone_smoothing import chi, chi_derivative, chi_values
+from .fibration_model import (BackgroundGeometry, DensityData, FibrationModel,
+                              SingularFiber, assemble_density,
                               build_background, product_model, required_area,
                               validate_lp)
-from .ke_solver import (KEProblem, KESolution, continuation_solve,
-                        default_extrapolation_schedule, extrapolated_solution,
-                        holder_exponent_estimate, ke_residual, newton_solve)
+from .ke_solver import (KEProblem, KESolution, build_problem,
+                        continuation_solve, default_extrapolation_schedule,
+                        extrapolated_solution, holder_exponent_estimate,
+                        ke_residual, newton_solve)
 from .flow_engine import (FlowState, ProductFlow4D, Trajectory, flow_step,
                           reduced_rhs, run_flow)
 from .estimates import (BarrierSigma, EstimateReport, cone_angle,

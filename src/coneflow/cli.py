@@ -24,16 +24,15 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConeflowError, ConfigurationError, ModelError
-from .fibration_model import (_read, assemble_density, build_background,
-                              lp_threshold, model_from_json_dict)
+from .fibration_model import _read, lp_threshold, model_from_json_dict
 from .flow_engine import SCHEMES, run_flow
-from .ke_solver import (KEProblem, continuation_solve, newton_solve)
-from .torus_field import make_grid, write_field_csv, write_field_pgm
+from .ke_solver import build_problem, continuation_solve, newton_solve
+from .torus_field import write_field_csv, write_field_pgm
 from .verify import run_verification_suite
 from . import elliptic_periods as periods_mod
 from .estimates import flow_masks
@@ -52,7 +51,6 @@ class RunConfig:
     flow: dict = field(default_factory=lambda: dict(DEFAULT_FLOW))
     masks: dict = field(default_factory=lambda: dict(DEFAULT_MASKS))
     output_dir: str = "out"
-    seed: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -62,12 +60,11 @@ class RunConfig:
             "flow": dict(self.flow),
             "masks": dict(self.masks),
             "output_dir": self.output_dir,
-            "seed": self.seed,
         }
 
 
 _CONFIG_KEYS = {"model", "grid_n", "epsilon_schedule", "flow", "masks",
-                "output_dir", "seed"}
+                "output_dir"}
 _FLOW_KEYS = {"T", "dt", "scheme"}
 _MASK_KEYS = {"qr_min", "sigma_levels"}
 
@@ -116,26 +113,19 @@ def parse_config_dict(d: dict, base_dir=".") -> RunConfig:
                                   lambda v: [float(x) for x in v])
     return RunConfig(model_path=model_path, grid_n=grid_n,
                      epsilon_schedule=schedule, flow=flow, masks=masks,
-                     output_dir=str(d.get("output_dir", "out")),
-                     seed=_read(d, "seed", "config", int, 0))
+                     output_dir=str(d.get("output_dir", "out")))
 
 
-def parse_config(path) -> RunConfig:
+def _load_json(path, what):
     try:
         with open(path) as fh:
-            d = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config: malformed JSON in {path}: {exc}")
-    return parse_config_dict(d, base_dir=os.path.dirname(path) or ".")
+        raise ConfigurationError(f"{what}: malformed JSON in {path}: {exc}")
 
 
 def load_model(path):
-    try:
-        with open(path) as fh:
-            d = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"model: malformed JSON in {path}: {exc}")
-    return model_from_json_dict(d)
+    return model_from_json_dict(_load_json(path, "model"))
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +160,13 @@ def write_json(path, obj):
 
 def _cmd_model_check(cfg: RunConfig) -> int:
     model, _ = load_model(cfg.model_path)
-    grid = make_grid(cfg.grid_n)
-    bg = build_background(model, grid)
-    density = assemble_density(model, bg, grid)
+    problem = build_problem(model, cfg.grid_n, cfg.epsilon_schedule[-1])
     p_star = lp_threshold(model)
-    print(f"A = {bg.area:.12g}")
-    print(f"W = {bg.wp_mass:.12g}")
+    print(f"A = {problem.bg.area:.12g}")
+    print(f"W = {problem.bg.wp_mass:.12g}")
     print(f"p_star = {p_star:.12g}" if math.isfinite(p_star)
           else "p_star = inf")
-    resid = abs(np.exp(density.log_density.values).mean() - 1.0)
+    resid = abs(np.exp(problem.density.log_density.values).mean() - 1.0)
     print(f"consistency residual = {resid:.3e}")
     return 0
 
@@ -197,11 +185,7 @@ def _ke_report(report, sol):
 
 def _cmd_solve_ke(cfg: RunConfig) -> int:
     model, _ = load_model(cfg.model_path)
-    grid = make_grid(cfg.grid_n)
-    bg = build_background(model, grid)
-    density = assemble_density(model, bg, grid)
-    problem = KEProblem(bg=bg, density=density, beta=model.beta,
-                        delta=model.delta, epsilon=cfg.epsilon_schedule[-1])
+    problem = build_problem(model, cfg.grid_n, cfg.epsilon_schedule[-1])
     sol, report, _ = continuation_solve(problem, list(cfg.epsilon_schedule))
     out = cfg.output_dir
     _atomic_write(os.path.join(out, "ke_solution.csv"),
@@ -213,14 +197,10 @@ def _cmd_solve_ke(cfg: RunConfig) -> int:
 
 def _cmd_flow_run(cfg: RunConfig) -> int:
     model, _ = load_model(cfg.model_path)
-    grid = make_grid(cfg.grid_n)
-    bg = build_background(model, grid)
-    density = assemble_density(model, bg, grid)
-    eps = cfg.epsilon_schedule[-1]
-    problem = KEProblem(bg=bg, density=density, beta=model.beta,
-                        delta=model.delta, epsilon=eps)
+    problem = build_problem(model, cfg.grid_n, cfg.epsilon_schedule[-1])
     target = newton_solve(problem)
-    _, masks = flow_masks(bg, cfg.masks["sigma_levels"], cfg.masks["qr_min"])
+    _, masks = flow_masks(problem.bg, cfg.masks["sigma_levels"],
+                          cfg.masks["qr_min"])
     state, traj, decay = run_flow(
         problem, cfg.flow["T"], cfg.flow["dt"], cfg.flow["scheme"],
         masks=masks, target_phi=target.phi,
@@ -353,30 +333,31 @@ def _build_parser():
 
 
 def _config_from_args(args) -> RunConfig:
-    if getattr(args, "config", None):
-        cfg = parse_config(args.config)
-    else:
-        if not getattr(args, "model", None):
-            raise ConfigurationError("either --config or --model is required")
-        cfg = parse_config_dict({"model": args.model})
-    if getattr(args, "model", None) and args.config:
-        cfg = replace(cfg, model_path=args.model)
-    if getattr(args, "grid_n", None):
-        cfg = replace(cfg, grid_n=args.grid_n)
-    if getattr(args, "out", None):
-        cfg = replace(cfg, output_dir=args.out)
-    flow = dict(cfg.flow)
-    for key, attr in (("T", "T"), ("dt", "dt"), ("scheme", "scheme")):
-        if getattr(args, attr, None) is not None:
-            flow[key] = getattr(args, attr)
+    """The run config of the flags over the --config file, checked once by
+    parse_config_dict; --model is relative to the working directory."""
+    if not (args.config or args.model):
+        raise ConfigurationError("either --config or --model is required")
+    d = _load_json(args.config, "config") if args.config else {}
+    if not isinstance(d, dict):
+        raise ConfigurationError("config: expected a JSON object")
+    base_dir = os.path.dirname(args.config or "") or "."
+    if args.model:
+        d["model"], base_dir = args.model, "."
+    for key, value in (("grid_n", args.grid_n), ("output_dir", args.out)):
+        if value is not None:
+            d[key] = value
     if getattr(args, "epsilon", None) is not None:
-        cfg = replace(cfg, epsilon_schedule=(args.epsilon,))
-    cfg = replace(cfg, flow=flow)
-    if getattr(args, "quick", False):
-        quick_flow = dict(cfg.flow)
-        quick_flow["T"] = min(quick_flow["T"], 8.0)
-        cfg = replace(cfg, grid_n=64, flow=quick_flow)
-    return cfg
+        d["epsilon_schedule"] = [args.epsilon]
+    flow = _read(d, "flow", "config", dict, {})
+    for key in ("T", "dt", "scheme"):
+        if getattr(args, key, None) is not None:
+            flow[key] = getattr(args, key)
+    if args.quick:
+        d["grid_n"] = 64
+        flow["T"] = min(_read(flow, "T", "config.flow", float,
+                              DEFAULT_FLOW["T"]), 8.0)
+    d["flow"] = flow
+    return parse_config_dict(d, base_dir)
 
 
 def main(argv=None) -> int:

@@ -11,32 +11,15 @@ before adaptive quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError
 
 __all__ = [
-    "SmoothingParams",
     "chi",
     "chi_derivative",
     "chi_values",
-    "regularized_cone_potential",
 ]
-
-
-@dataclass(frozen=True)
-class SmoothingParams:
-    epsilon: float
-    beta: float
-    quad_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ConfigurationError("epsilon must be nonnegative")
-        if not (0.0 < self.beta < 1.0):
-            raise ConfigurationError("beta must lie in (0, 1)")
 
 
 def _check_args(eps, x, beta):
@@ -115,12 +98,3 @@ def chi_values(eps: float, x, beta: float) -> np.ndarray:
         panels[start:start + _PANEL_BATCH] = half[:, 0] * (f @ _GL_WEIGHTS)
     return (beta * np.cumsum(panels))[inverse].reshape(x.shape)
 
-
-def regularized_cone_potential(bg, params: SmoothingParams, delta: float):
-    """Field delta * chi(eps^2 + q) over the background's divisor profile q.
-
-    At eps = 0 this is the conical potential delta * q^beta.
-    """
-    from .torus_field import ScalarField
-    vals = chi_values(params.epsilon, bg.q.values, params.beta)
-    return ScalarField(bg.q.grid, delta * vals)

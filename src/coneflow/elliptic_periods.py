@@ -34,6 +34,13 @@ __all__ = [
 ]
 
 _AGM_MAX_ITER = 64
+# Points per block in the batched root and AGM loops: a 512 x 512 field
+# then needs a few small temporaries at a time, not dozens of full ones.
+_BLOCK = 1 << 14
+
+
+def _blocks(size):
+    return [slice(i, i + _BLOCK) for i in range(0, size, _BLOCK)]
 
 
 @dataclass(frozen=True)
@@ -55,24 +62,34 @@ def agm_array(a, b):
 
     The geometric mean takes the principal square root, flipped in sign
     whenever |a' - b'| > |a' + b'| (the branch that keeps the iteration
-    quadratically convergent).  Zero inputs are absorbing.
+    quadratically convergent).  Zero inputs are absorbing.  Every point
+    takes the same number of steps, the first at which all have converged;
+    the steps run block by block in place, so the temporaries stay small.
     """
     a = np.asarray(a, dtype=complex).copy()
     b = np.asarray(b, dtype=complex).copy()
     zero = (a == 0) | (b == 0)
     a[zero] = 0.0
     b[zero] = 0.0
+    fa, fb = a.reshape(-1), b.reshape(-1)
+    blocks = _blocks(fa.size)
     for _ in range(_AGM_MAX_ITER):
-        scale = np.maximum(np.abs(a), np.abs(b))
-        done = np.abs(a - b) <= 1e-15 * np.maximum(scale, 1e-300)
-        if done.all():
-            return (a + b) / 2.0
-        an = (a + b) / 2.0
-        bn = np.sqrt(a * b)
-        flip = np.abs(an - bn) > np.abs(an + bn)
-        bn = np.where(flip, -bn, bn)
-        a, b = an, bn
+        if all(_agm_converged(fa[s], fb[s]) for s in blocks):
+            a += b
+            a /= 2.0
+            return a
+        for s in blocks:
+            an = (fa[s] + fb[s]) / 2.0
+            bn = np.sqrt(fa[s] * fb[s])
+            flip = np.abs(an - bn) > np.abs(an + bn)
+            fa[s] = an
+            fb[s] = np.where(flip, -bn, bn)
     raise NumericalError("AGM did not converge within 64 iterations")
+
+
+def _agm_converged(a, b):
+    scale = np.maximum(np.abs(a), np.abs(b))
+    return bool((np.abs(a - b) <= 1e-15 * np.maximum(scale, 1e-300)).all())
 
 
 def agm(a: complex, b: complex) -> complex:
@@ -93,15 +110,19 @@ def _cubic_roots_batched(g2, g3):
     """Roots of 4x^3 - g2 x - g3 for arrays of invariants, via batched
     companion-matrix eigenvalues, sorted like _sorted_roots."""
     g2 = np.asarray(g2, dtype=complex)
-    g3 = np.asarray(g3, dtype=complex)
-    m = np.zeros(g2.shape + (3, 3), dtype=complex)
-    m[..., 1, 0] = 1.0
-    m[..., 2, 1] = 1.0
-    m[..., 0, 2] = g3 / 4.0
-    m[..., 1, 2] = g2 / 4.0
-    ev = np.linalg.eigvals(m)
-    order = np.lexsort((-ev.imag, -ev.real), axis=-1)
-    return np.take_along_axis(ev, order, axis=-1)
+    g3 = np.broadcast_to(np.asarray(g3, dtype=complex), g2.shape)
+    f2, f3 = g2.reshape(-1), g3.reshape(-1)
+    roots = np.empty((f2.size, 3), dtype=complex)
+    for s in _blocks(f2.size):
+        m = np.zeros((len(f2[s]), 3, 3), dtype=complex)
+        m[:, 1, 0] = 1.0
+        m[:, 2, 1] = 1.0
+        m[:, 0, 2] = f3[s] / 4.0
+        m[:, 1, 2] = f2[s] / 4.0
+        ev = np.linalg.eigvals(m)
+        order = np.lexsort((-ev.imag, -ev.real), axis=-1)
+        roots[s] = np.take_along_axis(ev, order, axis=-1)
+    return roots.reshape(g2.shape + (3,))
 
 
 def normalize_tau(tau: complex) -> complex:

@@ -207,7 +207,7 @@ def ricci_residual(sol, mask) -> tuple:
         raise ConfigurationError("ricci_residual needs a nonempty mask")
     rho = sol.density_values()
     resid = (-0.5 * lap_values(_log_density_values(sol)) + rho
-             - sol.problem.bg.wp.density.values)
+             - sol.problem.bg.wp.values)
     field_out = ScalarField(sol.v.grid, resid)
     return field_out, float(np.abs(resid[mask]).max())
 

@@ -31,14 +31,13 @@ from .errors import ConfigurationError, ModelError
 from . import cone_smoothing
 from .elliptic_periods import (ConstantTau, LocalLogTau, TauModel,
                                WeierstrassFamilyTau, tau_field)
-from .torus_field import (Grid, ScalarField, green_values, integrate,
-                          lap_values, pair_distance, periodic_distance,
+from .torus_field import (Grid, ScalarField, green_values, lap_values,
+                          pair_distance, periodic_distance,
                           solve_poisson_values)
 
 __all__ = [
     "SingularFiber",
     "FibrationModel",
-    "Current11",
     "BackgroundGeometry",
     "DensityData",
     "required_area",
@@ -93,27 +92,13 @@ class FibrationModel:
 
 
 @dataclass(frozen=True)
-class Current11:
-    """(1,1)-current on the base: smooth density plus point atoms."""
-
-    density: ScalarField
-    atoms: tuple = ()  # ((x, y), mass)
-
-    def total_mass(self) -> float:
-        return integrate(self.density) + sum(m for _, m in self.atoms)
-
-
-@dataclass(frozen=True)
 class BackgroundGeometry:
     grid: Grid
     model: FibrationModel          # with points snapped to the grid
     area: float                    # A; also the constant reference density
     q: ScalarField                 # |section|^2, max exactly 1
-    log_q: ScalarField
-    curvature_density: float       # constant curvature of the divisor metric
-    wp: Current11
-    wp_mass: float
-    tau_im: ScalarField
+    wp: ScalarField                # moduli density rho_WP
+    wp_mass: float                 # W, the mean of rho_WP
     tau_mask: np.ndarray
 
 
@@ -184,15 +169,22 @@ def _class_area(model: FibrationModel, w_mass: float) -> float:
         2.0 * np.pi * sum(model.multiplicity_weights)
 
 
+def _moduli(model: FibrationModel, grid: Grid):
+    """The moduli step: the model with its points snapped to the grid, the
+    moduli density rho_WP on it, the tau field's valid mask, the mass W and
+    the area A that the class forces."""
+    model = _snap_model(model, grid)
+    im, mask = tau_field(model.tau_model, grid, [f.point for f in model.fibers],
+                         [f.ib_index for f in model.fibers])
+    wp = _wp_density_values(model, grid, im.values, mask)
+    w_mass = float(wp.mean())
+    return model, wp, mask, w_mass, _class_area(model, w_mass)
+
+
 def required_area(model: FibrationModel, grid: Grid) -> float:
     """Base area forced by the class constraint:
     A = 2 pi (1 - beta) + W + 2 pi sum (m_i - 1)/m_i."""
-    snapped = _snap_model(model, grid)
-    points = [f.point for f in snapped.fibers]
-    ibs = [f.ib_index for f in snapped.fibers]
-    im, mask = tau_field(snapped.tau_model, grid, points, ibs)
-    wp = _wp_density_values(snapped, grid, im.values, mask)
-    a = _class_area(model, float(wp.mean()))
+    a = _moduli(model, grid)[-1]
     assert a > 0.0, "area must be positive for beta < 1 and W >= 0"
     return a
 
@@ -205,37 +197,20 @@ def build_background(model: FibrationModel, grid: Grid,
     The build verifies that delta keeps the initial regularized density
     positive at the given smoothing levels.
     """
-    model = _snap_model(model, grid)
+    model, wp, tau_mask, wp_mass, area = _moduli(model, grid)
     psi_r = green_values(grid, model.cone_point)
-    log_q = psi_r - psi_r.max()
-    q = np.exp(log_q)
-
-    fiber_points = [f.point for f in model.fibers]
-    ibs = [f.ib_index for f in model.fibers]
-    im, mask = tau_field(model.tau_model, grid, fiber_points, ibs)
-    wp_vals = _wp_density_values(model, grid, im.values, mask)
+    q = np.exp(psi_r - psi_r.max())
     # nonnegativity is guaranteed (and enforced) for the built-in kinds; a
     # varying Weierstrass family on the torus is never holomorphic, so its
     # density is genuinely signed and only Im tau > 0 is required there
     varying_family = (model.tau_model.kind == "weierstrass"
                       and (model.tau_model.g2_modes or model.tau_model.g3_modes))
-    if not varying_family and np.any(wp_vals[mask] < -1e-8):
+    if not varying_family and \
+            np.any(wp[tau_mask] < -1e-8):
         raise ModelError("moduli density dips below -1e-8 on the valid mask")
-    w_mass = float(wp_vals.mean())
-    area = _class_area(model, w_mass)
-
-    bg = BackgroundGeometry(
-        grid=grid,
-        model=model,
-        area=area,
-        q=ScalarField(grid, q),
-        log_q=ScalarField(grid, log_q),
-        curvature_density=2.0 * np.pi,
-        wp=Current11(ScalarField(grid, wp_vals)),
-        wp_mass=w_mass,
-        tau_im=im,
-        tau_mask=mask,
-    )
+    bg = BackgroundGeometry(grid=grid, model=model, area=area,
+                            q=ScalarField(grid, q), wp=ScalarField(grid, wp),
+                            wp_mass=wp_mass, tau_mask=tau_mask)
 
     for eps in check_positivity:
         cone = cone_smoothing.chi_values(eps, q, model.beta)
@@ -268,7 +243,7 @@ def assemble_density(model: FibrationModel, bg: BackgroundGeometry,
             log_f -= w * green_values(grid, f.point)
         exponents.append((f.point, -2.0 * w))
     source = (bg.area - 2.0 * np.pi * (1.0 - model.beta)
-              - bg.wp.density.values
+              - bg.wp.values
               - 2.0 * np.pi * sum(bg.model.multiplicity_weights))
     if abs(source.mean()) > 1e-9:
         raise ModelError(

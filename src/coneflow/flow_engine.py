@@ -27,8 +27,8 @@ import scipy.fft as _fft
 
 from .errors import (ConfigurationError, DivergenceError, PositivityError,
                      StabilityGuardError)
-from .ke_solver import KEProblem, damped_newton
-from .torus_field import ScalarField, lap_values, make_grid, _lap_multiplier
+from .ke_solver import KEProblem, build_problem, damped_newton
+from .torus_field import ScalarField, lap_values, _lap_multiplier
 
 __all__ = [
     "FlowState",
@@ -301,16 +301,13 @@ class ProductFlow4D:
             raise ConfigurationError("the 4D oracle supports product models only")
         if np.abs(problem.density.log_density.values).max() > 1e-10:
             raise ConfigurationError("the 4D oracle requires F identically 1")
-        from .fibration_model import assemble_density, build_background
         self.nf = nf
         self.nb = nb
         self.fiber_area = float(fiber_area)
-        self.base_grid = make_grid(nb)
-        bg = build_background(model, self.base_grid)
-        self.base_problem = replace(problem, bg=bg,
-                                    density=assemble_density(model, bg))
+        self.base_problem = replace(build_problem(model, nb, problem.epsilon),
+                                    beta=problem.beta, delta=problem.delta)
         self.base_ops = FlowOps(self.base_problem)
-        self.area = bg.area
+        self.area = self.base_problem.bg.area
 
         kf = np.fft.fftfreq(nf, d=1.0 / nf)
         kb = np.fft.fftfreq(nb, d=1.0 / nb)

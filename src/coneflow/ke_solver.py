@@ -25,12 +25,15 @@ import numpy as np
 
 from .cone_smoothing import chi_values
 from .errors import ConfigurationError, DivergenceError, PositivityError
-from .fibration_model import BackgroundGeometry, DensityData
+from .fibration_model import (BackgroundGeometry, DensityData, FibrationModel,
+                              assemble_density, build_background)
 from .torus_field import (ScalarField, circle_samples, from_half_spectrum,
-                          half_spectrum, lap_values, _lap_multiplier)
+                          half_spectrum, lap_values, make_grid,
+                          _lap_multiplier)
 
 __all__ = [
     "KEProblem",
+    "build_problem",
     "KESolution",
     "ContinuationReport",
     "ke_residual",
@@ -62,6 +65,16 @@ class KEProblem:
     def cone_field_values(self, epsilon=None) -> np.ndarray:
         eps = self.epsilon if epsilon is None else epsilon
         return self.delta * chi_values(eps, self.bg.q.values, self.beta)
+
+
+def build_problem(model: FibrationModel, grid_n: int,
+                  epsilon: float) -> KEProblem:
+    """The model's problem at epsilon on the grid_n x grid_n grid: its
+    background, its density F, and beta and delta from the model."""
+    grid = make_grid(grid_n)
+    bg = build_background(model, grid)
+    return KEProblem(bg=bg, density=assemble_density(model, bg, grid),
+                     beta=model.beta, delta=model.delta, epsilon=epsilon)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ __all__ = [
     "green_potential",
     "grid_delta",
     "integrate",
-    "mean",
     "radial_profile",
     "periodic_distance",
     "circle_samples",
@@ -249,17 +248,9 @@ def mollify_values(values: np.ndarray, scale: float) -> np.ndarray:
     return from_half_spectrum(filt * half_spectrum(values))
 
 
-def mollify(f: ScalarField, scale: float) -> ScalarField:
-    return ScalarField(f.grid, mollify_values(f.values, scale))
-
-
 def integrate(f: ScalarField) -> float:
     """Integral over the unit torus: the periodic trapezoid rule collapses
     to the plain mean times total area 1."""
-    return float(f.values.mean())
-
-
-def mean(f: ScalarField) -> float:
     return float(f.values.mean())
 
 

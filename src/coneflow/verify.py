@@ -20,12 +20,11 @@ import numpy as np
 from .estimates import (EstimateReport, cone_angle, flow_masks,
                         multiplicity_exponent, ricci_residual, trace_field,
                         verify_c0_convergence, verify_trace_bound)
-from .fibration_model import (FibrationModel, assemble_density,
-                              build_background, validate_lp)
+from .fibration_model import FibrationModel, validate_lp
 from .flow_engine import run_flow
-from .ke_solver import (KEProblem, default_extrapolation_schedule,
+from .ke_solver import (build_problem, default_extrapolation_schedule,
                         extrapolated_solution, newton_solve)
-from .torus_field import ScalarField, make_grid
+from .torus_field import ScalarField
 
 __all__ = ["run_verification_suite", "REPORT_KEYS"]
 
@@ -50,12 +49,8 @@ def run_verification_suite(model: FibrationModel, grid_n: int = 128,
                            qr_mask_level: float = 0.1,
                            lp_grids=(128, 256, 512)) -> dict:
     """Run the full suite on one model; returns {key: EstimateReport}."""
-    grid = make_grid(grid_n)
-    bg = build_background(model, grid)
-    density = assemble_density(model, bg, grid)
-    problem = KEProblem(bg=bg, density=density, beta=model.beta,
-                        delta=model.delta, epsilon=flow_epsilon)
-
+    problem = build_problem(model, grid_n, flow_epsilon)
+    bg = problem.bg
     barrier, masks = flow_masks(bg, SIGMA_LEVELS, qr_mask_level)
 
     # stationary target at the flow's epsilon, then the flow itself

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from coneflow.fibration_model import (FibrationModel, SingularFiber,
-                                      assemble_density, build_background,
                                       product_model)
 from coneflow.elliptic_periods import ConstantTau, LocalLogTau
-from coneflow.ke_solver import KEProblem
+from coneflow.ke_solver import build_problem
 from coneflow.torus_field import make_grid
 
 
@@ -30,31 +29,28 @@ def product():
 
 
 @pytest.fixture(scope="session")
-def product_bg64(product, grid64):
-    return build_background(product, grid64)
+def product_problem64(product):
+    return build_problem(product, 64, 0.1)
 
 
 @pytest.fixture(scope="session")
-def product_density64(product, product_bg64, grid64):
-    return assemble_density(product, product_bg64, grid64)
+def product_bg64(product_problem64):
+    return product_problem64.bg
 
 
 @pytest.fixture(scope="session")
-def product_problem64(product, product_bg64, product_density64):
-    return KEProblem(bg=product_bg64, density=product_density64,
-                     beta=product.beta, delta=product.delta, epsilon=0.1)
+def product_density64(product_problem64):
+    return product_problem64.density
 
 
 @pytest.fixture(scope="session")
-def product_bg128(product, grid128):
-    return build_background(product, grid128)
+def product_problem128(product):
+    return build_problem(product, 128, 0.05)
 
 
 @pytest.fixture(scope="session")
-def product_problem128(product, product_bg128, grid128):
-    density = assemble_density(product, product_bg128, grid128)
-    return KEProblem(bg=product_bg128, density=density,
-                     beta=product.beta, delta=product.delta, epsilon=0.05)
+def product_bg128(product_problem128):
+    return product_problem128.bg
 
 
 def m2_model():

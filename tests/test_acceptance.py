@@ -17,13 +17,12 @@ from coneflow.estimates import (cone_angle, fit_trace_constants,
                                 multiplicity_exponent, ricci_residual,
                                 sigma_barrier, trace_field,
                                 verify_trace_bound)
-from coneflow.fibration_model import (assemble_density, build_background,
-                                      product_model, validate_lp)
+from coneflow.fibration_model import product_model, validate_lp
 from coneflow.flow_engine import FlowOps, ProductFlow4D, run_flow
-from coneflow.ke_solver import (KEProblem, default_extrapolation_schedule,
+from coneflow.ke_solver import (build_problem, default_extrapolation_schedule,
                                 extrapolated_solution, newton_solve)
 from coneflow.torus_field import (ScalarField, field_from_function,
-                                  field_from_values, lap_values, make_grid)
+                                  field_from_values, lap_values)
 
 from tests.conftest import i1_model, m2_model
 
@@ -32,14 +31,6 @@ def report(criterion, passed, detail):
     line = f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} - {detail}"
     print(line)
     return passed
-
-
-def build_problem(model, n, eps):
-    grid = make_grid(n)
-    bg = build_background(model, grid)
-    dens = assemble_density(model, bg, grid)
-    return KEProblem(bg=bg, density=dens, beta=model.beta,
-                     delta=model.delta, epsilon=eps)
 
 
 @pytest.fixture(scope="session")

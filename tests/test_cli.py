@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import coneflow
-from coneflow import cli, fibration_model
-from coneflow.cli import (DEFAULT_EPSILON_SCHEDULE, main, parse_config,
-                          parse_config_dict)
+from coneflow import fibration_model, ke_solver
+from coneflow.cli import (DEFAULT_EPSILON_SCHEDULE, _build_parser,
+                          _config_from_args, main, parse_config_dict)
 from coneflow.errors import ConfigurationError
 from coneflow.fibration_model import model_to_json_dict, product_model
 
@@ -27,6 +27,12 @@ def write_config(tmp_path, model_file, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def parse_config(path, *flags, command=("model", "check")):
+    """The RunConfig that the CLI builds from --config path and flags."""
+    argv = [*command, "--config", str(path), *flags]
+    return _config_from_args(_build_parser().parse_args(argv))
 
 
 def test_parse_config_defaults(tmp_path, model_file):
@@ -74,9 +80,48 @@ def test_parse_config_round_trip(tmp_path, model_file):
     cfg = parse_config(write_config(tmp_path, model_file,
                                     epsilon_schedule=[0.4, 0.2],
                                     flow={"T": 5.0, "dt": 0.1},
-                                    output_dir="artifacts", seed=7))
+                                    output_dir="artifacts"))
     again = parse_config_dict(cfg.to_json_dict(), base_dir=".")
     assert again == cfg
+
+
+def test_config_model_relative_to_config_dir(tmp_path, model_file,
+                                             monkeypatch):
+    path = write_config(tmp_path, model_file)
+    monkeypatch.chdir(tmp_path.parent)
+    assert os.path.abspath(parse_config(path).model_path) \
+        == str(tmp_path / "product.json")
+
+
+def test_model_flag_relative_to_working_dir(tmp_path, model_file,
+                                            monkeypatch):
+    path = write_config(tmp_path, model_file)
+    other = tmp_path / "models"
+    other.mkdir()
+    (other / "m.json").write_text(open(model_file).read())
+    monkeypatch.chdir(other)
+    cfg = parse_config(path, "--model", "m.json")
+    assert os.path.abspath(cfg.model_path) == str(other / "m.json")
+    assert cfg.grid_n == 64
+    # the same name relative to the config's directory does not exist
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigurationError, match="no such file"):
+        parse_config(path, "--model", "m.json")
+
+
+def test_flags_override_config_flow(tmp_path, model_file):
+    path = write_config(tmp_path, model_file, grid_n=128,
+                        flow={"T": 12.0, "dt": 0.2, "scheme": "rk4-explicit"})
+    cfg = parse_config(path, "--T", "6", "--dt", "0.1", "--epsilon", "0.3",
+                       command=("flow", "run"))
+    assert cfg.grid_n == 128
+    assert cfg.flow == {"T": 6.0, "dt": 0.1, "scheme": "rk4-explicit"}
+    assert cfg.epsilon_schedule == (0.3,)
+    quick = parse_config(path, "--quick", command=("flow", "run"))
+    assert quick.grid_n == 64
+    assert quick.flow == {"T": 8.0, "dt": 0.2, "scheme": "rk4-explicit"}
+    short = write_config(tmp_path, model_file, flow={"T": 3.0})
+    assert parse_config(short, "--quick").flow["T"] == 3.0
 
 
 def test_model_beta_range_error(tmp_path):
@@ -109,7 +154,7 @@ def test_model_check_builds_background_once(model_file, tmp_path,
         return real(*args, **kwargs)
 
     monkeypatch.setattr(fibration_model, "build_background", counting)
-    monkeypatch.setattr(cli, "build_background", counting)
+    monkeypatch.setattr(ke_solver, "build_background", counting)
     assert main(["model", "check", "--model", model_file,
                  "--grid-n", "64"]) == 0
     assert len(calls) == 1
@@ -126,6 +171,18 @@ BAD_INPUTS = {
     "periods_non_numeric_cell": "curves.csv:3: could not convert",
     "periods_degenerate_curve": "curves.csv:3: degenerate fiber",
     "periods_non_finite_cell": "curves.csv:3: values must be finite",
+    "flag_grid_n_zero": "config.grid_n: must be even and >= 16, got 0",
+    "flag_dt_above_T": "config.flow: need 0 < dt <= T <= 50",
+    "flag_epsilon_zero": "config.epsilon_schedule: value 0.0 out of (0, 1]",
+    "flag_epsilon_two": "config.epsilon_schedule: value 2.0 out of (0, 1]",
+}
+
+# flags that the run-config checks must reject, as for the same config keys
+BAD_FLAGS = {
+    "flag_grid_n_zero": ["model", "check", "--grid-n", "0"],
+    "flag_dt_above_T": ["flow", "run", "--T", "0.5", "--dt", "1"],
+    "flag_epsilon_zero": ["flow", "run", "--epsilon", "0"],
+    "flag_epsilon_two": ["flow", "run", "--epsilon", "2"],
 }
 
 
@@ -145,6 +202,8 @@ def test_bad_input_gives_one_error_line(case, tmp_path):
     (tmp_path / "curves.csv").write_text(f"# g2, g3\n4,0\n{cell}\n")
     if case.startswith("periods"):
         args = ["periods", "--input", "curves.csv", "--out", "out"]
+    elif case in BAD_FLAGS:
+        args = BAD_FLAGS[case] + ["--model", "model.json"]
     else:
         args = ["model", "check", "--model", "model.json", "--grid-n", "64"]
     src = os.path.dirname(os.path.dirname(coneflow.__file__))

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from coneflow.cone_smoothing import (SmoothingParams, chi, chi_derivative,
-                                     chi_values, regularized_cone_potential)
+from coneflow.cone_smoothing import chi, chi_derivative, chi_values
 from coneflow.errors import ConfigurationError
 
 
@@ -126,37 +125,28 @@ def test_chi_uniform_convergence_sweep():
     assert all(1.5 < r < 1.8 for r in ratios)
 
 
-def test_smoothing_params_validation():
-    SmoothingParams(epsilon=0.0, beta=0.5)
-    with pytest.raises(ConfigurationError):
-        SmoothingParams(epsilon=-1.0, beta=0.5)
-    with pytest.raises(ConfigurationError):
-        SmoothingParams(epsilon=0.1, beta=1.0)
-
-
-def test_regularized_cone_potential_values(product_bg64, product):
-    params = SmoothingParams(epsilon=0.0, beta=product.beta)
-    field = regularized_cone_potential(product_bg64, params, product.delta)
+def test_cone_field_values(product_problem64, product):
+    # the problem's cone potential delta * chi(eps^2 + q) at each epsilon
+    field = product_problem64.cone_field_values(0.0)
     # at the maximum of q (q = 1) the eps = 0 potential equals delta
-    assert field.values.max() == pytest.approx(product.delta, abs=1e-12)
-    i, j = product_bg64.grid.point_index(product.cone_point)
+    assert field.max() == pytest.approx(product.delta, abs=1e-12)
+    bg = product_problem64.bg
+    i, j = bg.grid.point_index(product.cone_point)
     # q at the cone point is the grid-regularized zero, ~ exp(psi(p)); the
     # potential there shrinks with it (and with refinement)
-    q_at_p = product_bg64.q.values[i, j]
-    assert abs(field.values[i, j]) <= product.delta * q_at_p**product.beta + 1e-12
-    assert abs(field.values[i, j]) < 5e-3
+    q_at_p = bg.q.values[i, j]
+    assert abs(field[i, j]) <= product.delta * q_at_p**product.beta + 1e-12
+    assert abs(field[i, j]) < 5e-3
     for eps in (0.1, 0.5):
-        params = SmoothingParams(epsilon=eps, beta=product.beta)
-        f = regularized_cone_potential(product_bg64, params, product.delta)
-        assert abs(f.values[i, j]) < 5e-3
+        f = product_problem64.cone_field_values(eps)
+        assert abs(f[i, j]) < 5e-3
 
 
-def test_regularized_cone_potential_eps_trend(product_bg64, product):
-    q = product_bg64.q.values
+def test_cone_field_eps_trend(product_problem64, product):
+    q = product_problem64.bg.q.values
     sups = []
     for eps in (0.1, 0.05, 0.025):
-        params = SmoothingParams(epsilon=eps, beta=product.beta)
-        f = regularized_cone_potential(product_bg64, params, product.delta)
-        sups.append(np.abs(f.values - product.delta * q**product.beta).max())
+        f = product_problem64.cone_field_values(eps)
+        sups.append(np.abs(f - product.delta * q**product.beta).max())
     assert sups[0] <= product.delta * 3.0 * 0.1
     assert sups[0] > sups[1] > sups[2]

@@ -4,10 +4,11 @@ from scipy.integrate import quad
 
 from coneflow.elliptic_periods import (ConstantTau, LocalLogTau,
                                        WeierstrassCurve,
-                                       WeierstrassFamilyTau, agm,
+                                       WeierstrassFamilyTau, agm, agm_array,
                                        discriminant, local_log_im_tau,
                                        normalize_tau,
                                        periods_from_weierstrass, tau_field)
+from coneflow import elliptic_periods
 from coneflow.errors import ModelError
 
 
@@ -41,6 +42,17 @@ def test_agm_symmetry_and_homogeneity():
         k = rng.uniform(0.1, 5.0)
         assert agm(a, b) == pytest.approx(agm(b, a), rel=1e-13)
         assert agm(k * a, k * b) == pytest.approx(k * agm(a, b), rel=1e-13)
+
+
+def test_agm_array_independent_of_block_size(monkeypatch):
+    # the blocks converge after different numbers of steps here; every point
+    # must still take the same steps, so the bits do not depend on the blocks
+    rng = np.random.default_rng(5)
+    a = np.ones(1000, dtype=complex)
+    b = np.logspace(-8, 0, 1000) * np.exp(1j * rng.uniform(-1.0, 1.0, 1000))
+    whole = agm_array(a, b)
+    monkeypatch.setattr(elliptic_periods, "_BLOCK", 64)
+    assert agm_array(a, b).tobytes() == whole.tobytes()
 
 
 def test_discriminant_values():
@@ -166,6 +178,18 @@ def test_tau_field_weierstrass_perturbed_positive(grid64):
     im, mask = tau_field(model, grid64)
     assert im.values[mask].min() > 0
     assert im.values.std() > 1e-3   # genuinely varying family
+
+
+def test_tau_field_weierstrass_independent_of_block_size(grid64, monkeypatch):
+    # the batched roots and AGM run block by block; the field must not
+    # depend on the block size, down to the last bit
+    model = WeierstrassFamilyTau(g2=4.0, g3=0.0,
+                                 g2_modes=((1, 0, 0.2 + 0.0j),),
+                                 g3_modes=((0, 1, 0.15 + 0.05j),))
+    whole = tau_field(model, grid64)[0].values
+    monkeypatch.setattr(elliptic_periods, "_BLOCK", 100)
+    blocked = tau_field(model, grid64)[0].values
+    assert blocked.tobytes() == whole.tobytes()
 
 
 def test_constant_tau_requires_upper_half_plane():

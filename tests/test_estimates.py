@@ -9,9 +9,8 @@ from coneflow.estimates import (EstimateReport, cone_angle,
                                 fit_trace_constants, multiplicity_exponent,
                                 ricci_residual, sigma_barrier, trace_field,
                                 verify_c0_convergence, verify_trace_bound)
-from coneflow.fibration_model import (assemble_density, build_background,
-                                      product_model)
-from coneflow.ke_solver import KEProblem, KESolution, newton_solve
+from coneflow.fibration_model import product_model
+from coneflow.ke_solver import KESolution, build_problem, newton_solve
 from coneflow.torus_field import (ScalarField, constant_field,
                                   field_from_values, make_grid,
                                   periodic_distance)
@@ -113,13 +112,7 @@ def test_fit_trace_requires_positive(grid64):
 
 @pytest.fixture(scope="module")
 def solved_product_128():
-    grid = make_grid(128)
-    model = product_model()
-    bg = build_background(model, grid)
-    dens = assemble_density(model, bg, grid)
-    p = KEProblem(bg=bg, density=dens, beta=model.beta, delta=model.delta,
-                  epsilon=0.05)
-    return newton_solve(p)
+    return newton_solve(build_problem(product_model(), 128, 0.05))
 
 
 def test_ricci_residual_requires_mask(solved_product_128):
@@ -232,17 +225,10 @@ def test_c0_convergence_detects_slow_decay():
 def test_c0_shrinking_mask_has_larger_constant():
     # the mask closer to the degenerate set carries a (slightly) larger
     # fitted constant: the barrier degrades toward the marked points
-    from coneflow.fibration_model import (assemble_density, build_background,
-                                          product_model)
     from coneflow.flow_engine import run_flow
-    from coneflow.ke_solver import KEProblem, newton_solve
-    g = make_grid(64)
     model = product_model()
-    bg = build_background(model, g)
-    dens = assemble_density(model, bg, g)
-    p = KEProblem(bg=bg, density=dens, beta=model.beta, delta=model.delta,
-                  epsilon=0.1)
-    b = sigma_barrier(g, [model.cone_point], reference_area=bg.area)
+    p = build_problem(model, 64, 0.1)
+    b = sigma_barrier(p.bg.grid, [model.cone_point], reference_area=p.bg.area)
     masks = {f"sigma>={lvl}": b.level_mask(lvl) for lvl in (0.2, 0.4, 0.6)}
     target = newton_solve(p)
     _, traj, decay = run_flow(p, T=12.0, dt=0.05, masks=masks,

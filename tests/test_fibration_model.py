@@ -45,15 +45,9 @@ def test_build_background_normalization(product_bg64):
     assert product_bg64.q.values.min() > 0
 
 
-def test_build_background_curvature(product_bg64):
-    # constant curvature with total mass 2 pi (degree one)
-    assert product_bg64.curvature_density * 1.0 == pytest.approx(2 * np.pi)
-
-
 def test_build_background_constant_tau_wp(product_bg64):
-    assert np.abs(product_bg64.wp.density.values).max() == 0.0
+    assert np.abs(product_bg64.wp.values).max() == 0.0
     assert product_bg64.wp_mass == 0.0
-    assert product_bg64.wp.total_mass() == 0.0
 
 
 def test_build_background_rejects_close_points(grid64):
@@ -72,7 +66,7 @@ def test_build_background_snaps_points(grid64):
 def test_wp_nonnegative_on_mask_builtin_kinds(grid128, i1):
     for model in (product_model(), i1):
         bg = build_background(model, grid128)
-        assert bg.wp.density.values[bg.tau_mask].min() >= -1e-8
+        assert bg.wp.values[bg.tau_mask].min() >= -1e-8
 
 
 def test_wp_constant_weierstrass_kind(grid128):
@@ -80,7 +74,7 @@ def test_wp_constant_weierstrass_kind(grid128):
     wmodel = FibrationModel(beta=0.5, delta=0.1, cone_point=(0.5, 0.5),
                             tau_model=WeierstrassFamilyTau(g2=4.0, g3=0.0))
     bg = build_background(wmodel, grid128)
-    assert bg.wp.density.values[bg.tau_mask].min() >= -1e-8
+    assert bg.wp.values[bg.tau_mask].min() >= -1e-8
     assert abs(bg.wp_mass) < 1e-12
 
 
@@ -93,7 +87,7 @@ def test_wp_varying_weierstrass_family(grid128):
                                 g2=4.0, g3=0.0, g3_modes=((1, 0, 0.15),)))
     bg = build_background(wmodel, grid128)
     assert abs(bg.wp_mass) < 1e-12
-    assert bg.wp.density.values.std() > 0.0
+    assert bg.wp.values.std() > 0.0
 
 
 def test_area_identity_exact(grid128, i1, m2):
@@ -146,7 +140,7 @@ def test_assemble_density_curvature_round_trip(grid128, i1):
         bg = build_background(model, grid128)
         dens = assemble_density(model, bg, grid128)
         source = (bg.area - 2 * np.pi * (1 - model.beta)
-                  - bg.wp.density.values
+                  - bg.wp.values
                   - 2 * np.pi * sum(bg.model.multiplicity_weights))
         lhs = 0.5 * lap_values(dens.log_density.values)
         # atoms are lattice-aligned: their band-limited deltas vanish at

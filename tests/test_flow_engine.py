@@ -5,21 +5,16 @@ from dataclasses import replace
 from coneflow.errors import (ConfigurationError, PositivityError,
                              StabilityGuardError)
 from coneflow import flow_engine
-from coneflow.fibration_model import (assemble_density, build_background,
-                                      product_model)
+from coneflow.fibration_model import product_model
 from coneflow.flow_engine import (FlowOps, FlowState, ProductFlow4D,
                                   fit_decay_slope, flow_step, reduced_rhs,
                                   run_flow)
-from coneflow.ke_solver import KEProblem, newton_solve
-from coneflow.torus_field import ScalarField, field_from_values, make_grid
+from coneflow.ke_solver import build_problem, newton_solve
+from coneflow.torus_field import ScalarField, field_from_values
 
 
 def make_problem(n=64, eps=0.1, beta=0.5, delta=0.1):
-    grid = make_grid(n)
-    model = product_model(beta=beta, delta=delta)
-    bg = build_background(model, grid)
-    dens = assemble_density(model, bg, grid)
-    return KEProblem(bg=bg, density=dens, beta=beta, delta=delta, epsilon=eps)
+    return build_problem(product_model(beta=beta, delta=delta), n, eps)
 
 
 @pytest.fixture(scope="module")
@@ -276,16 +271,22 @@ def oracle():
     return ProductFlow4D(p, nf=16, nb=32, fiber_area=2.0)
 
 
-def test_oracle_requires_product_model(grid64):
+def test_oracle_requires_product_model():
     from coneflow.fibration_model import FibrationModel, SingularFiber
-    from coneflow.fibration_model import assemble_density, build_background
     model = FibrationModel(beta=0.5, delta=0.1, cone_point=(0.5, 0.5),
                            fibers=(SingularFiber((0.25, 0.25), 2),))
-    bg = build_background(model, grid64)
-    dens = assemble_density(model, bg, grid64)
-    p = KEProblem(bg=bg, density=dens, beta=0.5, delta=0.1, epsilon=0.2)
+    p = build_problem(model, 64, 0.2)
     with pytest.raises(ConfigurationError):
         ProductFlow4D(p)
+
+
+def test_oracle_keeps_problem_beta_and_delta():
+    # the base problem is rebuilt on the nb grid; its cone angle and delta
+    # are the given problem's, not the model's
+    p = replace(make_problem(32, eps=0.2), beta=0.3, delta=0.05)
+    base = ProductFlow4D(p, nf=8, nb=16).base_problem
+    assert (base.beta, base.delta, base.epsilon) == (0.3, 0.05, 0.2)
+    assert base.bg.grid.n == 16
 
 
 def test_oracle_one_step_reduction_identity(oracle):

@@ -4,15 +4,14 @@ from dataclasses import replace
 
 from coneflow.errors import ConfigurationError
 from coneflow.fibration_model import DensityData
-from coneflow.ke_solver import (KEProblem, continuation_solve,
+from coneflow.ke_solver import (KEProblem, build_problem, continuation_solve,
                                 default_extrapolation_schedule,
                                 extrapolated_solution,
                                 holder_exponent_estimate, ke_residual,
                                 newton_solve, preconditioned_cg)
 from coneflow.torus_field import (field_from_function, field_from_values,
                                   from_half_spectrum, half_spectrum,
-                                  integrate, lap_values, make_grid,
-                                  _lap_multiplier)
+                                  integrate, lap_values, _lap_multiplier)
 
 
 def raw_density(grid, log_values):
@@ -272,17 +271,10 @@ def test_holder_exponent_constant_field(grid128):
 
 
 def test_holder_exponent_solved_stability(product):
-    from coneflow.fibration_model import (assemble_density, build_background,
-                                          product_model)
-    model = product_model(beta=0.4)
+    from coneflow.fibration_model import product_model
     vals = {}
     for n in (128, 256):
-        g = make_grid(n)
-        bg = build_background(model, g)
-        dens = assemble_density(model, bg, g)
-        p = KEProblem(bg=bg, density=dens, beta=model.beta,
-                      delta=model.delta, epsilon=0.05)
-        sol = newton_solve(p)
+        sol = newton_solve(build_problem(product_model(beta=0.4), n, 0.05))
         vals[n] = holder_exponent_estimate(sol.v, (0.5, 0.5))
         assert 0.0 < vals[n] <= 1.0
     assert abs(vals[256] - vals[128]) <= 0.05
