@@ -9,14 +9,12 @@ scale.  See the README for the module map and the CLI surface.
 from .errors import (ConeflowError, ConfigurationError, DivergenceError,
                      ModelError, NumericalError, PositivityError,
                      SolvabilityError, StabilityGuardError)
-from .torus_field import (Grid, GreenPotential, ScalarField, green_potential,
-                          integrate, laplacian, make_grid, radial_profile,
-                          solve_poisson)
+from .torus_field import Grid, ScalarField, make_grid
 from .elliptic_periods import (ConstantTau, LocalLogTau, TauModel,
                                WeierstrassCurve, WeierstrassFamilyTau, agm,
                                discriminant, periods_from_weierstrass,
                                tau_field)
-from .cone_smoothing import chi, chi_derivative, chi_values
+from .cone_smoothing import chi, chi_values
 from .fibration_model import (BackgroundGeometry, DensityData, FibrationModel,
                               SingularFiber, assemble_density,
                               build_background, product_model, required_area,
@@ -26,7 +24,7 @@ from .ke_solver import (KEProblem, KESolution, build_problem,
                         extrapolated_solution, holder_exponent_estimate,
                         ke_residual, newton_solve)
 from .flow_engine import (FlowState, ProductFlow4D, Trajectory, flow_step,
-                          reduced_rhs, run_flow)
+                          run_flow)
 from .estimates import (BarrierSigma, EstimateReport, cone_angle,
                         multiplicity_exponent, ricci_residual, sigma_barrier,
                         trace_field, verify_c0_convergence, verify_trace_bound)

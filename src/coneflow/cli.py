@@ -161,11 +161,9 @@ def write_json(path, obj):
 def _cmd_model_check(cfg: RunConfig) -> int:
     model, _ = load_model(cfg.model_path)
     problem = build_problem(model, cfg.grid_n, cfg.epsilon_schedule[-1])
-    p_star = lp_threshold(model)
     print(f"A = {problem.bg.area:.12g}")
     print(f"W = {problem.bg.wp_mass:.12g}")
-    print(f"p_star = {p_star:.12g}" if math.isfinite(p_star)
-          else "p_star = inf")
+    print(f"p_star = {lp_threshold(model):.12g}")
     resid = abs(np.exp(problem.density.log_density.values).mean() - 1.0)
     print(f"consistency residual = {resid:.3e}")
     return 0

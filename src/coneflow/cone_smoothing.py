@@ -17,7 +17,6 @@ from .errors import ConfigurationError
 
 __all__ = [
     "chi",
-    "chi_derivative",
     "chi_values",
 ]
 
@@ -29,7 +28,10 @@ def _check_args(eps, x, beta):
         raise ConfigurationError("beta must lie in (0, 1)")
 
 
-def chi(eps: float, x: float, beta: float, quad_tol: float = 1e-12) -> float:
+QUAD_TOL = 1e-12       # absolute and relative tolerance of chi's quadrature
+
+
+def chi(eps: float, x: float, beta: float) -> float:
     """Kernel value by adaptive quadrature, absolute error <= 1e-10.
 
     The segment [0, min(x, 1e-3 eps^2)] is integrated by the Taylor
@@ -51,17 +53,8 @@ def chi(eps: float, x: float, beta: float, quad_tol: float = 1e-12) -> float:
     if x > a:
         from scipy.integrate import quad    # deferred: slow to import
         tail, _ = quad(lambda r: ((e2 + r)**beta - e2**beta) / r, a, x,
-                       epsabs=quad_tol, epsrel=quad_tol, limit=200)
+                       epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
     return float(beta * (head + tail))
-
-
-def chi_derivative(eps: float, x: float, beta: float) -> float:
-    """d chi / dx = beta ((eps^2+x)^beta - eps^(2 beta)) / x, defined for x > 0."""
-    if x <= 0:
-        raise ConfigurationError("chi_derivative requires x > 0")
-    _check_args(eps, x, beta)
-    e2 = eps * eps
-    return float(beta * ((e2 + x)**beta - e2**beta) / x)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)

@@ -63,21 +63,23 @@ class BarrierSigma:
 
     sigma: ScalarField
     points: tuple
-    width: float
     bound_constant: float      # max(sup |grad sigma|^2, sup |(1/2) Lap sigma|) / A
 
     def level_mask(self, threshold: float) -> np.ndarray:
         return self.sigma.values >= threshold
 
 
-def sigma_barrier(grid: Grid, points, width: float = 0.1,
+BARRIER_WIDTH = 0.1
+
+
+def sigma_barrier(grid: Grid, points,
                   reference_area: float = 1.0) -> BarrierSigma:
     """Product of tanh profiles of the squared periodic distance.
 
-    Each factor is tanh(u^3) with u = (d^2 - a^2)_+ / width^2 and a equal
-    to one grid spacing, so the barrier has an exact zero plateau one cell
-    wide around each point and is C^2 across the plateau edge (the cube
-    kills the first two derivatives).
+    Each factor is tanh(u^3) with u = (d^2 - a^2)_+ / BARRIER_WIDTH^2 and
+    a equal to one grid spacing, so the barrier has an exact zero plateau
+    one cell wide around each point and is C^2 across the plateau edge
+    (the cube kills the first two derivatives).
     """
     pts = [tuple(p) for p in points]
     if len(set(pts)) != len(pts):
@@ -86,7 +88,7 @@ def sigma_barrier(grid: Grid, points, width: float = 0.1,
     sig = np.ones((grid.n, grid.n))
     for p in pts:
         d2 = periodic_distance(grid, p)**2
-        u = np.maximum(d2 - a2, 0.0) / width**2
+        u = np.maximum(d2 - a2, 0.0) / BARRIER_WIDTH**2
         sig = sig * np.tanh(u**3)
     if sig.min() < 0.0 or sig.max() > 1.0 + 1e-12:
         raise ModelError("barrier left the range [0, 1]")
@@ -101,7 +103,7 @@ def sigma_barrier(grid: Grid, points, width: float = 0.1,
     half_lap = float(np.abs(0.5 * lap_values(sig)).max())
     bound = max(grad_sq, half_lap) / reference_area
     return BarrierSigma(sigma=ScalarField(grid, sig), points=tuple(pts),
-                        width=width, bound_constant=bound)
+                        bound_constant=bound)
 
 
 def flow_masks(bg, sigma_levels, qr_min):
@@ -233,7 +235,18 @@ def _log_density_values(sol):
             + math.log(problem.bg.area))
 
 
-def cone_angle(sol, center=None, r_min=None, r_max=0.2, n_radii=9) -> float:
+def _fit_radii(sol, what):
+    """The radii a power-law fit samples around a point: nine geometric
+    steps from max(0.02, 2.5/N) to 0.2.  The solution's eps must not
+    exceed 20/N, or the smoothing would set the profile at these radii."""
+    n = sol.problem.bg.grid.n
+    if sol.epsilon > 20.0 / n:
+        raise ConfigurationError(
+            f"{what} needs eps <= 20/N; got eps={sol.epsilon} at N={n}")
+    return np.geomspace(max(0.02, 2.5 / n), 0.2, 9)
+
+
+def cone_angle(sol) -> float:
     """Area-growth exponent of the limit density around the cone point.
 
     area(R) is accumulated by radial quadrature of interpolated circle
@@ -243,28 +256,21 @@ def cone_angle(sol, center=None, r_min=None, r_max=0.2, n_radii=9) -> float:
     the density approaches its limiting power law at that rate.
     Target: 2 beta.
     """
+    radii = _fit_radii(sol, "cone angle")
     problem = sol.problem
     n = problem.bg.grid.n
-    if sol.epsilon > 20.0 / n:
-        raise ConfigurationError(
-            f"cone angle needs eps <= 20/N; got eps={sol.epsilon} at N={n}")
-    if r_min is None:
-        r_min = max(0.02, 2.5 / n)
-    if r_min <= 2.0 / n:
-        raise ConfigurationError("r_min does not resolve the grid")
-    center = center or problem.bg.model.cone_point
+    center = problem.bg.model.cone_point
     beta = problem.beta
     log_rho = _log_density_values(sol)
 
     r_inner = 2.0 / n
-    r_grid = np.geomspace(r_inner, r_max, 600)
+    r_grid = np.geomspace(r_inner, radii[-1], 600)
     means = _log_circle_means(log_rho, n, center, r_grid)
     integrand = 2.0 * np.pi * r_grid * means
     inner_disk = 2.0 * np.pi * r_inner**2 * means[0] / (2.0 * beta)
     areas = inner_disk + np.concatenate(
         [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1])
                           * np.diff(r_grid))])
-    radii = np.geomspace(r_min, r_max, n_radii)
     m_r = _log_circle_means(log_rho, n, center, radii)
     a_r = np.interp(radii, r_grid, areas)
     slopes = 2.0 * np.pi * radii**2 * m_r / a_r
@@ -274,8 +280,7 @@ def cone_angle(sol, center=None, r_min=None, r_max=0.2, n_radii=9) -> float:
     return float(coef[0])
 
 
-def multiplicity_exponent(sol, point, r_min=None, r_max=0.2,
-                          n_radii=9) -> float:
+def multiplicity_exponent(sol, point) -> float:
     """Radial exponent of the circle-averaged density near a marked fiber.
 
     Pairwise log-log slopes of the circle means are extrapolated to radius
@@ -283,18 +288,9 @@ def multiplicity_exponent(sol, point, r_min=None, r_max=0.2,
     -2 (m-1)/m at a fiber of multiplicity m, and 0 where the density
     carries no power singularity.
     """
-    problem = sol.problem
-    n = problem.bg.grid.n
-    if sol.epsilon > 20.0 / n:
-        raise ConfigurationError(
-            f"multiplicity exponent needs eps <= 20/N; got {sol.epsilon}")
-    if r_min is None:
-        r_min = max(0.02, 2.5 / n)
-    if r_min <= 2.0 / n:
-        raise ConfigurationError("r_min does not resolve the grid")
-    log_rho = _log_density_values(sol)
-    radii = np.geomspace(r_min, r_max, n_radii)
-    means = _log_circle_means(log_rho, n, point, radii)
+    radii = _fit_radii(sol, "multiplicity exponent")
+    means = _log_circle_means(_log_density_values(sol),
+                              sol.problem.bg.grid.n, point, radii)
     slopes = np.diff(np.log(means)) / np.diff(np.log(radii))
     mid = np.sqrt(radii[1:] * radii[:-1])
     cols = np.vstack([np.ones_like(mid), mid, mid * mid]).T
@@ -302,14 +298,19 @@ def multiplicity_exponent(sol, point, r_min=None, r_max=0.2,
     return float(coef[0])
 
 
+C0_SLOPE_CAP = -0.85
+C0_FINAL_GAP_CAP = 1e-3
+C0_FINAL_GAP_LEVEL = 0.4
+
+
 def verify_c0_convergence(trajectory, sigma_levels=(0.2, 0.4, 0.6),
-                          slope_cap=-0.85, final_gap_cap=1e-3,
-                          final_gap_level=0.4, name="c0-convergence"):
+                          name="c0-convergence"):
     """Fit per-mask decay constants on nested barrier masks.
 
     Expects the trajectory to carry gap series named 'sigma>=L' for each
-    level L.  Passes when every fitted slope is at or below slope_cap and
-    the final gap on the final_gap_level mask is at or below final_gap_cap.
+    level L.  Passes when every fitted slope is at or below C0_SLOPE_CAP
+    and the final gap on the C0_FINAL_GAP_LEVEL mask is at or below
+    C0_FINAL_GAP_CAP.
     """
     from .flow_engine import fit_decay_slope
     if len(trajectory.times) < 20:
@@ -326,15 +327,14 @@ def verify_c0_convergence(trajectory, sigma_levels=(0.2, 0.4, 0.6),
             # already converged below the window: trivially passing mask
             constants[key] = {"slope": None, "C": None,
                               "final_gap": series[-1]}
-            violations.append(series[-1] - final_gap_cap)
+            violations.append(series[-1] - C0_FINAL_GAP_CAP)
             continue
         constants[key] = {"slope": fit["slope"],
                           "C": fit["intercept_constant"],
                           "final_gap": series[-1]}
-        violations.append(fit["slope"] - slope_cap)
-    final_key = f"sigma>={final_gap_level}"
-    final_gap = trajectory.gaps[final_key][-1]
-    violations.append(final_gap - final_gap_cap)
+        violations.append(fit["slope"] - C0_SLOPE_CAP)
+    final_gap = trajectory.gaps[f"sigma>={C0_FINAL_GAP_LEVEL}"][-1]
+    violations.append(final_gap - C0_FINAL_GAP_CAP)
     max_violation = float(max(violations))
     return EstimateReport(
         name=name,

@@ -30,9 +30,9 @@ import numpy as np
 from .errors import ConfigurationError, ModelError
 from . import cone_smoothing
 from .elliptic_periods import (ConstantTau, LocalLogTau, TauModel,
-                               WeierstrassFamilyTau, tau_field)
+                               WeierstrassFamilyTau, _smoothstep, tau_field)
 from .torus_field import (Grid, ScalarField, green_values, lap_values,
-                          pair_distance, periodic_distance,
+                          make_grid, pair_distance, periodic_distance,
                           solve_poisson_values)
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "assemble_density",
     "lp_threshold",
     "validate_lp",
-    "model_to_json_dict",
     "model_from_json_dict",
     "product_model",
 ]
@@ -106,7 +105,6 @@ class BackgroundGeometry:
 class DensityData:
     log_density: ScalarField       # full log F on the grid, normalized
     singular_exponents: tuple      # ((x, y), e_i) with e_i = -2(m_i-1)/m_i
-    normalization: float           # additive constant that enforced int F = 1
 
     def density_values(self) -> np.ndarray:
         return np.exp(self.log_density.values)
@@ -131,7 +129,7 @@ def _snap_model(model: FibrationModel, grid: Grid) -> FibrationModel:
     return replace(model, cone_point=pts[0], fibers=fibers)
 
 
-def _wp_density_values(model: FibrationModel, grid: Grid, im_tau, mask):
+def _wp_density_values(model: FibrationModel, grid: Grid, im_tau):
     """Moduli density on the grid, nonnegative on the valid mask.
 
     For a global Weierstrass family the spectral Laplacian of log Im tau is
@@ -155,8 +153,7 @@ def _wp_density_values(model: FibrationModel, grid: Grid, im_tau, mask):
             if f.ib_index == 0:
                 continue
             d = np.maximum(periodic_distance(grid, f.point), 0.5 * grid.spacing)
-            u = np.clip((d - lo) / (cap - lo), 0.0, 1.0)
-            cutoff = 1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
+            cutoff = 1.0 - _smoothstep((d - lo) / (cap - lo))
             out += (0.5 * (f.ib_index / (2.0 * np.pi))**2
                     / (d * d * im_tau * im_tau)) * cutoff
         return out
@@ -176,7 +173,7 @@ def _moduli(model: FibrationModel, grid: Grid):
     model = _snap_model(model, grid)
     im, mask = tau_field(model.tau_model, grid, [f.point for f in model.fibers],
                          [f.ib_index for f in model.fibers])
-    wp = _wp_density_values(model, grid, im.values, mask)
+    wp = _wp_density_values(model, grid, im.values)
     w_mass = float(wp.mean())
     return model, wp, mask, w_mass, _class_area(model, w_mass)
 
@@ -189,13 +186,15 @@ def required_area(model: FibrationModel, grid: Grid) -> float:
     return a
 
 
-def build_background(model: FibrationModel, grid: Grid,
-                     check_positivity=(0.4, 0.05)) -> BackgroundGeometry:
+POSITIVITY_EPSILONS = (0.4, 0.05)   # smoothing levels build_background checks
+
+
+def build_background(model: FibrationModel, grid: Grid) -> BackgroundGeometry:
     """Construct the background geometry on a grid.
 
     Marked points snap to the lattice; their separations must exceed 8/N.
     The build verifies that delta keeps the initial regularized density
-    positive at the given smoothing levels.
+    positive at the smoothing levels POSITIVITY_EPSILONS.
     """
     model, wp, tau_mask, wp_mass, area = _moduli(model, grid)
     psi_r = green_values(grid, model.cone_point)
@@ -212,7 +211,7 @@ def build_background(model: FibrationModel, grid: Grid,
                             q=ScalarField(grid, q), wp=ScalarField(grid, wp),
                             wp_mass=wp_mass, tau_mask=tau_mask)
 
-    for eps in check_positivity:
+    for eps in POSITIVITY_EPSILONS:
         cone = cone_smoothing.chi_values(eps, q, model.beta)
         density = area + 0.5 * lap_values(model.delta * cone)
         if density.min() <= 0.0:
@@ -250,37 +249,35 @@ def assemble_density(model: FibrationModel, bg: BackgroundGeometry,
             f"curvature source has nonzero mean {source.mean():.3e}; "
             "model areas are inconsistent")
     log_f += solve_poisson_values(source - source.mean(), mean_tol=np.inf)
-    c_f = -math.log(float(np.exp(log_f).mean()))
-    log_f += c_f
-    return DensityData(
-        log_density=ScalarField(grid, log_f),
-        singular_exponents=tuple(exponents),
-        normalization=c_f,
-    )
+    log_f -= math.log(float(np.exp(log_f).mean()))
+    return DensityData(log_density=ScalarField(grid, log_f),
+                       singular_exponents=tuple(exponents))
+
+
+def _fiber_threshold(model: FibrationModel) -> float:
+    """min_i m_i/(m_i - 1) over the multiple fibers; infinite when every
+    m_i = 1."""
+    return min((f.multiplicity / (f.multiplicity - 1.0)
+                for f in model.fibers if f.multiplicity > 1), default=math.inf)
 
 
 def lp_threshold(model: FibrationModel) -> float:
-    """p_star = min_i m_i/(m_i - 1) (infinite when every m_i = 1), capped
-    by 1/(1 - beta): the integrability threshold of F, a function of the
-    model alone."""
-    ratios = [f.multiplicity / (f.multiplicity - 1.0)
-              for f in model.fibers if f.multiplicity > 1]
-    p_star = min(ratios) if ratios else math.inf
-    return min(p_star, 1.0 / (1.0 - model.beta))
+    """p_star = _fiber_threshold(model) capped by 1/(1 - beta): the
+    integrability threshold of F, a function of the model alone, and
+    finite since beta < 1."""
+    return min(_fiber_threshold(model), 1.0 / (1.0 - model.beta))
 
 
 def validate_lp(model: FibrationModel, grid_sizes=(128, 256, 512)) -> dict:
     """Report integrability of F across grid refinements.
 
     With p_star = lp_threshold(model), reports int F^p at p = 0.95 p_star
-    (expected to settle) and, when p_star is finite, at p = 1.05 p_star
-    (expected to keep growing).  Report-only: no thresholds are enforced
-    here.
+    (expected to settle) and at p = 1.05 p_star (expected to keep growing).
+    Report-only: no thresholds are enforced here.
     """
-    from .torus_field import make_grid
     p_star = lp_threshold(model)
     p_low = 0.95 * p_star
-    p_high = 1.05 * p_star if math.isfinite(p_star) else None
+    p_high = 1.05 * p_star
 
     low, high = {}, {}
     for n in grid_sizes:
@@ -289,11 +286,10 @@ def validate_lp(model: FibrationModel, grid_sizes=(128, 256, 512)) -> dict:
         dens = assemble_density(model, bg, g)
         f_vals = dens.density_values()
         low[n] = float((f_vals**p_low).mean())
-        if p_high is not None:
-            high[n] = float((f_vals**p_high).mean())
+        high[n] = float((f_vals**p_high).mean())
 
     ns = sorted(low)
-    report = {
+    return {
         "p_star": p_star,
         "p_low": p_low,
         "p_high": p_high,
@@ -302,33 +298,14 @@ def validate_lp(model: FibrationModel, grid_sizes=(128, 256, 512)) -> dict:
         "low_changes": {f"{a}->{b}": low[b] / low[a] - 1.0
                         for a, b in zip(ns, ns[1:])},
         "high_changes": {f"{a}->{b}": high[b] / high[a] - 1.0
-                         for a, b in zip(ns, ns[1:])} if high else {},
+                         for a, b in zip(ns, ns[1:])},
+        "high_growth_full_range": high[ns[-1]] / high[ns[0]] - 1.0,
     }
-    if high:
-        report["high_growth_full_range"] = high[ns[-1]] / high[ns[0]] - 1.0
-    return report
 
 
 # ---------------------------------------------------------------------------
 # JSON model files
 # ---------------------------------------------------------------------------
-
-def _tau_to_dict(tm: TauModel) -> dict:
-    if tm.kind == "constant":
-        return {"kind": "constant", "tau": [tm.tau.real, tm.tau.imag]}
-    if tm.kind == "ib_local":
-        return {"kind": "ib_local", "baseline": tm.baseline,
-                "cap_radius": tm.cap_radius}
-    if tm.kind == "weierstrass":
-        return {
-            "kind": "weierstrass",
-            "g2": [complex(tm.g2).real, complex(tm.g2).imag],
-            "g3": [complex(tm.g3).real, complex(tm.g3).imag],
-            "g2_modes": [[kx, ky, a.real, a.imag] for kx, ky, a in tm.g2_modes],
-            "g3_modes": [[kx, ky, a.real, a.imag] for kx, ky, a in tm.g3_modes],
-        }
-    raise ConfigurationError(f"unknown tau model kind {tm.kind!r}")
-
 
 _REQUIRED = object()
 
@@ -395,21 +372,6 @@ def _tau_from_dict(d: dict, path="tau_model") -> TauModel:
 
 _MODEL_KEYS = {"beta", "delta", "cone_point", "fibers", "tau_model",
                "fiber_area", "grid_n"}
-
-
-def model_to_json_dict(model: FibrationModel, grid_n=None) -> dict:
-    d = {
-        "beta": model.beta,
-        "delta": model.delta,
-        "cone_point": list(model.cone_point),
-        "fibers": [{"point": list(f.point), "m": f.multiplicity, "b": f.ib_index}
-                   for f in model.fibers],
-        "tau_model": _tau_to_dict(model.tau_model),
-        "fiber_area": model.fiber_area,
-    }
-    if grid_n is not None:
-        d["grid_n"] = grid_n
-    return d
 
 
 def model_from_json_dict(d: dict, path="model"):

@@ -34,7 +34,6 @@ __all__ = [
     "FlowState",
     "Trajectory",
     "FlowOps",
-    "reduced_rhs",
     "flow_step",
     "run_flow",
     "fit_decay_slope",
@@ -57,7 +56,6 @@ def _inverse(mult, hat, out):
 class FlowState:
     phi: ScalarField
     t: float
-    epsilon: float
     dt: float
 
 
@@ -119,14 +117,6 @@ class FlowOps:
                 "flow state left the Kahler cone (nonpositive density)")
         return (self.log_prefactor + np.log(density)
                 - phi_values - self.cone)
-
-
-def reduced_rhs(state: FlowState, problem: KEProblem) -> ScalarField:
-    """Right-hand side of the reduced flow at the state's potential."""
-    if abs(state.epsilon - problem.epsilon) > 1e-15:
-        raise ConfigurationError("state and problem disagree on epsilon")
-    ops = FlowOps(problem)
-    return ScalarField(state.phi.grid, ops.rhs_values(state.phi.values))
 
 
 def _rk4_guard(ops: FlowOps, phi_values, dt):
@@ -206,7 +196,7 @@ def flow_step(state: FlowState, problem: KEProblem,
         density.setflags(write=False)
         ops._accepted = (new_phi, density)   # new_phi becomes the state's
     return FlowState(phi=ScalarField(state.phi.grid, new_phi),
-                     t=state.t + state.dt, epsilon=state.epsilon, dt=state.dt)
+                     t=state.t + state.dt, dt=state.dt)
 
 
 def run_flow(problem: KEProblem, T: float, dt: float,
@@ -233,8 +223,7 @@ def run_flow(problem: KEProblem, T: float, dt: float,
         monitor_mask = next(iter(masks.values()))
     traj = Trajectory()
     phi = np.zeros((n, n))
-    state = FlowState(phi=ScalarField(problem.bg.grid, phi), t=0.0,
-                      epsilon=problem.epsilon, dt=dt)
+    state = FlowState(phi=ScalarField(problem.bg.grid, phi), t=0.0, dt=dt)
     n_steps = int(round(T / dt))
     snapshot_times = sorted(snapshot_times)
     target = None if target_phi is None else target_phi.values
@@ -268,11 +257,15 @@ def run_flow(problem: KEProblem, T: float, dt: float,
     return state, traj, decay
 
 
-def fit_decay_slope(times, gaps, window=(1e-6, 1e-1)):
-    """Least-squares slope of log gap over the window; None if underresolved."""
+DECAY_WINDOW = (1e-6, 1e-1)     # gaps that fit_decay_slope fits
+
+
+def fit_decay_slope(times, gaps):
+    """Least-squares slope of log gap over DECAY_WINDOW; None if
+    underresolved."""
     t = np.asarray(times, dtype=float)
     g = np.asarray(gaps, dtype=float)
-    sel = (g >= window[0]) & (g <= window[1])
+    sel = (g >= DECAY_WINDOW[0]) & (g <= DECAY_WINDOW[1])
     if sel.sum() < 5:
         return None
     coeffs = np.polyfit(t[sel], np.log(g[sel]), 1)

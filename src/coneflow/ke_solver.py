@@ -55,11 +55,11 @@ class KEProblem:
     delta: float
     epsilon: float
 
-    def coefficient_values(self, epsilon=None) -> np.ndarray:
+    def coefficient_values(self) -> np.ndarray:
         """M = F (q + eps^2)^(-(1-beta)) A, the nonlinearity's weight."""
-        eps = self.epsilon if epsilon is None else epsilon
-        f_vals = self.density.density_values()
-        return f_vals * (self.bg.q.values + eps * eps) ** (-(1.0 - self.beta)) \
+        eps = self.epsilon
+        return self.density.density_values() \
+            * (self.bg.q.values + eps * eps) ** (-(1.0 - self.beta)) \
             * self.bg.area
 
     def cone_field_values(self, epsilon=None) -> np.ndarray:
@@ -283,11 +283,16 @@ def continuation_solve(problem: KEProblem, schedule):
     return sols[-1], report, sols
 
 
-def default_extrapolation_schedule(grid_n: int, start=0.4, ratio=0.7):
-    """Geometric schedule from start down to the grid scale 2/N."""
-    sched = [start]
-    while sched[-1] * ratio >= 2.0 / grid_n:
-        sched.append(sched[-1] * ratio)
+EXTRAPOLATION_START = 0.4
+EXTRAPOLATION_RATIO = 0.7
+
+
+def default_extrapolation_schedule(grid_n: int):
+    """Geometric schedule from EXTRAPOLATION_START down to the grid scale
+    2/N in steps of EXTRAPOLATION_RATIO."""
+    sched = [EXTRAPOLATION_START]
+    while sched[-1] * EXTRAPOLATION_RATIO >= 2.0 / grid_n:
+        sched.append(sched[-1] * EXTRAPOLATION_RATIO)
     return sched
 
 

@@ -26,21 +26,11 @@ from .errors import ConfigurationError, SolvabilityError
 __all__ = [
     "Grid",
     "ScalarField",
-    "GreenPotential",
     "make_grid",
     "field_from_values",
-    "field_from_function",
-    "constant_field",
-    "laplacian",
-    "solve_poisson",
-    "green_potential",
-    "grid_delta",
-    "integrate",
-    "radial_profile",
     "periodic_distance",
     "circle_samples",
     "write_field_csv",
-    "read_field_csv",
     "write_field_pgm",
 ]
 
@@ -89,21 +79,6 @@ class ScalarField:
         if not np.all(np.isfinite(v)):
             raise ConfigurationError("field contains non-finite values")
         v.setflags(write=False)
-
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-
-@dataclass(frozen=True)
-class GreenPotential:
-    """Mean-zero log potential psi_p with (1/2) Lap psi_p = 2 pi (delta_p - 1).
-
-    Near its anchor, psi_p(s) - 2 log|s - p| stays bounded under grid
-    refinement, so exp(psi_p) behaves like |s - p|^2.
-    """
-
-    anchor: tuple
-    field: ScalarField
 
 
 @lru_cache(maxsize=32)
@@ -156,27 +131,13 @@ def field_from_values(grid: Grid, values) -> ScalarField:
     return ScalarField(grid, np.array(values, dtype=float))
 
 
-def field_from_function(grid: Grid, fn) -> ScalarField:
-    x, y = grid.mesh()
-    return field_from_values(grid, fn(x, y))
-
-
-def constant_field(grid: Grid, c: float) -> ScalarField:
-    return field_from_values(grid, np.full((grid.n, grid.n), float(c)))
-
-
 # ---------------------------------------------------------------------------
-# spectral operators (array-level workers plus field-level API)
+# spectral operators on value arrays
 # ---------------------------------------------------------------------------
 
 def lap_values(values: np.ndarray) -> np.ndarray:
     return from_half_spectrum(_lap_multiplier(values.shape[0])
                               * half_spectrum(values))
-
-
-def laplacian(f: ScalarField) -> ScalarField:
-    """Spectral Laplacian; the output mean vanishes to round-off."""
-    return ScalarField(f.grid, lap_values(f.values))
 
 
 def gradient_values(values: np.ndarray):
@@ -189,6 +150,7 @@ def gradient_values(values: np.ndarray):
 
 
 def solve_poisson_values(rhs: np.ndarray, mean_tol: float = 1e-10) -> np.ndarray:
+    """Unique mean-zero u with (1/2) Lap u = rhs; rhs must be mean-zero."""
     m = rhs.mean()
     if abs(m) > mean_tol:
         raise SolvabilityError(
@@ -202,11 +164,6 @@ def solve_poisson_values(rhs: np.ndarray, mean_tol: float = 1e-10) -> np.ndarray
     return from_half_spectrum(sol)
 
 
-def solve_poisson(rhs: ScalarField, mean_tol: float = 1e-10) -> ScalarField:
-    """Unique mean-zero u with (1/2) Lap u = rhs; rhs must be mean-zero."""
-    return ScalarField(rhs.grid, solve_poisson_values(rhs.values, mean_tol))
-
-
 def delta_values(grid: Grid, p) -> np.ndarray:
     """Band-limited unit-mass delta at p (all Fourier coefficients are the
     plane-wave phases; real part taken for the asymmetric Nyquist mode)."""
@@ -216,11 +173,14 @@ def delta_values(grid: Grid, p) -> np.ndarray:
     return _fft.ifft2(phase, workers=_workers()).real * n * n
 
 
-def grid_delta(grid: Grid, p) -> ScalarField:
-    return ScalarField(grid, delta_values(grid, p))
-
-
 def green_values(grid: Grid, p) -> np.ndarray:
+    """Mean-zero potential psi_p with (1/2) Lap psi_p = 2 pi (delta_p - 1).
+
+    Solved against the band-limited delta, which makes the identity exact
+    in spectral space and gives translation equivariance on lattice-aligned
+    shifts of p.  Near p, psi_p(s) - 2 log|s - p| stays bounded under grid
+    refinement, so exp(psi_p) behaves like |s - p|^2.
+    """
     n = grid.n
     kx, ky = _wavenumbers(n)
     k2 = kx**2 + ky**2
@@ -229,29 +189,6 @@ def green_values(grid: Grid, p) -> np.ndarray:
         hat = -phase / (np.pi * k2)
     hat[0, 0] = 0.0
     return _fft.ifft2(hat, workers=_workers()).real * n * n
-
-
-def green_potential(grid: Grid, p) -> GreenPotential:
-    """Mean-zero potential with a 2 log|s-p| singularity at p.
-
-    Solves (1/2) Lap psi = 2 pi (delta_p - 1) against the band-limited
-    delta, which makes the identity exact in spectral space and gives
-    translation equivariance on lattice-aligned shifts of p.
-    """
-    p = (p[0] % 1.0, p[1] % 1.0)
-    return GreenPotential(anchor=p, field=ScalarField(grid, green_values(grid, p)))
-
-
-def mollify_values(values: np.ndarray, scale: float) -> np.ndarray:
-    """Gaussian mollification at a fixed physical length scale (spectral)."""
-    filt = np.exp(0.5 * scale**2 * _lap_multiplier(values.shape[0]))
-    return from_half_spectrum(filt * half_spectrum(values))
-
-
-def integrate(f: ScalarField) -> float:
-    """Integral over the unit torus: the periodic trapezoid rule collapses
-    to the plain mean times total area 1."""
-    return float(f.values.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -305,22 +242,6 @@ def circle_samples(f: ScalarField, center, radius: float, n_angles: int = None):
     return bilinear_sample(f.values, xs, ys)
 
 
-def radial_profile(f: ScalarField, center, radii):
-    """Circle means of f around center, one per requested radius.
-
-    Radii must lie in (2/N, 0.4): below two cells a circle is not resolved,
-    and beyond 0.4 the periodic images start to wrap.
-    """
-    n = f.grid.n
-    out = []
-    for r in radii:
-        if not (2.0 / n < r < 0.4):
-            raise ConfigurationError(
-                f"radius {r} outside the resolvable range (2/N, 0.4) at N={n}")
-        out.append((float(r), float(circle_samples(f, center, r).mean())))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # snapshot export: textual CSV and 8-bit PGM heatmaps
 # ---------------------------------------------------------------------------
@@ -331,16 +252,6 @@ def write_field_csv(f: ScalarField, path):
         lines.append(",".join(repr(float(v)) for v in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_field_csv(path) -> ScalarField:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# N="):
-            raise ConfigurationError(f"{path}: missing '# N=' header")
-        n = int(header.split("=", 1)[1])
-        values = np.loadtxt(fh, delimiter=",").reshape(n, n)
-    return ScalarField(make_grid(n), values)
 
 
 def write_field_pgm(f: ScalarField, path):

@@ -20,7 +20,7 @@ import numpy as np
 from .estimates import (EstimateReport, cone_angle, flow_masks,
                         multiplicity_exponent, ricci_residual, trace_field,
                         verify_c0_convergence, verify_trace_bound)
-from .fibration_model import FibrationModel, validate_lp
+from .fibration_model import FibrationModel, _fiber_threshold, validate_lp
 from .flow_engine import run_flow
 from .ke_solver import (build_problem, default_extrapolation_schedule,
                         extrapolated_solution, newton_solve)
@@ -46,8 +46,7 @@ def run_verification_suite(model: FibrationModel, grid_n: int = 128,
                            flow_T: float = 20.0, flow_dt: float = 0.05,
                            scheme: str = "backward-euler-newton",
                            flow_epsilon: float = 0.05,
-                           qr_mask_level: float = 0.1,
-                           lp_grids=(128, 256, 512)) -> dict:
+                           qr_mask_level: float = 0.1) -> dict:
     """Run the full suite on one model; returns {key: EstimateReport}."""
     problem = build_problem(model, grid_n, flow_epsilon)
     bg = problem.bg
@@ -73,7 +72,7 @@ def run_verification_suite(model: FibrationModel, grid_n: int = 128,
         traj, bg, problem, barrier)
     reports["thm-1.1-2"] = _limit_identity_report(sol0, bg, barrier)
     reports["prop-2.1-holder"] = _holder_report(cont_report)
-    reports["F-Lp"] = _lp_report(model, lp_grids)
+    reports["F-Lp"] = _lp_report(model)
     return reports
 
 
@@ -172,24 +171,20 @@ def _holder_report(cont_report) -> EstimateReport:
         samples={"epsilons": list(cont_report.epsilons)})
 
 
-def _lp_report(model, lp_grids) -> EstimateReport:
+def _lp_report(model) -> EstimateReport:
     """Integrability dichotomy, asserted qualitatively: the below-threshold
     integral must Cauchy-stabilize across refinements while the
     above-threshold one keeps growing (when a genuine singular exponent
     sets the threshold)."""
-    rep = validate_lp(model, lp_grids)
+    rep = validate_lp(model)
     low_changes = [abs(v) for v in rep["low_changes"].values()]
     violations = []
     for a, b in zip(low_changes, low_changes[1:]):
         violations.append(b - a)            # must shrink
-    ratios = [f.multiplicity / (f.multiplicity - 1.0)
-              for f in model.fibers if f.multiplicity > 1]
-    growth_expected = bool(ratios) and min(ratios) <= 1.0 / (1.0 - model.beta)
+    growth_expected = _fiber_threshold(model) <= 1.0 / (1.0 - model.beta)
     if growth_expected:
         for v in rep["high_changes"].values():
             violations.append(0.05 - v)     # must keep growing by > 5%
-    if not violations:
-        violations = [0.0]
     worst = float(max(violations))
     return EstimateReport(
         name="F-Lp",

@@ -21,8 +21,7 @@ from coneflow.fibration_model import product_model, validate_lp
 from coneflow.flow_engine import FlowOps, ProductFlow4D, run_flow
 from coneflow.ke_solver import (build_problem, default_extrapolation_schedule,
                                 extrapolated_solution, newton_solve)
-from coneflow.torus_field import (ScalarField, field_from_function,
-                                  field_from_values, lap_values)
+from coneflow.torus_field import ScalarField, field_from_values, lap_values
 
 from tests.conftest import i1_model, m2_model
 
@@ -277,14 +276,13 @@ def test_criterion_10_solver_quality(product_problem128):
     from coneflow.fibration_model import DensityData
     bg = product_problem128.bg
     eps = 0.1
-    v_star = field_from_function(
-        grid, lambda x, y: 0.05 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y))
+    v_star = field_from_values(
+        grid, 0.05 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y))
     log_f = (np.log(bg.area + 0.5 * lap_values(v_star.values))
              - v_star.values
              + 0.5 * np.log(bg.q.values + eps * eps) - np.log(bg.area))
     p_man = replace(product_problem128, epsilon=eps,
-                    density=DensityData(field_from_values(grid, log_f),
-                                        (), 0.0))
+                    density=DensityData(field_from_values(grid, log_f), ()))
     sol_man = newton_solve(p_man)
     man_err = np.abs(sol_man.v.values - v_star.values).max()
 

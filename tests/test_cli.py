@@ -11,13 +11,15 @@ from coneflow import fibration_model, ke_solver
 from coneflow.cli import (DEFAULT_EPSILON_SCHEDULE, _build_parser,
                           _config_from_args, main, parse_config_dict)
 from coneflow.errors import ConfigurationError
-from coneflow.fibration_model import model_to_json_dict, product_model
 
 
 @pytest.fixture()
 def model_file(tmp_path):
     path = tmp_path / "product.json"
-    path.write_text(json.dumps(model_to_json_dict(product_model(), grid_n=64)))
+    path.write_text(json.dumps({
+        "beta": 0.5, "delta": 0.1, "cone_point": [0.5, 0.5], "fibers": [],
+        "tau_model": {"kind": "constant", "tau": [0.0, 1.0]},
+        "fiber_area": 1.0, "grid_n": 64}))
     return str(path)
 
 

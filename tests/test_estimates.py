@@ -11,9 +11,12 @@ from coneflow.estimates import (EstimateReport, cone_angle,
                                 verify_c0_convergence, verify_trace_bound)
 from coneflow.fibration_model import product_model
 from coneflow.ke_solver import KESolution, build_problem, newton_solve
-from coneflow.torus_field import (ScalarField, constant_field,
-                                  field_from_values, make_grid,
+from coneflow.torus_field import (ScalarField, field_from_values, make_grid,
                                   periodic_distance)
+
+
+def constant(grid, c):
+    return field_from_values(grid, np.full((grid.n, grid.n), c))
 
 
 @pytest.fixture(scope="module")
@@ -59,17 +62,17 @@ def test_sigma_rejects_duplicate_points(grid64):
 
 
 def test_trace_field_basics(grid64):
-    one = constant_field(grid64, 1.0)
-    two = constant_field(grid64, 2.0)
+    one = constant(grid64, 1.0)
+    two = constant(grid64, 2.0)
     assert np.all(trace_field(one, one).values == 1.0)
     assert np.all(trace_field(two, one).values == 2.0)
     with pytest.raises(ModelError):
-        trace_field(one, constant_field(grid64, 0.0))
+        trace_field(one, constant(grid64, 0.0))
 
 
 def test_trace_bound_trivial(grid64):
     b = sigma_barrier(grid64, [(0.5, 0.5)])
-    rep = verify_trace_bound(constant_field(grid64, 1.0), b)
+    rep = verify_trace_bound(constant(grid64, 1.0), b)
     assert rep.passed
     assert rep.constants["C"] <= 1.0
 
@@ -134,21 +137,22 @@ def test_ricci_residual_negative_control(solved_product_128):
     assert sup > p.bg.area / 2
 
 
-def test_ricci_residual_decreases_with_eps(solved_product_128):
+def test_ricci_residual_decreases_with_eps(solved_product_128, full_k2):
     # the residual at positive eps carries the smoothing correction, which
     # shrinks like eps^2; in sup norm the measurement is swamped by spectral
     # ringing of the under-resolved smoothing layer, so the trend is read
     # off after mollifying at a fixed physical scale
     from coneflow.ke_solver import continuation_solve
-    from coneflow.torus_field import mollify_values
     p = solved_product_128.problem
+    gauss = np.exp(-0.5 * (2.0 * np.pi * 0.04)**2 * full_k2(128))
     mask = p.bg.q.values >= 0.5
     _, _, sols = continuation_solve(replace(p, epsilon=0.4),
                                     [0.4, 0.2, 0.1, 0.05, 0.025])
     sups = []
     for s in sols:
         f, _ = ricci_residual(s, mask)
-        sups.append(np.abs(mollify_values(f.values, 0.04)[mask]).max())
+        mollified = np.fft.ifft2(gauss * np.fft.fft2(f.values)).real
+        sups.append(np.abs(mollified[mask]).max())
     assert all(b < a for a, b in zip(sups, sups[1:]))
     assert sups[-1] < 0.02      # down at the eps^2 scale, above any floor
 
@@ -184,10 +188,13 @@ def test_multiplicity_exponent_synthetic(solved_product_128):
 
 
 def test_cone_angle_rejects_large_eps(solved_product_128):
-    with pytest.raises(ConfigurationError):
-        cone_angle(replace(solved_product_128,
-                           problem=solved_product_128.problem),
-                   r_min=0.01)
+    # eps = 0.2 lies above 20/N = 0.156 at N = 128
+    p = solved_product_128.problem
+    sol = replace(solved_product_128, problem=replace(p, epsilon=0.2))
+    with pytest.raises(ConfigurationError, match="20/N"):
+        cone_angle(sol)
+    with pytest.raises(ConfigurationError, match="20/N"):
+        multiplicity_exponent(sol, (0.25, 0.25))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +256,7 @@ def test_estimate_report_flag_consistency():
 
 def test_report_json_deterministic(grid64):
     b = sigma_barrier(grid64, [(0.5, 0.5)])
-    f = constant_field(grid64, 1.0)
+    f = constant(grid64, 1.0)
     r1 = verify_trace_bound(f, b)
     r2 = verify_trace_bound(f, b)
     assert json.dumps(r1.to_json_dict(), sort_keys=True) == \

@@ -7,8 +7,7 @@ from coneflow.errors import (ConfigurationError, PositivityError,
 from coneflow import flow_engine
 from coneflow.fibration_model import product_model
 from coneflow.flow_engine import (FlowOps, FlowState, ProductFlow4D,
-                                  fit_decay_slope, flow_step, reduced_rhs,
-                                  run_flow)
+                                  fit_decay_slope, flow_step, run_flow)
 from coneflow.ke_solver import build_problem, newton_solve
 from coneflow.torus_field import ScalarField, field_from_values
 
@@ -29,13 +28,12 @@ def solved64(problem64):
 
 def state_of(problem, phi_values, t=0.0, dt=0.05):
     return FlowState(phi=ScalarField(problem.bg.grid, phi_values), t=t,
-                     epsilon=problem.epsilon, dt=dt)
+                     dt=dt)
 
 
 def test_rhs_vanishes_at_solution(problem64, solved64):
-    st = state_of(problem64, solved64.phi.values)
-    rhs = reduced_rhs(st, problem64)
-    assert np.abs(rhs.values).max() <= 1e-8
+    rhs = FlowOps(problem64).rhs_values(solved64.phi.values)
+    assert np.abs(rhs).max() <= 1e-8
 
 
 def test_rhs_shift_by_constant(problem64):
@@ -43,10 +41,11 @@ def test_rhs_shift_by_constant(problem64):
     rng = np.random.default_rng(2)
     x, y = problem64.bg.grid.mesh()
     phi = 0.02 * np.cos(2 * np.pi * x)
-    r0 = reduced_rhs(state_of(problem64, phi), problem64)
+    ops = FlowOps(problem64)
+    r0 = ops.rhs_values(phi)
     c = 0.37
-    r1 = reduced_rhs(state_of(problem64, phi + c), problem64)
-    assert np.abs((r0.values - c) - r1.values).max() < 1e-12
+    r1 = ops.rhs_values(phi + c)
+    assert np.abs((r0 - c) - r1).max() < 1e-12
 
 
 def test_rhs_identity_case_formula(problem64):
@@ -57,8 +56,7 @@ def test_rhs_identity_case_formula(problem64):
     eps, beta, delta = problem64.epsilon, problem64.beta, problem64.delta
     log_f = (1 - beta) * np.log(bg.q.values + eps * eps)
     p = replace(problem64,
-                density=DensityData(field_from_values(bg.grid, log_f),
-                                    (), 0.0))
+                density=DensityData(field_from_values(bg.grid, log_f), ()))
     ops = FlowOps(p)
     rhs = ops.rhs_values(np.zeros((bg.grid.n,) * 2))
     cone = p.cone_field_values()      # already delta * chi
@@ -141,9 +139,8 @@ def test_rk4_stability_guard(problem64):
 def test_positivity_error_surfaces(problem64):
     x, y = problem64.bg.grid.mesh()
     bad = 0.2 * np.cos(2 * np.pi * 4 * x)   # curvature kills the density
-    st = state_of(problem64, bad)
     with pytest.raises(PositivityError):
-        reduced_rhs(st, problem64)
+        FlowOps(problem64).rhs_values(bad)
 
 
 def test_run_flow_converges_and_reports(problem64, solved64):
@@ -246,7 +243,7 @@ def test_shift_covariance(problem64, solved64):
     ops = FlowOps(problem64)
     a = state
     b = FlowState(phi=ScalarField(problem64.bg.grid, phi0 + c), t=state.t,
-                  epsilon=problem64.epsilon, dt=0.05)
+                  dt=0.05)
     for _ in range(20):   # one time unit
         a = flow_step(a, problem64, ops=ops)
         b = flow_step(b, problem64, ops=ops)

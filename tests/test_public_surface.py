@@ -1,0 +1,56 @@
+"""The package's public surface stays consistent with its code.
+
+No linter ships with the project, so these checks read the sources with
+the standard library's ast module: every name a module exports through
+__all__ must exist, and every module-level import must be used, so a
+deleted function cannot leave a stale export or import behind.
+"""
+
+import ast
+import importlib
+import os
+
+import pytest
+
+import coneflow
+
+SRC = os.path.dirname(coneflow.__file__)
+MODULES = sorted(name[:-3] for name in os.listdir(SRC) if name.endswith(".py"))
+
+
+def qualified(module):
+    return "coneflow" if module == "__init__" else f"coneflow.{module}"
+
+
+def module_level_imports(tree):
+    """{bound name: line} for the import statements at the top level of a
+    module (not those inside functions, classes or if blocks)."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_resolve(module):
+    mod = importlib.import_module(qualified(module))
+    missing = [name for name in getattr(mod, "__all__", ())
+               if not hasattr(mod, name)]
+    assert not missing, f"{qualified(module)}.__all__ names {missing}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_module_imports(module):
+    with open(os.path.join(SRC, f"{module}.py")) as fh:
+        tree = ast.parse(fh.read())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= set(getattr(importlib.import_module(qualified(module)),
+                        "__all__", ()))
+    unused = {name: line for name, line in module_level_imports(tree).items()
+              if name not in used}
+    assert not unused, f"{qualified(module)}: unused imports {unused}"
