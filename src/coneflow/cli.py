@@ -159,7 +159,7 @@ def write_json(path, obj):
 # ---------------------------------------------------------------------------
 
 def _cmd_model_check(cfg: RunConfig) -> int:
-    model, _ = load_model(cfg.model_path)
+    model = load_model(cfg.model_path)
     problem = build_problem(model, cfg.grid_n, cfg.epsilon_schedule[-1])
     print(f"A = {problem.bg.area:.12g}")
     print(f"W = {problem.bg.wp_mass:.12g}")
@@ -182,7 +182,7 @@ def _ke_report(report, sol):
 
 
 def _cmd_solve_ke(cfg: RunConfig) -> int:
-    model, _ = load_model(cfg.model_path)
+    model = load_model(cfg.model_path)
     problem = build_problem(model, cfg.grid_n, cfg.epsilon_schedule[-1])
     sol, report, _ = continuation_solve(problem, list(cfg.epsilon_schedule))
     out = cfg.output_dir
@@ -194,7 +194,7 @@ def _cmd_solve_ke(cfg: RunConfig) -> int:
 
 
 def _cmd_flow_run(cfg: RunConfig) -> int:
-    model, _ = load_model(cfg.model_path)
+    model = load_model(cfg.model_path)
     problem = build_problem(model, cfg.grid_n, cfg.epsilon_schedule[-1])
     target = newton_solve(problem)
     _, masks = flow_masks(problem.bg, cfg.masks["sigma_levels"],
@@ -227,7 +227,7 @@ def _cmd_flow_run(cfg: RunConfig) -> int:
 
 
 def _cmd_verify_all(cfg: RunConfig) -> int:
-    model, _ = load_model(cfg.model_path)
+    model = load_model(cfg.model_path)
     reports = run_verification_suite(
         model, grid_n=cfg.grid_n, flow_T=cfg.flow["T"],
         flow_dt=cfg.flow["dt"], scheme=cfg.flow["scheme"],

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ModelError
-from .torus_field import (Grid, ScalarField, bilinear_sample, gradient_values,
+from .torus_field import (Grid, ScalarField, circle_samples, gradient_values,
                           lap_values, periodic_distance)
 
 __all__ = [
@@ -38,12 +38,11 @@ class EstimateReport:
     name: str
     constants: dict
     max_violation: float
-    passed: bool
     samples: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.passed != (self.max_violation <= 0.0):
-            raise ConfigurationError("pass flag must mirror max_violation <= 0")
+    @property
+    def passed(self) -> bool:
+        return bool(self.max_violation <= 0.0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -192,7 +191,6 @@ def verify_trace_bound(traces, sigma: BarrierSigma, name="trace-bound",
         name=name,
         constants={"C": fit["C"], "lambda": fit["lambda"], "C_cap": float(c_cap)},
         max_violation=float(violation),
-        passed=bool(violation <= 0.0),
         samples={"n": fit["n_samples"], "n_fields": len(traces)},
     )
 
@@ -208,31 +206,21 @@ def ricci_residual(sol, mask) -> tuple:
     if not mask.any():
         raise ConfigurationError("ricci_residual needs a nonempty mask")
     rho = sol.density_values()
-    resid = (-0.5 * lap_values(_log_density_values(sol)) + rho
+    resid = (-0.5 * lap_values(sol.log_density_values()) + rho
              - sol.problem.bg.wp.values)
     field_out = ScalarField(sol.v.grid, resid)
     return field_out, float(np.abs(resid[mask]).max())
 
 
-def _log_circle_means(log_values, n, center, radii, n_angles=512):
+CIRCLE_ANGLES = 512     # samples per circle in _log_circle_means
+
+
+def _log_circle_means(log_field: ScalarField, center, radii):
     """Circle means of exp(log field), interpolating in log space; accurate
     for power-law densities where direct interpolation is badly biased."""
-    th = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    cth, sth = np.cos(th), np.sin(th)
-    out = []
-    for r in radii:
-        vals = bilinear_sample(log_values, center[0] + r * cth,
-                               center[1] + r * sth)
-        out.append(float(np.exp(vals).mean()))
-    return np.array(out)
-
-
-def _log_density_values(sol):
-    problem = sol.problem
-    return (problem.density.log_density.values + sol.v.values
-            - (1.0 - problem.beta)
-            * np.log(problem.bg.q.values + sol.epsilon**2)
-            + math.log(problem.bg.area))
+    return np.array([np.exp(circle_samples(log_field, center, r,
+                                           CIRCLE_ANGLES)).mean()
+                     for r in radii])
 
 
 def _fit_radii(sol, what):
@@ -261,17 +249,17 @@ def cone_angle(sol) -> float:
     n = problem.bg.grid.n
     center = problem.bg.model.cone_point
     beta = problem.beta
-    log_rho = _log_density_values(sol)
+    log_rho = ScalarField(sol.v.grid, sol.log_density_values())
 
     r_inner = 2.0 / n
     r_grid = np.geomspace(r_inner, radii[-1], 600)
-    means = _log_circle_means(log_rho, n, center, r_grid)
+    means = _log_circle_means(log_rho, center, r_grid)
     integrand = 2.0 * np.pi * r_grid * means
     inner_disk = 2.0 * np.pi * r_inner**2 * means[0] / (2.0 * beta)
     areas = inner_disk + np.concatenate(
         [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1])
                           * np.diff(r_grid))])
-    m_r = _log_circle_means(log_rho, n, center, radii)
+    m_r = _log_circle_means(log_rho, center, radii)
     a_r = np.interp(radii, r_grid, areas)
     slopes = 2.0 * np.pi * radii**2 * m_r / a_r
     cols = [np.ones_like(radii), radii**(2.0 * beta),
@@ -289,8 +277,8 @@ def multiplicity_exponent(sol, point) -> float:
     carries no power singularity.
     """
     radii = _fit_radii(sol, "multiplicity exponent")
-    means = _log_circle_means(_log_density_values(sol),
-                              sol.problem.bg.grid.n, point, radii)
+    log_rho = ScalarField(sol.v.grid, sol.log_density_values())
+    means = _log_circle_means(log_rho, point, radii)
     slopes = np.diff(np.log(means)) / np.diff(np.log(radii))
     mid = np.sqrt(radii[1:] * radii[:-1])
     cols = np.vstack([np.ones_like(mid), mid, mid * mid]).T
@@ -340,6 +328,5 @@ def verify_c0_convergence(trajectory, sigma_levels=(0.2, 0.4, 0.6),
         name=name,
         constants=constants,
         max_violation=max_violation,
-        passed=bool(max_violation <= 0.0),
         samples={"n_times": len(trajectory.times), "final_gap": final_gap},
     )

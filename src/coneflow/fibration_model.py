@@ -70,15 +70,12 @@ class FibrationModel:
     cone_point: tuple
     fibers: tuple = ()
     tau_model: TauModel = ConstantTau(1j)
-    fiber_area: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.beta < 1.0):
             raise ModelError(f"beta must lie in (0, 1), got {self.beta}")
         if self.delta <= 0:
             raise ModelError("delta must be positive")
-        if self.fiber_area <= 0:
-            raise ModelError("fiber area must be positive")
         pts = [self.cone_point] + [f.point for f in self.fibers]
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
@@ -100,11 +97,14 @@ class BackgroundGeometry:
     wp_mass: float                 # W, the mean of rho_WP
     tau_mask: np.ndarray
 
+    def metric_density(self, v) -> np.ndarray:
+        """A + (1/2) Lap v: the density of the metric with potential v."""
+        return self.area + 0.5 * lap_values(v)
+
 
 @dataclass(frozen=True)
 class DensityData:
     log_density: ScalarField       # full log F on the grid, normalized
-    singular_exponents: tuple      # ((x, y), e_i) with e_i = -2(m_i-1)/m_i
 
     def density_values(self) -> np.ndarray:
         return np.exp(self.log_density.values)
@@ -213,7 +213,7 @@ def build_background(model: FibrationModel, grid: Grid) -> BackgroundGeometry:
 
     for eps in POSITIVITY_EPSILONS:
         cone = cone_smoothing.chi_values(eps, q, model.beta)
-        density = area + 0.5 * lap_values(model.delta * cone)
+        density = bg.metric_density(model.delta * cone)
         if density.min() <= 0.0:
             raise ModelError(
                 f"delta={model.delta} breaks positivity of the initial density "
@@ -236,11 +236,9 @@ def assemble_density(model: FibrationModel, bg: BackgroundGeometry,
         raise ModelError("background was not built from this model and grid")
     n = grid.n
     log_f = np.zeros((n, n))
-    exponents = []
     for f, w in zip(bg.model.fibers, bg.model.multiplicity_weights):
         if w != 0.0:
             log_f -= w * green_values(grid, f.point)
-        exponents.append((f.point, -2.0 * w))
     source = (bg.area - 2.0 * np.pi * (1.0 - model.beta)
               - bg.wp.values
               - 2.0 * np.pi * sum(bg.model.multiplicity_weights))
@@ -250,8 +248,7 @@ def assemble_density(model: FibrationModel, bg: BackgroundGeometry,
             "model areas are inconsistent")
     log_f += solve_poisson_values(source - source.mean(), mean_tol=np.inf)
     log_f -= math.log(float(np.exp(log_f).mean()))
-    return DensityData(log_density=ScalarField(grid, log_f),
-                       singular_exponents=tuple(exponents))
+    return DensityData(log_density=ScalarField(grid, log_f))
 
 
 def _fiber_threshold(model: FibrationModel) -> float:
@@ -374,8 +371,9 @@ _MODEL_KEYS = {"beta", "delta", "cone_point", "fibers", "tau_model",
                "fiber_area", "grid_n"}
 
 
-def model_from_json_dict(d: dict, path="model"):
-    """Parse and validate a model dict; returns (model, grid_n or None)."""
+def model_from_json_dict(d: dict, path="model") -> FibrationModel:
+    """Parse and validate a model dict.  The keys fiber_area (positive)
+    and grid_n (an integer) are accepted and validated but unused."""
     if not isinstance(d, dict):
         raise ConfigurationError(f"{path}: expected a JSON object")
     for key in d:
@@ -409,20 +407,17 @@ def model_from_json_dict(d: dict, path="model"):
         fibers.append(SingularFiber(point=pt, multiplicity=m, ib_index=b))
     tau = _tau_from_dict(d.get("tau_model", {"kind": "constant", "tau": [0, 1]}),
                          f"{path}.tau_model")
-    fiber_area = _read(d, "fiber_area", path, float, 1.0)
-    if fiber_area <= 0:
+    if _read(d, "fiber_area", path, float, 1.0) <= 0:
         raise ConfigurationError(f"{path}.fiber_area: must be positive")
-    grid_n = _read(d, "grid_n", path, int, None)
+    _read(d, "grid_n", path, int, None)
     try:
-        model = FibrationModel(beta=beta, delta=delta, cone_point=cone_point,
-                               fibers=tuple(fibers), tau_model=tau,
-                               fiber_area=fiber_area)
+        return FibrationModel(beta=beta, delta=delta, cone_point=cone_point,
+                              fibers=tuple(fibers), tau_model=tau)
     except ModelError as exc:
         raise ConfigurationError(f"{path}: {exc}")
-    return model, grid_n
 
 
-def product_model(beta=0.5, delta=0.1, fiber_area=1.0) -> FibrationModel:
+def product_model(beta=0.5, delta=0.1) -> FibrationModel:
     """The trivial-moduli reference model: one cone point, no singular fibers."""
     return FibrationModel(beta=beta, delta=delta, cone_point=(0.5, 0.5),
-                          tau_model=ConstantTau(1j), fiber_area=fiber_area)
+                          tau_model=ConstantTau(1j))

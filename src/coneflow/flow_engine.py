@@ -57,6 +57,9 @@ class FlowState:
     phi: ScalarField
     t: float
     dt: float
+    # read-only FlowOps.density_values(phi.values) of the problem that made
+    # this state, as flow_step returns it; None to have it recomputed
+    density: np.ndarray = None
 
 
 @dataclass
@@ -84,28 +87,14 @@ class FlowOps:
     """Cached per-problem quantities for one epsilon level."""
 
     def __init__(self, problem: KEProblem):
+        self.bg = problem.bg
         self.area = problem.bg.area
         self.cone = problem.cone_field_values()           # delta chi field
         self.half_lap_cone = 0.5 * lap_values(self.cone)
-        self.log_prefactor = (
-            (1.0 - problem.beta)
-            * np.log(problem.bg.q.values + problem.epsilon**2)
-            - problem.density.log_density.values
-            - math.log(self.area))
-        self.grid = problem.bg.grid
-        self._accepted = (None, None)   # (phi, density) of the last BE step
+        self.log_prefactor = -problem.log_density_values(0.0)
 
     def density_values(self, phi_values) -> np.ndarray:
-        return self.area + 0.5 * lap_values(phi_values) + self.half_lap_cone
-
-    def accepted_density(self, phi_values) -> np.ndarray:
-        """density_values(phi_values), taken without a transform when
-        phi_values is the potential the last backward-Euler flow_step
-        through these ops returned (its Newton loop already holds it)."""
-        phi, density = self._accepted
-        if phi_values is phi:
-            return density
-        return self.density_values(phi_values)
+        return self.bg.metric_density(phi_values) + self.half_lap_cone
 
     def rhs_values(self, phi_values, density=None) -> np.ndarray:
         """Flow right-hand side at phi; density, when given, must be
@@ -119,29 +108,26 @@ class FlowOps:
                 - phi_values - self.cone)
 
 
-def _rk4_guard(ops: FlowOps, phi_values, dt):
-    density = ops.density_values(phi_values)
-    guard = 0.2 * ops.grid.spacing**2 * ops.area / float(density.max())
+def _rk4_guard(ops: FlowOps, density, dt):
+    guard = 0.2 * ops.bg.grid.spacing**2 * ops.area / float(density.max())
     if dt > guard:
         raise StabilityGuardError(
             f"rk4 step dt={dt} exceeds the stability guard {guard:.3e} "
             f"(0.2 h^2 A / max density)")
 
 
-def _backward_euler(ops: FlowOps, phi, dt, density_phi=None, tol=1e-12,
+def _backward_euler(ops: FlowOps, phi, dt, density_phi, tol=1e-12,
                     max_newton=30):
     """Solve u - dt * rhs(u) = phi by damped Newton (damped_newton) from the
     explicit predictor, or from phi when the predictor leaves the Kahler
-    cone.  Returns (u, its density, Newton steps); density_phi, when given,
-    must be ops.density_values(phi).
+    cone.  Returns (u, its density, Newton steps); density_phi must be
+    ops.density_values(phi).
 
     The linearization (1+dt) I - dt (1/2) Lap / D, multiplied through by
     the density D, is SPD: (1+dt) D w - dt (1/2) Lap w, solved by CG to the
     relative tolerance max(1e-13, 0.1 * tol / sup|u - phi - dt rhs(u)|).
     """
-    op_symbol = -dt * 0.5 * _lap_multiplier(ops.grid.n)
-    if density_phi is None:
-        density_phi = ops.density_values(phi)
+    op_symbol = -dt * 0.5 * _lap_multiplier(ops.bg.grid.n)
 
     def evaluate(u, density=None):
         if density is None:
@@ -162,15 +148,18 @@ def _backward_euler(ops: FlowOps, phi, dt, density_phi=None, tol=1e-12,
     return u, density, len(history) - 1
 
 
-def _rk4(ops: FlowOps, phi, dt):
-    k1 = ops.rhs_values(phi)
+def _rk4(ops: FlowOps, phi, dt, density_phi):
+    """One classical RK4 step; returns (phi at t + dt, its density).
+    density_phi must be ops.density_values(phi)."""
+    k1 = ops.rhs_values(phi, density_phi)
     k2 = ops.rhs_values(phi + 0.5 * dt * k1)
     k3 = ops.rhs_values(phi + 0.5 * dt * k2)
     k4 = ops.rhs_values(phi + dt * k3)
     out = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if ops.density_values(out).min() <= 0.0:
+    density = ops.density_values(out)
+    if density.min() <= 0.0:
         raise PositivityError("rk4 step lost density positivity")
-    return out
+    return out, density
 
 
 def flow_step(state: FlowState, problem: KEProblem,
@@ -178,8 +167,8 @@ def flow_step(state: FlowState, problem: KEProblem,
               ops: FlowOps = None) -> FlowState:
     """Advance the state by its dt with the chosen scheme.
 
-    Backward-Euler steps through shared ops hand the accepted state's
-    density on (FlowOps.accepted_density) instead of recomputing it.
+    The new state carries its density, which the next step takes from it
+    instead of recomputing it.
     """
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}; pick from {SCHEMES}")
@@ -187,16 +176,17 @@ def flow_step(state: FlowState, problem: KEProblem,
         raise ConfigurationError("dt must be positive")
     ops = ops or FlowOps(problem)
     phi = np.array(state.phi.values, dtype=float)
+    density = state.density
+    if density is None:
+        density = ops.density_values(phi)
     if scheme == "rk4-explicit":
-        _rk4_guard(ops, phi, state.dt)
-        new_phi = _rk4(ops, phi, state.dt)
+        _rk4_guard(ops, density, state.dt)
+        new_phi, density = _rk4(ops, phi, state.dt, density)
     else:
-        new_phi, density, _ = _backward_euler(
-            ops, phi, state.dt, ops.accepted_density(state.phi.values))
-        density.setflags(write=False)
-        ops._accepted = (new_phi, density)   # new_phi becomes the state's
+        new_phi, density, _ = _backward_euler(ops, phi, state.dt, density)
+    density.setflags(write=False)
     return FlowState(phi=ScalarField(state.phi.grid, new_phi),
-                     t=state.t + state.dt, dt=state.dt)
+                     t=state.t + state.dt, dt=state.dt, density=density)
 
 
 def run_flow(problem: KEProblem, T: float, dt: float,
@@ -230,8 +220,7 @@ def run_flow(problem: KEProblem, T: float, dt: float,
     try:
         for _ in range(n_steps):
             state = flow_step(state, problem, scheme, ops=ops)
-            phi = state.phi.values
-            density = ops.accepted_density(phi)
+            phi, density = state.phi.values, state.density
             rhs = ops.rhs_values(phi, density)
             gaps = {}
             if target is not None:

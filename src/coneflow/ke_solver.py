@@ -19,6 +19,7 @@ directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import ConfigurationError, DivergenceError, PositivityError
 from .fibration_model import (BackgroundGeometry, DensityData, FibrationModel,
                               assemble_density, build_background)
 from .torus_field import (ScalarField, circle_samples, from_half_spectrum,
-                          half_spectrum, lap_values, make_grid,
+                          half_spectrum, make_grid,
                           _lap_multiplier)
 
 __all__ = [
@@ -62,9 +63,15 @@ class KEProblem:
             * (self.bg.q.values + eps * eps) ** (-(1.0 - self.beta)) \
             * self.bg.area
 
-    def cone_field_values(self, epsilon=None) -> np.ndarray:
-        eps = self.epsilon if epsilon is None else epsilon
-        return self.delta * chi_values(eps, self.bg.q.values, self.beta)
+    def log_density_values(self, v) -> np.ndarray:
+        """log rho for rho = F e^v (q + eps^2)^(-(1-beta)) A."""
+        return (self.density.log_density.values + v
+                - (1.0 - self.beta) * np.log(self.bg.q.values + self.epsilon**2)
+                + math.log(self.bg.area))
+
+    def cone_field_values(self) -> np.ndarray:
+        return self.delta * chi_values(self.epsilon, self.bg.q.values,
+                                       self.beta)
 
 
 def build_problem(model: FibrationModel, grid_n: int,
@@ -94,10 +101,14 @@ class KESolution:
         """Limit density rho = F e^v (q + eps^2)^(-(1-beta)) A."""
         return self.problem.coefficient_values() * np.exp(self.v.values)
 
+    def log_density_values(self) -> np.ndarray:
+        """log of density_values(), formed in log space."""
+        return self.problem.log_density_values(self.v.values)
+
 
 def ke_residual(problem: KEProblem, v: ScalarField) -> ScalarField:
     """Pointwise residual A + (1/2) Lap v - M e^v."""
-    vals = problem.bg.area + 0.5 * lap_values(v.values) \
+    vals = problem.bg.metric_density(v.values) \
         - problem.coefficient_values() * np.exp(v.values)
     return ScalarField(v.grid, vals)
 
@@ -197,7 +208,7 @@ def newton_solve(problem: KEProblem, v0: ScalarField = None,
     op_symbol = -0.5 * _lap_multiplier(bg.grid.n)
 
     def evaluate(v):
-        density = bg.area + 0.5 * lap_values(v)
+        density = bg.metric_density(v)
         if density.min() <= 0:
             return None
         m_exp = m_coeff * np.exp(v)

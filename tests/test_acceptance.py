@@ -282,7 +282,7 @@ def test_criterion_10_solver_quality(product_problem128):
              - v_star.values
              + 0.5 * np.log(bg.q.values + eps * eps) - np.log(bg.area))
     p_man = replace(product_problem128, epsilon=eps,
-                    density=DensityData(field_from_values(grid, log_f), ()))
+                    density=DensityData(field_from_values(grid, log_f)))
     sol_man = newton_solve(p_man)
     man_err = np.abs(sol_man.v.values - v_star.values).max()
 

@@ -274,6 +274,22 @@ def test_flow_run_byte_identical_across_reruns_and_threads(
         assert other == runs[0]
 
 
+def test_verify_all_byte_identical_across_reruns_and_threads(
+        model_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("CONEFLOW_THREADS", raising=False)
+    runs = []
+    for label, threads in (("a", None), ("b", None), ("t1", "1"), ("t2", "2")):
+        if threads is not None:
+            monkeypatch.setenv("CONEFLOW_THREADS", threads)
+        out = tmp_path / label
+        rc = main(["verify", "all", "--quick", "--model", model_file,
+                   "--out", str(out)])
+        runs.append((rc, capsys.readouterr().out,
+                     (out / "verification_report.json").read_bytes()))
+    for other in runs[1:]:
+        assert other == runs[0]
+
+
 def test_flow_run_rk4_guard_violation(model_file, tmp_path, capsys):
     rc = main(["flow", "run", "--model", model_file, "--grid-n", "64",
                "--T", "1", "--dt", "0.05", "--epsilon", "0.1",

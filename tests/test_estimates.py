@@ -249,9 +249,11 @@ def test_c0_shrinking_mask_has_larger_constant():
     assert rep.passed
 
 
-def test_estimate_report_flag_consistency():
-    with pytest.raises(ConfigurationError):
-        EstimateReport(name="x", constants={}, max_violation=1.0, passed=True)
+def test_estimate_report_passed_follows_max_violation():
+    for violation, passed in ((1.0, False), (0.0, True), (-2.5, True)):
+        rep = EstimateReport(name="x", constants={}, max_violation=violation)
+        assert rep.passed is passed
+        assert rep.to_json_dict()["passed"] is passed
 
 
 def test_report_json_deterministic(grid64):

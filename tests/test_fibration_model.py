@@ -101,7 +101,7 @@ def test_area_identity_exact(grid128, i1, m2):
 def test_assemble_density_product_is_constant(product, product_bg64, grid64):
     dens = assemble_density(product, product_bg64, grid64)
     assert np.abs(dens.density_values() - 1.0).max() < 1e-12
-    assert dens.singular_exponents == ()
+    assert product.multiplicity_weights == ()
 
 
 def test_assemble_density_rejects_foreign_background(product_bg64, grid64,
@@ -116,8 +116,8 @@ def test_assemble_density_normalized(grid64, m2):
     f_vals = dens.density_values()
     assert abs(f_vals.mean() - 1.0) <= 1e-10
     assert f_vals.min() > 0.0
-    ((pt, e),) = dens.singular_exponents
-    assert e == -1.0 and pt == (0.25, 0.25)
+    (w,) = bg.model.multiplicity_weights
+    assert -2.0 * w == -1.0 and bg.model.fibers[0].point == (0.25, 0.25)
 
 
 def test_assemble_density_m2_bounded_after_singular_split(m2):
@@ -179,9 +179,7 @@ def test_model_json_round_trip(i1):
          "tau_model": {"kind": "ib_local", "baseline": 1.0,
                        "cap_radius": 0.25},
          "fiber_area": 1.0, "grid_n": 128}
-    model, grid_n = model_from_json_dict(d)
-    assert grid_n == 128
-    assert model == i1
+    assert model_from_json_dict(d) == i1
 
 
 def test_model_json_unknown_key():
@@ -204,6 +202,8 @@ def test_model_json_range_error_names_key():
      "model.tau_model.g2_modes"),
     ({"tau_model": {"kind": "constant", "tau": [0.0, -1.0]}},
      "model.tau_model: constant tau"),
+    ({"fiber_area": 0.0}, "model.fiber_area"),
+    ({"grid_n": "many"}, "model.grid_n"),
 ])
 def test_model_json_bad_value_names_key_path(overrides, key):
     d = {"beta": 0.5, "delta": 0.1, "cone_point": [0.5, 0.5]}

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -5,11 +7,13 @@ from dataclasses import replace
 from coneflow.errors import (ConfigurationError, PositivityError,
                              StabilityGuardError)
 from coneflow import flow_engine
+from coneflow.estimates import ricci_residual
 from coneflow.fibration_model import product_model
 from coneflow.flow_engine import (FlowOps, FlowState, ProductFlow4D,
                                   fit_decay_slope, flow_step, run_flow)
-from coneflow.ke_solver import build_problem, newton_solve
-from coneflow.torus_field import ScalarField, field_from_values
+from coneflow.ke_solver import (KESolution, build_problem, ke_residual,
+                                newton_solve)
+from coneflow.torus_field import ScalarField, field_from_values, lap_values
 
 
 def make_problem(n=64, eps=0.1, beta=0.5, delta=0.1):
@@ -56,7 +60,7 @@ def test_rhs_identity_case_formula(problem64):
     eps, beta, delta = problem64.epsilon, problem64.beta, problem64.delta
     log_f = (1 - beta) * np.log(bg.q.values + eps * eps)
     p = replace(problem64,
-                density=DensityData(field_from_values(bg.grid, log_f), ()))
+                density=DensityData(field_from_values(bg.grid, log_f)))
     ops = FlowOps(p)
     rhs = ops.rhs_values(np.zeros((bg.grid.n,) * 2))
     cone = p.cone_field_values()      # already delta * chi
@@ -70,6 +74,52 @@ def test_rhs_reuses_given_density_bitwise(problem64):
     ops = FlowOps(problem64)
     assert np.array_equal(ops.rhs_values(phi, ops.density_values(phi)),
                           ops.rhs_values(phi))
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.0])
+def test_formulas_match_written_out_expressions(m2, eps):
+    # the metric density and log rho each have one home; each use must
+    # still equal, bit for bit, the expression written out in full
+    p = build_problem(m2, 64, eps)
+    bg, log_f, beta = p.bg, p.density.log_density.values, p.beta
+    q, area, grid = bg.q.values, bg.area, bg.grid
+    x, y = grid.mesh()
+    phi = 0.02 * np.cos(2 * np.pi * x) * np.sin(4 * np.pi * y)
+    cone = p.cone_field_values()
+    v = phi + cone
+    ops = FlowOps(p)
+    assert np.array_equal(
+        ops.log_prefactor,
+        (1.0 - beta) * np.log(q + eps**2) - log_f - math.log(area))
+    assert np.array_equal(
+        ops.density_values(phi),
+        area + 0.5 * lap_values(phi) + 0.5 * lap_values(cone))
+    assert np.array_equal(
+        ke_residual(p, ScalarField(grid, v)).values,
+        area + 0.5 * lap_values(v) - p.coefficient_values() * np.exp(v))
+    sol = KESolution(problem=p, v=ScalarField(grid, v),
+                     phi=ScalarField(grid, phi), residual_sup=0.0,
+                     newton_iters=0)
+    log_rho = log_f + v - (1.0 - beta) * np.log(q + eps**2) + math.log(area)
+    assert np.array_equal(sol.log_density_values(), log_rho)
+    resid, _ = ricci_residual(sol, np.ones((64, 64), dtype=bool))
+    assert np.array_equal(resid.values, -0.5 * lap_values(log_rho)
+                          + sol.density_values() - bg.wp.values)
+
+
+@pytest.mark.parametrize("scheme, dt", [("rk4-explicit", 1e-4),
+                                        ("backward-euler-newton", 0.05)])
+def test_step_state_carries_its_density(scheme, dt):
+    p = make_problem(16, eps=0.4)
+    x, y = p.bg.grid.mesh()
+    ops = FlowOps(p)
+    st = state_of(p, 0.02 * np.cos(2 * np.pi * x), dt=dt)
+    for _ in range(2):      # the second step starts from the carried density
+        fresh = flow_step(replace(st, density=None), p, scheme, ops=ops)
+        st = flow_step(st, p, scheme, ops=ops)
+        assert np.array_equal(st.phi.values, fresh.phi.values)
+        assert np.array_equal(st.density, ops.density_values(st.phi.values))
+        assert not st.density.flags.writeable
 
 
 def test_step_fixed_point(problem64, solved64):
@@ -304,7 +354,6 @@ def test_oracle_preserves_fiber_constancy(oracle):
 def test_oracle_rhs_matches_direct_formula_bitwise(oracle):
     # rhs is evaluated in place; it must give exactly the values of the
     # plain formula, on a field with content in every mode
-    import math
     import scipy.fft as sfft
     phi = 1e-4 * np.random.default_rng(7).normal(size=(16, 16, 32, 32))
     t = 0.3

@@ -15,8 +15,7 @@ from coneflow.torus_field import (field_from_values, from_half_spectrum,
 
 def raw_density(grid, log_values):
     """DensityData wrapper for manufactured right-hand sides."""
-    return DensityData(log_density=field_from_values(grid, log_values),
-                       singular_exponents=())
+    return DensityData(log_density=field_from_values(grid, log_values))
 
 
 def identity_problem(bg, beta, delta, eps):

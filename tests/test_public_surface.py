@@ -3,7 +3,9 @@
 No linter ships with the project, so these checks read the sources with
 the standard library's ast module: every name a module exports through
 __all__ must exist, and every module-level import must be used, so a
-deleted function cannot leave a stale export or import behind.
+deleted function cannot leave a stale export or import behind.  No module
+writes an underscore attribute of another object, so no object carries
+private state that some other code sets behind its back.
 """
 
 import ast
@@ -54,3 +56,36 @@ def test_no_unused_module_imports(module):
     unused = {name: line for name, line in module_level_imports(tree).items()
               if name not in used}
     assert not unused, f"{qualified(module)}: unused imports {unused}"
+
+
+def assigned_attributes(node):
+    """The ast.Attribute nodes among an assignment target's parts."""
+    if isinstance(node, ast.Attribute):
+        yield node
+    elif isinstance(node, (ast.Tuple, ast.List)):
+        for elt in node.elts:
+            yield from assigned_attributes(elt)
+    elif isinstance(node, ast.Starred):
+        yield from assigned_attributes(node.value)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_foreign_private_attribute_writes(module):
+    with open(os.path.join(SRC, f"{module}.py")) as fh:
+        tree = ast.parse(fh.read())
+    writes = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for attr in assigned_attributes(target):
+                owner = attr.value
+                if attr.attr.startswith("_") and not (
+                        isinstance(owner, ast.Name) and owner.id == "self"):
+                    writes.append((ast.unparse(attr), attr.lineno))
+    assert not writes, f"{qualified(module)}: private attributes of other " \
+        f"objects assigned at {writes}"
