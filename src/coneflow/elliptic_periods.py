@@ -98,30 +98,66 @@ def agm(a: complex, b: complex) -> complex:
     return complex(agm_array(np.array([a]), np.array([b]))[0])
 
 
-def _sorted_roots(g2, g3):
-    """Roots of 4x^3 - g2 x - g3, ordered by (Re, Im) descending so the
-    ordering is stable under positive real rescaling of the roots."""
-    r = np.roots([4.0, 0.0, -g2, -g3])
-    idx = np.lexsort((-r.imag, -r.real))
-    return r[idx]
+# Cube roots of unity for the three Cardano branches u w^k + v w^-k.
+_OMEGA = np.exp(2j * np.pi / 3.0)
+# Relative discriminant |g2^3 - 27 g3^2| / max(|g2|^3, 27 |g3|^2) at or
+# below which two roots nearly coincide: there Newton's derivative nearly
+# vanishes, so those points take the companion-matrix eigenvalues instead.
+_NEAR_DOUBLE = 1e-8
+
+
+def _companion_roots(g2, g3):
+    """Roots of 4x^3 - g2 x - g3 as eigenvalues of its companion matrix."""
+    m = np.zeros((len(g2), 3, 3), dtype=complex)
+    m[:, 1, 0] = 1.0
+    m[:, 2, 1] = 1.0
+    m[:, 0, 2] = g3 / 4.0
+    m[:, 1, 2] = g2 / 4.0
+    return np.linalg.eigvals(m)
 
 
 def _cubic_roots_batched(g2, g3):
-    """Roots of 4x^3 - g2 x - g3 for arrays of invariants, via batched
-    companion-matrix eigenvalues, sorted like _sorted_roots."""
+    """Roots of 4x^3 - g2 x - g3 for arrays of invariants, in closed form.
+
+    The cubic is already depressed, x^3 + p x + q with p = -g2/4 and
+    q = -g3/4, so Cardano's formula applies: u^3 = -q/2 + s with
+    s = sqrt(q^2/4 + p^3/27) signed to give the larger |u^3| (no
+    cancellation), v = -p/(3u), and the roots are u w^k + v w^-k for the
+    cube roots of unity w^k.  Two Newton steps on the cubic then polish
+    each root to round-off.  Points whose roots nearly coincide (relative
+    discriminant at most _NEAR_DOUBLE, which includes every point with
+    u = 0) fall back to companion-matrix eigenvalues.  Each point's roots
+    are sorted by (Re, Im) descending, so the order is stable under
+    positive real rescaling.  The work runs in blocks of _BLOCK points;
+    every step is pointwise, so the result does not depend on the block
+    size.
+    """
     g2 = np.asarray(g2, dtype=complex)
     g3 = np.broadcast_to(np.asarray(g3, dtype=complex), g2.shape)
     f2, f3 = g2.reshape(-1), g3.reshape(-1)
     roots = np.empty((f2.size, 3), dtype=complex)
     for s in _blocks(f2.size):
-        m = np.zeros((len(f2[s]), 3, 3), dtype=complex)
-        m[:, 1, 0] = 1.0
-        m[:, 2, 1] = 1.0
-        m[:, 0, 2] = f3[s] / 4.0
-        m[:, 1, 2] = f2[s] / 4.0
-        ev = np.linalg.eigvals(m)
-        order = np.lexsort((-ev.imag, -ev.real), axis=-1)
-        roots[s] = np.take_along_axis(ev, order, axis=-1)
+        a, b = f2[s], f3[s]
+        disc = a**3 - 27.0 * b**2
+        h = b / 8.0                         # -q/2
+        sq = np.sqrt(-disc / 1728.0)        # s, then signed: Re(h* s) >= 0
+        sq[(h.real * sq.real + h.imag * sq.imag) < 0] *= -1.0
+        u = (h + sq) ** (1.0 / 3.0)
+        # u = 0 needs h = s = 0, so disc = 0: a near point too
+        near = np.abs(disc) <= _NEAR_DOUBLE * np.maximum(
+            np.abs(a)**3, 27.0 * np.abs(b)**2)
+        u[near] = 1.0       # placeholder; their roots are replaced below
+        v = a / (12.0 * u)
+        r = np.stack((u + v, u * _OMEGA + v / _OMEGA,
+                      u / _OMEGA + v * _OMEGA), axis=-1)
+        a3, b3 = a[:, None], b[:, None]
+        for _ in range(2):
+            r2 = r * r
+            r -= (r * (4.0 * r2 - a3) - b3) / (12.0 * r2 - a3)
+        if near.any():
+            r[near] = _companion_roots(a[near], b[near])
+        order = np.lexsort((-r.imag, -r.real), axis=-1)
+        roots[s] = np.take_along_axis(r, order, axis=-1)
     return roots.reshape(g2.shape + (3,))
 
 
@@ -152,11 +188,14 @@ def periods_from_weierstrass(c: WeierstrassCurve):
     """Half-period basis (w1, w2) with Im(w2/w1) > 0 and the normalized tau.
 
     Returns (w1, w2, tau) where tau is w2/w1 reduced to the fundamental
-    domain.  Degenerate curves (zero discriminant) are rejected.
+    domain.  The roots come from the closed form of _cubic_roots_batched
+    on a one-point array (companion-matrix eigenvalues when two roots
+    nearly coincide), ordered by (Re, Im) descending.  Degenerate curves
+    (zero discriminant) are rejected.
     """
     if discriminant(c) == 0:
         raise ModelError("degenerate fiber: discriminant vanishes")
-    e1, e2, e3 = _sorted_roots(complex(c.g2), complex(c.g3))
+    e1, e2, e3 = _cubic_roots_batched(complex(c.g2), complex(c.g3))
     w1 = np.pi / (2.0 * agm(np.sqrt(complex(e1 - e2)), np.sqrt(complex(e1 - e3))))
     w2 = np.pi / (2.0 * agm(np.sqrt(complex(e3 - e1)), np.sqrt(complex(e3 - e2))))
     if (w2 / w1).imag < 0:

@@ -36,6 +36,10 @@ TRACE_TIMES = (1.0, 5.0, 10.0, 20.0)
 DECAY_BAND = (-1.15, -0.85)
 CONE_SLOPE_RTOL = 0.02
 MULTIPLICITY_ATOL = 0.05
+# A relative change of two F^p means of n terms each carries a round-off
+# of a few ulps times log2(n) (pairwise summation); F-Lp counts a low change
+# within LP_ROUNDOFF_ULPS * eps * log2(n) of zero as settled.
+LP_ROUNDOFF_ULPS = 4
 
 
 def _ricci_cap(model: FibrationModel) -> float:
@@ -173,12 +177,16 @@ def _lp_report(model) -> EstimateReport:
     """Integrability dichotomy, asserted qualitatively: the below-threshold
     integral must Cauchy-stabilize across refinements while the
     above-threshold one keeps growing (when a genuine singular exponent
-    sets the threshold)."""
+    sets the threshold).  A below-threshold change within the round-off
+    floor of the finest grid's mean counts as settled; every change above
+    the floor must shrink."""
     rep = validate_lp(model)
+    terms = max(rep["integrals_low"]) ** 2
+    floor = LP_ROUNDOFF_ULPS * float(np.finfo(float).eps) * math.log2(terms)
     low_changes = [abs(v) for v in rep["low_changes"].values()]
     violations = []
     for a, b in zip(low_changes, low_changes[1:]):
-        violations.append(b - a)            # must shrink
+        violations.append(min(b - a, b - floor))   # shrinks or is round-off
     growth_expected = _fiber_threshold(model) <= 1.0 / (1.0 - model.beta)
     if growth_expected:
         for v in rep["high_changes"].values():
@@ -190,7 +198,8 @@ def _lp_report(model) -> EstimateReport:
                    "p_high": rep["p_high"],
                    "low_changes": rep["low_changes"],
                    "high_changes": rep["high_changes"],
-                   "growth_expected": growth_expected},
+                   "growth_expected": growth_expected,
+                   "roundoff_floor": floor},
         max_violation=worst,
         samples={"integrals_low": rep["integrals_low"],
                  "integrals_high": rep["integrals_high"]})

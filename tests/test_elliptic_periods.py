@@ -130,6 +130,97 @@ def test_j_invariant_cross_check():
         checked += 1
 
 
+def np_roots(g2, g3):
+    """Independent oracle: numpy's polynomial roots, one curve at a time."""
+    return np.array([np.roots([4.0, 0.0, -a, -b])
+                     for a, b in zip(np.ravel(g2), np.ravel(g3))])
+
+
+def period_ratio(e):
+    """w2/w1 of the AGM half-periods for rows of roots e1, e2, e3."""
+    e1, e2, e3 = e[:, 0], e[:, 1], e[:, 2]
+    w1 = np.pi / (2.0 * agm_array(np.sqrt(e1 - e2), np.sqrt(e1 - e3)))
+    w2 = np.pi / (2.0 * agm_array(np.sqrt(e3 - e1), np.sqrt(e3 - e2)))
+    return w2 / w1
+
+
+def relative_discriminant(g2, g3):
+    return np.abs(g2**3 - 27.0 * g3**2) / np.maximum(np.abs(g2)**3,
+                                                     27.0 * np.abs(g3)**2)
+
+
+def root_set_error(got, want):
+    """Distance between the root sets of each row (order-free), relative
+    to the largest root."""
+    dist = np.abs(got[:, :, None] - want[:, None, :])
+    return (np.maximum(dist.min(axis=2).max(axis=1),
+                       dist.min(axis=1).max(axis=1))
+            / np.abs(want).max(axis=1))
+
+
+def sorted_like_routine(e):
+    return np.take_along_axis(e, np.lexsort((-e.imag, -e.real), axis=-1),
+                              axis=-1)
+
+
+def assert_roots_match_oracle(g2, g3, root_tol, tau_tol):
+    """Closed-form roots against np.roots, both as root sets and through
+    normalize_tau(w2/w1)."""
+    got = elliptic_periods._cubic_roots_batched(g2, g3)
+    want = sorted_like_routine(np_roots(g2, g3))
+    assert (root_set_error(got, want) <= root_tol).all()
+    tau_got = [normalize_tau(t) for t in period_ratio(got)]
+    tau_want = [normalize_tau(t) for t in period_ratio(want)]
+    assert (np.abs(np.subtract(tau_got, tau_want)) <= tau_tol).all()
+
+
+def test_closed_form_roots_random_invariants():
+    rng = np.random.default_rng(11)
+    g2 = 3.0 * (rng.normal(size=10**4) + 1j * rng.normal(size=10**4))
+    g3 = 3.0 * (rng.normal(size=10**4) + 1j * rng.normal(size=10**4))
+    assert_roots_match_oracle(g2, g3, 1e-13, 1e-12)
+
+
+@pytest.mark.parametrize("axis", ["g2=0", "g3=0"])
+def test_closed_form_roots_on_the_axes(axis):
+    rng = np.random.default_rng(17)
+    z = 3.0 * (rng.normal(size=500) + 1j * rng.normal(size=500))
+    z = np.concatenate([z, z.real])     # real invariants too: root-pair ties
+    zero = np.zeros_like(z)
+    g2, g3 = (zero, z) if axis == "g2=0" else (z, zero)
+    assert_roots_match_oracle(g2, g3, 1e-13, 1e-12)
+
+
+def test_closed_form_small_root_to_its_own_round_off():
+    # near the g3 = 0 axis one root is about -g3/g2 (relative correction
+    # 4 (g3/g2)^2 / g2); Cardano's u + v cancels there, and the Newton
+    # polish must restore it relative to itself, not to the root scale
+    rng = np.random.default_rng(23)
+    g2 = 4.0 * np.exp(2j * np.pi * rng.uniform(size=1000))
+    g3 = 1e-10 * (rng.normal(size=1000) + 1j * rng.normal(size=1000))
+    roots = elliptic_periods._cubic_roots_batched(g2, g3)
+    small = roots[np.arange(1000), np.abs(roots).argmin(axis=1)]
+    assert (np.abs(small + g3 / g2) <= 1e-14 * np.abs(g3 / g2)).all()
+
+
+@pytest.mark.parametrize("level", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+def test_closed_form_roots_near_degenerate(level):
+    # roots e + d, e - d, -2e with |disc| / max(|g2|^3, 27|g3|^2) = level:
+    # 3 |d/e|^2 = level to leading order.  Below level 1e-2 the bounds grow
+    # with the problem's own conditioning, which binds np.roots as well: a
+    # root pair a relative distance sqrt(level) apart moves by an ulp over
+    # sqrt(level), and tau (through log j) by an ulp over level.
+    rng = np.random.default_rng(19)
+    e = rng.uniform(0.5, 2.0, 200) * np.exp(2j * np.pi * rng.uniform(size=200))
+    d = e * np.sqrt(level / 3.0) * np.exp(2j * np.pi * rng.uniform(size=200))
+    r1, r2, r3 = e + d, e - d, -2.0 * e
+    g2 = -4.0 * (r1 * r2 + r1 * r3 + r2 * r3)
+    g3 = 4.0 * r1 * r2 * r3
+    assert np.allclose(relative_discriminant(g2, g3), level, rtol=1e-2)
+    assert_roots_match_oracle(g2, g3, 1e-13 * np.sqrt(1e-2 / level),
+                              1e-12 * (1e-2 / level))
+
+
 def test_normalize_tau_fundamental_domain():
     rng = np.random.default_rng(13)
     for _ in range(50):
@@ -180,16 +271,91 @@ def test_tau_field_weierstrass_perturbed_positive(grid64):
     assert im.values.std() > 1e-3   # genuinely varying family
 
 
+# A smooth family like the benchmark's, far from any degenerate fiber.
+SMOOTH_FAMILY = WeierstrassFamilyTau(g2=4.0, g3=0.0,
+                                     g2_modes=((1, 0, 0.2 + 0.0j),),
+                                     g3_modes=((0, 1, 0.15 + 0.05j),))
+# g2 = 3 + 1e-10 + 2e-4 cos(2 pi x), g3 = 1: 4x^3 - 3x - 1 = (x - 1)(2x + 1)^2,
+# so the family passes near disc = 0 on the two grid columns where the
+# cosine vanishes (relative discriminant 1e-10 there, ~2e-5 next to them).
+NEAR_DEGENERATE_FAMILY = WeierstrassFamilyTau(
+    g2=3.0 + 1e-10, g3=1.0, g2_modes=((1, 0, 1e-4), (-1, 0, 1e-4)))
+
+
+def count_eigvals_points(monkeypatch):
+    """Count the points sent to the companion-matrix fallback."""
+    counted = []
+    eigvals = np.linalg.eigvals
+
+    def counting(m):
+        counted.append(len(m))
+        return eigvals(m)
+
+    monkeypatch.setattr(elliptic_periods.np.linalg, "eigvals", counting)
+    return counted
+
+
+def test_tau_field_smooth_family_takes_the_closed_form(grid64, monkeypatch):
+    counted = count_eigvals_points(monkeypatch)
+    model = WeierstrassFamilyTau(g2=4.0, g3=0.0, g2_modes=((1, 0, 0.2),),
+                                 g3_modes=((0, 1, 0.15),))
+    tau_field(model, grid64)
+    assert sum(counted) == 0
+
+
+def test_tau_field_near_degenerate_family_falls_back(grid64, monkeypatch):
+    counted = count_eigvals_points(monkeypatch)
+    im = tau_field(NEAR_DEGENERATE_FAMILY, grid64)[0].values
+    assert sum(counted) == 2 * grid64.n
+    # np.roots oracle, with the bounds of the near-degenerate test: both
+    # sit at the same conditioning limit.  Where disc < 0 the conjugate
+    # pair's order is a round-off tie, which Im tau does not see.
+    x, _ = grid64.mesh()
+    g2 = (3.0 + 1e-10
+          + 1e-4 * (np.exp(2j * np.pi * x) + np.exp(-2j * np.pi * x))).ravel()
+    g3 = np.ones_like(g2)
+    want = sorted_like_routine(np_roots(g2, g3))
+    got = elliptic_periods._cubic_roots_batched(g2, g3)
+    level = relative_discriminant(g2, g3)
+    assert level.min() < 1e-8 < level.max()
+    assert (root_set_error(got, want)
+            <= 1e-13 * np.sqrt(np.maximum(1e-2 / level, 1.0))).all()
+    oracle = np.abs(period_ratio(want).imag)
+    assert (np.abs(im.reshape(-1) - oracle)
+            <= 1e-12 * np.maximum(1e-2 / level, 1.0)).all()
+
+
+@pytest.mark.parametrize("g2, g3, pair_leads, im_tau",
+                         [(1.0, -4.0, True, 0.8432813421),
+                          (-3.0, 1.0, False, 0.6196835558)])
+def test_tau_field_ignores_conjugate_pair_order(grid64, g2, g3, pair_leads,
+                                                im_tau):
+    # real invariants with disc < 0: one real root and a conjugate pair of
+    # equal real part, so round-off decides the pair's order.  Im tau must
+    # be the same for either order.  (It is Im tau in the root basis, not
+    # the reduced one: normalize_tau gives Im 0.9116 and 0.9774 here.)
+    roots = np.roots([4.0, 0.0, -g2, -g3])
+    real = roots[np.argmin(np.abs(roots.imag))]
+    up = roots[np.argmax(roots.imag)]
+    pairs = [[up, up.conjugate()], [up.conjugate(), up]]
+    orders = [p + [real] if pair_leads else [real] + p for p in pairs]
+    oracle = np.abs(period_ratio(np.array(orders)).imag)
+    assert oracle == pytest.approx([im_tau, im_tau], abs=1e-10)
+    im = tau_field(WeierstrassFamilyTau(g2=g2, g3=g3), grid64)[0].values
+    assert np.abs(im - oracle[0]).max() <= 1e-13
+    assert np.abs(im - oracle[1]).max() <= 1e-13
+
+
 def test_tau_field_weierstrass_independent_of_block_size(grid64, monkeypatch):
     # the batched roots and AGM run block by block; the field must not
-    # depend on the block size, down to the last bit
-    model = WeierstrassFamilyTau(g2=4.0, g3=0.0,
-                                 g2_modes=((1, 0, 0.2 + 0.0j),),
-                                 g3_modes=((0, 1, 0.15 + 0.05j),))
-    whole = tau_field(model, grid64)[0].values
-    monkeypatch.setattr(elliptic_periods, "_BLOCK", 100)
-    blocked = tau_field(model, grid64)[0].values
-    assert blocked.tobytes() == whole.tobytes()
+    # depend on the block size, down to the last bit, also where some
+    # points of a block take the eigenvalue fallback
+    for model in (SMOOTH_FAMILY, NEAR_DEGENERATE_FAMILY):
+        whole = tau_field(model, grid64)[0].values
+        monkeypatch.setattr(elliptic_periods, "_BLOCK", 100)
+        blocked = tau_field(model, grid64)[0].values
+        monkeypatch.undo()
+        assert blocked.tobytes() == whole.tobytes()
 
 
 def test_constant_tau_requires_upper_half_plane():

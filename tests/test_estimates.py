@@ -256,6 +256,56 @@ def test_estimate_report_passed_follows_max_violation():
         assert rep.to_json_dict()["passed"] is passed
 
 
+def fake_lp(low_changes, high_changes=(0.5, 0.5)):
+    """A validate_lp report with the given relative changes over the grids
+    128 -> 256 -> 512."""
+    keys = ("128->256", "256->512")
+    ones = {n: 1.0 for n in (128, 256, 512)}
+    return {"p_star": 2.0, "p_low": 1.9, "p_high": 2.1,
+            "integrals_low": ones, "integrals_high": ones,
+            "low_changes": dict(zip(keys, low_changes)),
+            "high_changes": dict(zip(keys, high_changes)),
+            "high_growth_full_range": 1.0}
+
+
+PLATEAU = (4.9395721799294634e-05, 5.002373463414145e-05)
+
+
+@pytest.mark.parametrize("low_changes, passed", [
+    ((0.0, 2.220446049250313e-16), True),     # round-off of a smooth F
+    ((2.220446049250313e-16, -4.440892098500626e-16), True),
+    ((0.0, 1e-13), False),                    # above the floor: must shrink
+    (PLATEAU, False),                         # ib_local's plateau
+    ((0.06658545493645418, 0.05860122396920353), True),   # m=2 shrinks
+])
+def test_lp_report_roundoff_floor(monkeypatch, low_changes, passed):
+    from coneflow import verify
+    from tests.conftest import i1_model
+    monkeypatch.setattr(verify, "validate_lp",
+                        lambda model: fake_lp(low_changes))
+    rep = verify._lp_report(i1_model())
+    assert rep.constants["roundoff_floor"] == 4 * np.finfo(float).eps * 18
+    assert rep.passed is passed
+    if low_changes == PLATEAU:   # the shrink rule's verdict, floor or not
+        assert rep.max_violation == PLATEAU[1] - PLATEAU[0]
+
+
+def test_lp_report_growth_rule_unchanged(monkeypatch):
+    # criterion 9's m=2 model: growth is expected above p_star, and a
+    # growth below 5% still fails however settled the low side is
+    from coneflow import verify
+    from tests.conftest import m2_model
+    grown = fake_lp((0.0, 0.0), high_changes=(0.1411024991274994,
+                                             0.13294667893025647))
+    monkeypatch.setattr(verify, "validate_lp", lambda model: grown)
+    assert verify._lp_report(m2_model()).passed
+    stalled = fake_lp((0.0, 0.0), high_changes=(0.1411, 0.04))
+    monkeypatch.setattr(verify, "validate_lp", lambda model: stalled)
+    rep = verify._lp_report(m2_model())
+    assert not rep.passed
+    assert rep.max_violation == pytest.approx(0.01)
+
+
 def test_report_json_deterministic(grid64):
     b = sigma_barrier(grid64, [(0.5, 0.5)])
     f = constant(grid64, 1.0)
