@@ -11,7 +11,7 @@ from .errors import (ConeflowError, ConfigurationError, DivergenceError,
                      SolvabilityError, StabilityGuardError)
 from .torus_field import Grid, ScalarField, make_grid
 from .elliptic_periods import (ConstantTau, LocalLogTau, TauModel,
-                               WeierstrassCurve, WeierstrassFamilyTau, agm,
+                               WeierstrassCurve, WeierstrassFamilyTau,
                                discriminant, periods_from_weierstrass,
                                tau_field)
 from .cone_smoothing import chi, chi_values
@@ -23,8 +23,8 @@ from .ke_solver import (KEProblem, KESolution, build_problem,
                         continuation_solve, default_extrapolation_schedule,
                         extrapolated_solution, holder_exponent_estimate,
                         ke_residual, newton_solve)
-from .flow_engine import (FlowState, ProductFlow4D, Trajectory, flow_step,
-                          run_flow)
+from .flow_engine import (FlowOps, FlowState, ProductFlow4D, Trajectory,
+                          flow_step, run_flow)
 from .estimates import (BarrierSigma, EstimateReport, cone_angle,
                         multiplicity_exponent, ricci_residual, sigma_barrier,
                         trace_field, verify_c0_convergence, verify_trace_bound)

@@ -26,8 +26,6 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConeflowError, ConfigurationError, ModelError
 from .fibration_model import _read, lp_threshold, model_from_json_dict
 from .flow_engine import SCHEMES, run_flow
@@ -51,16 +49,6 @@ class RunConfig:
     flow: dict = field(default_factory=lambda: dict(DEFAULT_FLOW))
     masks: dict = field(default_factory=lambda: dict(DEFAULT_MASKS))
     output_dir: str = "out"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "model": self.model_path,
-            "grid_n": self.grid_n,
-            "epsilon_schedule": list(self.epsilon_schedule),
-            "flow": dict(self.flow),
-            "masks": dict(self.masks),
-            "output_dir": self.output_dir,
-        }
 
 
 _CONFIG_KEYS = {"model", "grid_n", "epsilon_schedule", "flow", "masks",
@@ -164,18 +152,19 @@ def _cmd_model_check(cfg: RunConfig) -> int:
     print(f"A = {problem.bg.area:.12g}")
     print(f"W = {problem.bg.wp_mass:.12g}")
     print(f"p_star = {lp_threshold(model):.12g}")
-    resid = abs(np.exp(problem.density.log_density.values).mean() - 1.0)
+    resid = abs(problem.density.density_values().mean() - 1.0)
     print(f"consistency residual = {resid:.3e}")
     return 0
 
 
-def _ke_report(report, sol):
+def _ke_report(report, sols):
+    sol = sols[-1]
     return {
         "A": sol.problem.bg.area,
         "W": sol.problem.bg.wp_mass,
         "residual": sol.residual_sup,
         "epsilons": list(report.epsilons),
-        "newton_iters": list(report.newton_iters),
+        "newton_iters": [s.newton_iters for s in sols],
         "cauchy_sups": list(report.cauchy_sups),
         "holder_exponent": report.holder_exponent,
     }
@@ -184,11 +173,12 @@ def _ke_report(report, sol):
 def _cmd_solve_ke(cfg: RunConfig) -> int:
     model = load_model(cfg.model_path)
     problem = build_problem(model, cfg.grid_n, cfg.epsilon_schedule[-1])
-    sol, report, _ = continuation_solve(problem, list(cfg.epsilon_schedule))
+    sols, report = continuation_solve(problem, list(cfg.epsilon_schedule))
+    sol = sols[-1]
     out = cfg.output_dir
     _atomic_write(os.path.join(out, "ke_solution.csv"),
                   lambda tmp: write_field_csv(sol.v, tmp))
-    write_json(os.path.join(out, "ke_report.json"), _ke_report(report, sol))
+    write_json(os.path.join(out, "ke_report.json"), _ke_report(report, sols))
     print(f"solved at eps={sol.epsilon}: residual {sol.residual_sup:.3e}")
     return 0
 

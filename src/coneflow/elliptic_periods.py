@@ -25,7 +25,6 @@ __all__ = [
     "ConstantTau",
     "LocalLogTau",
     "WeierstrassFamilyTau",
-    "agm",
     "agm_array",
     "discriminant",
     "periods_from_weierstrass",
@@ -90,12 +89,6 @@ def agm_array(a, b):
 def _agm_converged(a, b):
     scale = np.maximum(np.abs(a), np.abs(b))
     return bool((np.abs(a - b) <= 1e-15 * np.maximum(scale, 1e-300)).all())
-
-
-def agm(a: complex, b: complex) -> complex:
-    if a == 0 or b == 0:
-        return 0j
-    return complex(agm_array(np.array([a]), np.array([b]))[0])
 
 
 # Cube roots of unity for the three Cardano branches u w^k + v w^-k.
@@ -184,33 +177,48 @@ def normalize_tau(tau: complex) -> complex:
     return tau
 
 
+def _half_period_agms(e):
+    """2 agm(sqrt(e1 - e2), sqrt(e1 - e3)) and 2 agm(sqrt(e3 - e1),
+    sqrt(e3 - e2)) for arrays of roots e[..., 0:3]; pi over these are the
+    half-periods w1 and w2.  Callers divide: periods_from_weierstrass in
+    Python complex arithmetic, which rounds otherwise than numpy's."""
+    e1, e2, e3 = e[..., 0], e[..., 1], e[..., 2]
+    return (2.0 * agm_array(np.sqrt(e1 - e2), np.sqrt(e1 - e3)),
+            2.0 * agm_array(np.sqrt(e3 - e1), np.sqrt(e3 - e2)))
+
+
 def periods_from_weierstrass(c: WeierstrassCurve):
     """Half-period basis (w1, w2) with Im(w2/w1) > 0 and the normalized tau.
 
     Returns (w1, w2, tau) where tau is w2/w1 reduced to the fundamental
     domain.  The roots come from the closed form of _cubic_roots_batched
     on a one-point array (companion-matrix eigenvalues when two roots
-    nearly coincide), ordered by (Re, Im) descending.  Degenerate curves
-    (zero discriminant) are rejected.
+    nearly coincide), ordered by (Re, Im) descending.  Real invariants
+    with disc < 0 give a real root r, of the sign of g3, and a conjugate
+    pair of real part -r/2; these ties are ordered as the exact roots
+    sort, not by the round-off in the computed real parts.  Degenerate
+    curves (zero discriminant) are rejected.
     """
-    if discriminant(c) == 0:
+    disc = discriminant(c)
+    if disc == 0:
         raise ModelError("degenerate fiber: discriminant vanishes")
-    e1, e2, e3 = _cubic_roots_batched(complex(c.g2), complex(c.g3))
-    w1 = np.pi / (2.0 * agm(np.sqrt(complex(e1 - e2)), np.sqrt(complex(e1 - e3))))
-    w2 = np.pi / (2.0 * agm(np.sqrt(complex(e3 - e1)), np.sqrt(complex(e3 - e2))))
+    g2, g3 = complex(c.g2), complex(c.g3)
+    e = _cubic_roots_batched(np.array([g2]), np.array([g3]))
+    if g2.imag == g3.imag == 0 and disc.real < 0:
+        down, real, up = e[0, np.argsort(e[0].imag)]
+        e[0] = ((real, up, down) if g3.real > 0 else
+                (up, down, real) if g3.real < 0 else (up, real, down))
+    w1, w2 = (np.pi / complex(m[0]) for m in _half_period_agms(e))
     if (w2 / w1).imag < 0:
         w2 = -w2
-    return complex(w1), complex(w2), normalize_tau(w2 / w1)
+    return w1, w2, normalize_tau(w2 / w1)
 
 
 def _im_tau_from_invariants(g2, g3):
     """Im tau for arrays of invariants through the AGM period ratio."""
     e = _cubic_roots_batched(g2, g3)
-    e1, e2, e3 = e[..., 0], e[..., 1], e[..., 2]
-    w1 = np.pi / (2.0 * agm_array(np.sqrt(e1 - e2), np.sqrt(e1 - e3)))
-    w2 = np.pi / (2.0 * agm_array(np.sqrt(e3 - e1), np.sqrt(e3 - e2)))
-    ratio = w2 / w1
-    return np.abs(ratio.imag)
+    w1, w2 = (np.pi / m for m in _half_period_agms(e))
+    return np.abs((w2 / w1).imag)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 SCHEMES = ("backward-euler-newton", "rk4-explicit")
+STEP_TOL = 1e-12
+STEP_MAX_NEWTON = 30
+STEP_CG_FLOOR = 1e-13
 
 # the second of ProductFlow4D.rhs's two threads (started on first use)
 _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="coneflow-4d")
@@ -116,16 +119,16 @@ def _rk4_guard(ops: FlowOps, density, dt):
             f"(0.2 h^2 A / max density)")
 
 
-def _backward_euler(ops: FlowOps, phi, dt, density_phi, tol=1e-12,
-                    max_newton=30):
-    """Solve u - dt * rhs(u) = phi by damped Newton (damped_newton) from the
+def _backward_euler(ops: FlowOps, phi, dt, density_phi):
+    """Solve u - dt * rhs(u) = phi to sup|u - phi - dt rhs(u)| <= STEP_TOL
+    by damped Newton (damped_newton, at most STEP_MAX_NEWTON steps) from the
     explicit predictor, or from phi when the predictor leaves the Kahler
     cone.  Returns (u, its density, Newton steps); density_phi must be
     ops.density_values(phi).
 
     The linearization (1+dt) I - dt (1/2) Lap / D, multiplied through by
     the density D, is SPD: (1+dt) D w - dt (1/2) Lap w, solved by CG to the
-    relative tolerance max(1e-13, 0.1 * tol / sup|u - phi - dt rhs(u)|).
+    relative tolerance max(STEP_CG_FLOOR, 0.1 * STEP_TOL / sup|residual|).
     """
     op_symbol = -dt * 0.5 * _lap_multiplier(ops.bg.grid.n)
 
@@ -144,7 +147,7 @@ def _backward_euler(ops: FlowOps, phi, dt, density_phi, tol=1e-12,
         u, start, evaluate,
         lambda u, density, resid: ((1.0 + dt) * density, op_symbol,
                                    -density * resid),
-        tol, max_newton, cg_floor=1e-13)
+        STEP_TOL, STEP_MAX_NEWTON, STEP_CG_FLOOR)
     return u, density, len(history) - 1
 
 
@@ -162,10 +165,10 @@ def _rk4(ops: FlowOps, phi, dt, density_phi):
     return out, density
 
 
-def flow_step(state: FlowState, problem: KEProblem,
-              scheme: str = "backward-euler-newton",
-              ops: FlowOps = None) -> FlowState:
-    """Advance the state by its dt with the chosen scheme.
+def flow_step(state: FlowState, ops: FlowOps,
+              scheme: str = "backward-euler-newton") -> FlowState:
+    """Advance the state by its dt with the chosen scheme, for the problem
+    ops was built from.
 
     The new state carries its density, which the next step takes from it
     instead of recomputing it.
@@ -174,7 +177,6 @@ def flow_step(state: FlowState, problem: KEProblem,
         raise ConfigurationError(f"unknown scheme {scheme!r}; pick from {SCHEMES}")
     if state.dt <= 0:
         raise ConfigurationError("dt must be positive")
-    ops = ops or FlowOps(problem)
     phi = np.array(state.phi.values, dtype=float)
     density = state.density
     if density is None:
@@ -219,7 +221,7 @@ def run_flow(problem: KEProblem, T: float, dt: float,
     target = None if target_phi is None else target_phi.values
     try:
         for _ in range(n_steps):
-            state = flow_step(state, problem, scheme, ops=ops)
+            state = flow_step(state, ops, scheme)
             phi, density = state.phi.values, state.density
             rhs = ops.rhs_values(phi, density)
             gaps = {}

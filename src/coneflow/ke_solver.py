@@ -48,6 +48,12 @@ __all__ = [
 ]
 
 
+NEWTON_TOL = 1e-9
+NEWTON_MAX_ITER = 50
+NEWTON_CG_FLOOR = 1e-12
+CG_MAX_ITER = 500
+
+
 @dataclass(frozen=True)
 class KEProblem:
     bg: BackgroundGeometry
@@ -89,9 +95,15 @@ class KESolution:
     problem: KEProblem
     v: ScalarField            # phi + delta chi(eps^2 + q)
     phi: ScalarField
-    residual_sup: float
-    newton_iters: int
-    residual_history: tuple = ()
+    residual_history: tuple     # sup|residual| at each Newton iterate
+
+    @property
+    def residual_sup(self) -> float:
+        return self.residual_history[-1]
+
+    @property
+    def newton_iters(self) -> int:
+        return len(self.residual_history) - 1
 
     @property
     def epsilon(self):
@@ -113,8 +125,9 @@ def ke_residual(problem: KEProblem, v: ScalarField) -> ScalarField:
     return ScalarField(v.grid, vals)
 
 
-def preconditioned_cg(coeff, op_symbol, b, rel_tol=1e-12, max_iter=500):
-    """Solve A x = b by preconditioned CG; returns (x, iterations).
+def preconditioned_cg(coeff, op_symbol, b, rel_tol=1e-12):
+    """Solve A x = b by preconditioned CG in at most CG_MAX_ITER
+    iterations; returns (x, iterations).
 
     The operator is A u = coeff * u + F^-1[op_symbol * F u]: a positive
     pointwise coefficient plus a Fourier multiplier whose real, even symbol
@@ -140,7 +153,7 @@ def preconditioned_cg(coeff, op_symbol, b, rel_tol=1e-12, max_iter=500):
     p = z.copy()
     ap = r + shift * z
     rz = float(np.vdot(r, z).real)
-    for it in range(max_iter):
+    for it in range(CG_MAX_ITER):
         alpha = rz / float(np.vdot(p, ap).real)
         x += alpha * p
         r -= alpha * ap
@@ -152,7 +165,7 @@ def preconditioned_cg(coeff, op_symbol, b, rel_tol=1e-12, max_iter=500):
         p = z + beta * p
         ap = (r + shift * z) + beta * ap
         rz = rz_new
-    return x, max_iter
+    return x, CG_MAX_ITER
 
 
 def damped_newton(x, start, evaluate, linearize, tol, max_iter, cg_floor):
@@ -192,14 +205,13 @@ def damped_newton(x, start, evaluate, linearize, tol, max_iter, cg_floor):
         x, (g, state) = xn, trial
 
 
-def newton_solve(problem: KEProblem, v0: ScalarField = None,
-                 tol: float = 1e-9, max_iter: int = 50,
-                 cg_tol: float = 1e-12) -> KESolution:
-    """Damped Newton (damped_newton) from v0 (default 0) to sup|G| <= tol.
+def newton_solve(problem: KEProblem, v0: ScalarField = None) -> KESolution:
+    """Damped Newton (damped_newton) from v0 (default 0) to
+    sup|G| <= NEWTON_TOL in at most NEWTON_MAX_ITER iterations.
 
     Each step solves (-(1/2) Lap + M e^v) w = G by CG to the relative
-    tolerance max(cg_tol, 0.1 * tol / sup|G|); trials must keep the metric
-    density A + (1/2) Lap v positive.
+    tolerance max(NEWTON_CG_FLOOR, 0.1 * NEWTON_TOL / sup|G|); trials must
+    keep the metric density A + (1/2) Lap v positive.
     """
     bg = problem.bg
     m_coeff = problem.coefficient_values()
@@ -221,18 +233,16 @@ def newton_solve(problem: KEProblem, v0: ScalarField = None,
         raise PositivityError("initial density is outside the Kahler cone")
     v, _, history = damped_newton(v, start, evaluate,
                                   lambda v, m_exp, g: (m_exp, op_symbol, g),
-                                  tol, max_iter, cg_tol)
+                                  NEWTON_TOL, NEWTON_MAX_ITER,
+                                  NEWTON_CG_FLOOR)
     return KESolution(problem=problem, v=ScalarField(bg.grid, v),
                       phi=ScalarField(bg.grid, v - problem.cone_field_values()),
-                      residual_sup=history[-1], newton_iters=len(history) - 1,
                       residual_history=tuple(history))
 
 
 @dataclass(frozen=True)
 class ContinuationReport:
     epsilons: tuple
-    residuals: tuple
-    newton_iters: tuple
     cauchy_sups: tuple          # sup over {q >= 0.1} of |v_{j+1} - v_j|
     holder_exponent: float
 
@@ -258,7 +268,7 @@ def _check_schedule(schedule, grid_n):
 def continuation_solve(problem: KEProblem, schedule):
     """Warm-started Newton ladder over a decreasing epsilon schedule.
 
-    Returns (solution at the smallest epsilon, report).  The report's Cauchy
+    Returns (the solutions, one per epsilon, report).  The report's Cauchy
     differences are sups over the compact region q >= 0.1 and are expected
     to decrease down the ladder.
     """
@@ -286,12 +296,10 @@ def continuation_solve(problem: KEProblem, schedule):
     hold = holder_exponent_estimate(sols[-1].v, problem.bg.model.cone_point)
     report = ContinuationReport(
         epsilons=tuple(schedule),
-        residuals=tuple(s.residual_sup for s in sols),
-        newton_iters=tuple(s.newton_iters for s in sols),
         cauchy_sups=cauchy,
         holder_exponent=hold,
     )
-    return sols[-1], report, sols
+    return sols, report
 
 
 EXTRAPOLATION_START = 0.4
@@ -319,17 +327,18 @@ def _extrapolation_basis(beta: float, eps: float):
             eps**min(2.0 + 2.0 * beta, 4.0))
 
 
-def extrapolated_solution(problem: KEProblem, schedule=None):
-    """Continuation followed by pointwise Richardson extrapolation to eps = 0.
+def extrapolated_solution(problem: KEProblem):
+    """Continuation down default_extrapolation_schedule(N) followed by
+    pointwise Richardson extrapolation to eps = 0; returns (solution,
+    continuation report).
 
     Fits the last four ladder solutions against the expansion basis and
     returns a KESolution tagged with epsilon = 0 whose density uses the
     unregularized coefficient.  The zero-epsilon equation itself is never
     iterated on.
     """
-    if schedule is None:
-        schedule = default_extrapolation_schedule(problem.bg.grid.n)
-    sol_min, report, sols = continuation_solve(problem, schedule)
+    sols, report = continuation_solve(
+        problem, default_extrapolation_schedule(problem.bg.grid.n))
     if len(sols) < 4:
         raise ConfigurationError("extrapolation needs at least four ladder points")
     tail = sols[-4:]
@@ -345,10 +354,9 @@ def extrapolated_solution(problem: KEProblem, schedule=None):
         problem=p0,
         v=v_field,
         phi=ScalarField(problem.bg.grid, v_star - cone0),
-        residual_sup=float(np.abs(resid.values).max()),
-        newton_iters=0,
+        residual_history=(float(np.abs(resid.values).max()),),
     )
-    return sol, report, sols
+    return sol, report
 
 
 def holder_exponent_estimate(v: ScalarField, center) -> float:

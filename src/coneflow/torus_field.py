@@ -27,7 +27,6 @@ __all__ = [
     "Grid",
     "ScalarField",
     "make_grid",
-    "field_from_values",
     "periodic_distance",
     "circle_samples",
     "write_field_csv",
@@ -125,10 +124,6 @@ def make_grid(n: int) -> Grid:
         raise ConfigurationError(
             f"grid size must be even and >= 16 for spectral symmetry, got {n}")
     return Grid(n=int(n), spacing=1.0 / int(n))
-
-
-def field_from_values(grid: Grid, values) -> ScalarField:
-    return ScalarField(grid, np.array(values, dtype=float))
 
 
 # ---------------------------------------------------------------------------

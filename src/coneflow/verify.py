@@ -21,9 +21,8 @@ from .estimates import (EstimateReport, cone_angle, flow_masks,
                         multiplicity_exponent, ricci_residual, trace_field,
                         verify_c0_convergence, verify_trace_bound)
 from .fibration_model import FibrationModel, _fiber_threshold, validate_lp
-from .flow_engine import run_flow
-from .ke_solver import (build_problem, default_extrapolation_schedule,
-                        extrapolated_solution, newton_solve)
+from .flow_engine import FlowOps, run_flow
+from .ke_solver import build_problem, extrapolated_solution, newton_solve
 from .torus_field import ScalarField
 
 __all__ = ["run_verification_suite", "REPORT_KEYS"]
@@ -65,9 +64,7 @@ def run_verification_suite(model: FibrationModel, grid_n: int = 128,
         snapshot_times=snapshot_times)
 
     # extrapolated stationary solution for the curvature identity
-    sol0, cont_report, _ = extrapolated_solution(
-        replace(problem, epsilon=0.0),
-        default_extrapolation_schedule(grid_n))
+    sol0, cont_report = extrapolated_solution(replace(problem, epsilon=0.0))
 
     reports = {}
     reports["lemma-3.2"] = _decay_rate_report(decay)
@@ -118,7 +115,6 @@ def _c0_report(traj) -> EstimateReport:
 
 
 def _trace_reports(traj, bg, problem, barrier):
-    from .flow_engine import FlowOps
     ops = FlowOps(problem)
     grid = bg.grid
     ref = ScalarField(grid, np.full((grid.n, grid.n), bg.area))

@@ -110,11 +110,10 @@ def cg_tolerances(monkeypatch):
     def install(pin=None):
         asked = []
 
-        def cg(coeff, op_symbol, b, rel_tol=1e-12, max_iter=500):
+        def cg(coeff, op_symbol, b, rel_tol=1e-12):
             asked.append(rel_tol)
             return real(coeff, op_symbol, b,
-                        rel_tol=rel_tol if pin is None else pin,
-                        max_iter=max_iter)
+                        rel_tol=rel_tol if pin is None else pin)
 
         monkeypatch.setattr(ke_solver, "preconditioned_cg", cg)
         return asked

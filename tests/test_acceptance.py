@@ -19,9 +19,9 @@ from coneflow.estimates import (cone_angle, fit_trace_constants,
                                 verify_trace_bound)
 from coneflow.fibration_model import product_model, validate_lp
 from coneflow.flow_engine import FlowOps, ProductFlow4D, run_flow
-from coneflow.ke_solver import (build_problem, default_extrapolation_schedule,
-                                extrapolated_solution, newton_solve)
-from coneflow.torus_field import ScalarField, field_from_values, lap_values
+from coneflow.ke_solver import (build_problem, extrapolated_solution,
+                                newton_solve)
+from coneflow.torus_field import ScalarField, lap_values
 
 from tests.conftest import i1_model, m2_model
 
@@ -58,20 +58,17 @@ def reference_run():
 
 @pytest.fixture(scope="session")
 def extrapolated_product_256():
-    return extrapolated_solution(build_problem(product_model(), 256, 0.0),
-                                 default_extrapolation_schedule(256))[0]
+    return extrapolated_solution(build_problem(product_model(), 256, 0.0))[0]
 
 
 @pytest.fixture(scope="session")
 def extrapolated_product_128():
-    return extrapolated_solution(build_problem(product_model(), 128, 0.0),
-                                 default_extrapolation_schedule(128))[0]
+    return extrapolated_solution(build_problem(product_model(), 128, 0.0))[0]
 
 
 @pytest.fixture(scope="session")
 def extrapolated_i1_256():
-    return extrapolated_solution(build_problem(i1_model(), 256, 0.0),
-                                 default_extrapolation_schedule(256))[0]
+    return extrapolated_solution(build_problem(i1_model(), 256, 0.0))[0]
 
 
 @pytest.mark.slow
@@ -124,8 +121,7 @@ def test_criterion_04_cone_angle(beta, extrapolated_product_256):
         sol = extrapolated_product_256
     else:
         sol = extrapolated_solution(
-            build_problem(product_model(beta=beta), 256, 0.0),
-            default_extrapolation_schedule(256))[0]
+            build_problem(product_model(beta=beta), 256, 0.0))[0]
     slope = cone_angle(sol)
     rel = abs(slope / (2 * beta) - 1.0)
     ok = rel <= 0.02
@@ -136,8 +132,7 @@ def test_criterion_04_cone_angle(beta, extrapolated_product_256):
 
 @pytest.mark.slow
 def test_criterion_05_multiple_fiber_exponent(extrapolated_i1_256):
-    sol = extrapolated_solution(build_problem(m2_model(), 256, 0.0),
-                                default_extrapolation_schedule(256))[0]
+    sol = extrapolated_solution(build_problem(m2_model(), 256, 0.0))[0]
     est = multiplicity_exponent(sol, (0.25, 0.25))
     # a plain I_b fiber (m = 1) carries no power singularity: slope ~ 0
     est_m1 = multiplicity_exponent(extrapolated_i1_256, (0.25, 0.25))
@@ -265,7 +260,7 @@ def test_criterion_10_solver_quality(product_problem128):
     x, y = grid.mesh()
     bump = 0.1 * (0.6 * np.cos(2 * np.pi * x) + 0.8 * np.sin(2 * np.pi * y))
     sol_b = newton_solve(product_problem128,
-                         v0=field_from_values(grid, bump))
+                         v0=ScalarField(grid, bump))
     two_init = np.abs(sol_a.v.values - sol_b.v.values).max()
 
     hist = [r for r in sol_b.residual_history if r > 1e-13]
@@ -276,13 +271,13 @@ def test_criterion_10_solver_quality(product_problem128):
     from coneflow.fibration_model import DensityData
     bg = product_problem128.bg
     eps = 0.1
-    v_star = field_from_values(
+    v_star = ScalarField(
         grid, 0.05 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y))
     log_f = (np.log(bg.area + 0.5 * lap_values(v_star.values))
              - v_star.values
              + 0.5 * np.log(bg.q.values + eps * eps) - np.log(bg.area))
     p_man = replace(product_problem128, epsilon=eps,
-                    density=DensityData(field_from_values(grid, log_f)))
+                    density=DensityData(ScalarField(grid, log_f)))
     sol_man = newton_solve(p_man)
     man_err = np.abs(sol_man.v.values - v_star.values).max()
 

@@ -47,6 +47,21 @@ def test_tracer_installs_and_removes_every_layer():
         assert not hasattr(owner, "__wrapped__"), attr
 
 
+def test_tracer_reads_the_solver_counts():
+    # the tracer reads its counts from the solvers' return values: Newton
+    # iterations from newton_solve, rungs from continuation_solve's report
+    # and CG iterations from preconditioned_cg
+    tracing = load_bench("tracing")
+    problem = ke_solver.build_problem(product_model(), 64, 0.28)
+    with tracing.Tracer(tracing.LAYER_NAMES) as tracer:
+        sols, _ = ke_solver.continuation_solve(problem, [0.4, 0.28])
+    totals = tracer.layer_totals()
+    assert totals["ke_solver.continuation_solve"]["rungs"] == 2
+    assert totals["ke_solver.newton_solve"]["iters"] == \
+        sum(s.newton_iters for s in sols)
+    assert totals["ke_solver.preconditioned_cg"]["iters"] > 0
+
+
 def test_flow_workload_setup_builds_its_problem(tmp_path):
     workloads = load_bench("workloads")
     state = workloads.flow_setup(3001, str(tmp_path))

@@ -1,5 +1,7 @@
+import cmath
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -83,7 +85,10 @@ def test_parse_config_round_trip(tmp_path, model_file):
                                     epsilon_schedule=[0.4, 0.2],
                                     flow={"T": 5.0, "dt": 0.1},
                                     output_dir="artifacts"))
-    again = parse_config_dict(cfg.to_json_dict(), base_dir=".")
+    again = parse_config_dict({
+        "model": cfg.model_path, "grid_n": cfg.grid_n,
+        "epsilon_schedule": list(cfg.epsilon_schedule), "flow": cfg.flow,
+        "masks": cfg.masks, "output_dir": cfg.output_dir}, base_dir=".")
     assert again == cfg
 
 
@@ -288,6 +293,47 @@ def test_verify_all_byte_identical_across_reruns_and_threads(
                      (out / "verification_report.json").read_bytes()))
     for other in runs[1:]:
         assert other == runs[0]
+
+
+def translation(seed):
+    """The benchmark's lattice shift for a seed (bench/workloads.py)."""
+    rng = random.Random(seed)
+    return rng.randrange(64) / 64.0, rng.randrange(64) / 64.0
+
+
+def weierstrass_model(shift):
+    """The benchmark's Weierstrass model with every marked point moved by
+    shift and the tau modes' phases moved with them."""
+    def moved(p):
+        return [(p[0] + shift[0]) % 1.0, (p[1] + shift[1]) % 1.0]
+
+    def mode(kx, ky, amp):
+        amp *= cmath.exp(-2j * cmath.pi * (kx * shift[0] + ky * shift[1]))
+        return [kx, ky, amp.real, amp.imag]
+
+    return {"beta": 0.5, "delta": 0.1, "cone_point": moved((0.5, 0.5)),
+            "fibers": [{"point": moved((0.25, 0.25)), "m": 1, "b": 0}],
+            "tau_model": {"kind": "weierstrass", "g2": [4.0, 0.0],
+                          "g3": [0.0, 0.0], "g2_modes": [mode(1, 0, 0.2)],
+                          "g3_modes": [mode(0, 1, 0.15)]},
+            "fiber_area": 1.0}
+
+
+def test_verify_all_verdicts_independent_of_lattice_translation(
+        tmp_path, capsys):
+    # each seed's model is an exact lattice translate of the same problem,
+    # so round-off must not move any verdict or the exit code
+    verdicts = []
+    for seed in (3001, 3004, 3007):
+        path = tmp_path / f"model{seed}.json"
+        path.write_text(json.dumps(weierstrass_model(translation(seed))))
+        out = tmp_path / f"out{seed}"
+        rc = main(["verify", "all", "--quick", "--model", str(path),
+                   "--out", str(out)])
+        report = json.loads((out / "verification_report.json").read_text())
+        verdicts.append((rc, {k: e["passed"] for k, e in report.items()}))
+    capsys.readouterr()
+    assert verdicts[1:] == verdicts[:1] * 2
 
 
 def test_flow_run_rk4_guard_violation(model_file, tmp_path, capsys):

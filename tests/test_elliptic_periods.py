@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from coneflow.elliptic_periods import (ConstantTau, LocalLogTau,
                                        WeierstrassCurve,
-                                       WeierstrassFamilyTau, agm, agm_array,
+                                       WeierstrassFamilyTau, agm_array,
                                        discriminant, local_log_im_tau,
                                        normalize_tau,
                                        periods_from_weierstrass, tau_field)
@@ -20,19 +20,19 @@ def quad_period_oracle(a, b):
 
 
 def test_agm_fixed_point():
-    assert agm(1.0, 1.0) == pytest.approx(1.0, abs=1e-14)
+    assert agm_array(1.0, 1.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_agm_absorbing_zero():
-    assert agm(3.7, 0.0) == 0.0
-    assert agm(0.0, 2.0) == 0.0
+    assert agm_array(3.7, 0.0) == 0.0
+    assert agm_array(0.0, 2.0) == 0.0
 
 
 def test_agm_against_quadrature():
     # independent oracle: elliptic-integral identity
-    assert agm(1.0, np.sqrt(2.0)) == pytest.approx(
+    assert agm_array(1.0, np.sqrt(2.0)) == pytest.approx(
         quad_period_oracle(1.0, np.sqrt(2.0)), abs=1e-10)
-    assert abs(agm(1.0, np.sqrt(2.0)) - 1.198140234735592) < 1e-10
+    assert abs(agm_array(1.0, np.sqrt(2.0)) - 1.198140234735592) < 1e-10
 
 
 def test_agm_symmetry_and_homogeneity():
@@ -40,8 +40,9 @@ def test_agm_symmetry_and_homogeneity():
     for _ in range(20):
         a, b = rng.uniform(0.1, 3.0, size=2)
         k = rng.uniform(0.1, 5.0)
-        assert agm(a, b) == pytest.approx(agm(b, a), rel=1e-13)
-        assert agm(k * a, k * b) == pytest.approx(k * agm(a, b), rel=1e-13)
+        assert agm_array(a, b) == pytest.approx(agm_array(b, a), rel=1e-13)
+        assert agm_array(k * a, k * b) == pytest.approx(
+            k * agm_array(a, b), rel=1e-13)
 
 
 def test_agm_array_independent_of_block_size(monkeypatch):
@@ -136,11 +137,16 @@ def np_roots(g2, g3):
                      for a, b in zip(np.ravel(g2), np.ravel(g3))])
 
 
+def half_periods(e):
+    """The AGM half-periods w1, w2 for rows of roots e1, e2, e3."""
+    e1, e2, e3 = e[:, 0], e[:, 1], e[:, 2]
+    return (np.pi / (2.0 * agm_array(np.sqrt(e1 - e2), np.sqrt(e1 - e3))),
+            np.pi / (2.0 * agm_array(np.sqrt(e3 - e1), np.sqrt(e3 - e2))))
+
+
 def period_ratio(e):
     """w2/w1 of the AGM half-periods for rows of roots e1, e2, e3."""
-    e1, e2, e3 = e[:, 0], e[:, 1], e[:, 2]
-    w1 = np.pi / (2.0 * agm_array(np.sqrt(e1 - e2), np.sqrt(e1 - e3)))
-    w2 = np.pi / (2.0 * agm_array(np.sqrt(e3 - e1), np.sqrt(e3 - e2)))
+    w1, w2 = half_periods(e)
     return w2 / w1
 
 
@@ -219,6 +225,29 @@ def test_closed_form_roots_near_degenerate(level):
     assert np.allclose(relative_discriminant(g2, g3), level, rtol=1e-2)
     assert_roots_match_oracle(g2, g3, 1e-13 * np.sqrt(1e-2 / level),
                               1e-12 * (1e-2 / level))
+
+
+def test_periods_basis_of_real_curves_ignores_round_off():
+    # real invariants with disc < 0: a real root r and a conjugate pair of
+    # real part -r/2, whose computed real parts tie only up to round-off,
+    # which must not decide the basis; it must be the one that the exact
+    # roots give.  On the g3 = 0 axis all three real parts tie.
+    rng = np.random.default_rng(29)
+    g2, g3 = 3.0 * rng.normal(size=(2, 2000))
+    g2[:20], g3[:20] = -np.abs(g2[:20]), 0.0
+    keep = g2**3 - 27.0 * g3**2 < 0
+    assert keep.sum() >= 1000
+    for a, b in zip(g2[keep], g3[keep]):
+        roots = np.roots([4.0, 0.0, -a, -b])
+        real = roots[np.argmin(np.abs(roots.imag))].real
+        up = complex(-real / 2.0, roots.imag.max())
+        w1_want, w2_want = (w[0] for w in half_periods(sorted_like_routine(
+            np.array([[real, up, up.conjugate()]]))))
+        if (w2_want / w1_want).imag < 0:
+            w2_want = -w2_want
+        w1, w2, _ = periods_from_weierstrass(WeierstrassCurve(a, b))
+        assert abs(w1 - w1_want) <= 1e-10 * abs(w1_want)
+        assert abs(w2 - w2_want) <= 1e-10 * abs(w2_want)
 
 
 def test_normalize_tau_fundamental_domain():

@@ -11,12 +11,11 @@ from coneflow.estimates import (EstimateReport, cone_angle,
                                 verify_c0_convergence, verify_trace_bound)
 from coneflow.fibration_model import product_model
 from coneflow.ke_solver import KESolution, build_problem, newton_solve
-from coneflow.torus_field import (ScalarField, field_from_values, make_grid,
-                                  periodic_distance)
+from coneflow.torus_field import ScalarField, make_grid, periodic_distance
 
 
 def constant(grid, c):
-    return field_from_values(grid, np.full((grid.n, grid.n), c))
+    return ScalarField(grid, np.full((grid.n, grid.n), c))
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +82,7 @@ def test_trace_bound_exact_exponential(grid64):
     with np.errstate(over="ignore"):
         trace = np.exp(np.minimum(1.0 / np.maximum(sig, 1e-300), 690.0))
     trace[sig == 0] = 1.0
-    rep = verify_trace_bound(field_from_values(grid64, trace),
+    rep = verify_trace_bound(ScalarField(grid64, trace),
                              b, lambda_grid=(1,))
     assert rep.passed
     assert rep.constants["lambda"] == 1
@@ -131,7 +130,7 @@ def test_ricci_residual_negative_control(solved_product_128):
                       v=ScalarField(p.bg.grid, v_flat),
                       phi=ScalarField(p.bg.grid,
                                       v_flat - p.cone_field_values()),
-                      residual_sup=0.0, newton_iters=0)
+                      residual_history=(0.0,))
     b = sigma_barrier(p.bg.grid, [p.bg.model.cone_point])
     _, sup = ricci_residual(fake, b.level_mask(0.5))
     assert sup > p.bg.area / 2
@@ -146,8 +145,8 @@ def test_ricci_residual_decreases_with_eps(solved_product_128, full_k2):
     p = solved_product_128.problem
     gauss = np.exp(-0.5 * (2.0 * np.pi * 0.04)**2 * full_k2(128))
     mask = p.bg.q.values >= 0.5
-    _, _, sols = continuation_solve(replace(p, epsilon=0.4),
-                                    [0.4, 0.2, 0.1, 0.05, 0.025])
+    sols, _ = continuation_solve(replace(p, epsilon=0.4),
+                                 [0.4, 0.2, 0.1, 0.05, 0.025])
     sups = []
     for s in sols:
         f, _ = ricci_residual(s, mask)
@@ -168,7 +167,7 @@ def synthetic_power_solution(problem, exponent, center):
     v = log_rho - np.log(p0.coefficient_values())
     return KESolution(problem=p0, v=ScalarField(grid, v),
                       phi=ScalarField(grid, v - p0.cone_field_values()),
-                      residual_sup=0.0, newton_iters=0)
+                      residual_history=(0.0,))
 
 
 def test_cone_angle_synthetic_power_law(solved_product_128):

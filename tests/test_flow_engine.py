@@ -13,7 +13,7 @@ from coneflow.flow_engine import (FlowOps, FlowState, ProductFlow4D,
                                   fit_decay_slope, flow_step, run_flow)
 from coneflow.ke_solver import (KESolution, build_problem, ke_residual,
                                 newton_solve)
-from coneflow.torus_field import ScalarField, field_from_values, lap_values
+from coneflow.torus_field import ScalarField, lap_values
 
 
 def make_problem(n=64, eps=0.1, beta=0.5, delta=0.1):
@@ -55,12 +55,11 @@ def test_rhs_shift_by_constant(problem64):
 def test_rhs_identity_case_formula(problem64):
     # with F = (q + eps^2)^(1-beta) the rhs at phi = 0 has a closed form
     from coneflow.fibration_model import DensityData
-    from coneflow.torus_field import field_from_values, lap_values
     bg = problem64.bg
     eps, beta, delta = problem64.epsilon, problem64.beta, problem64.delta
     log_f = (1 - beta) * np.log(bg.q.values + eps * eps)
     p = replace(problem64,
-                density=DensityData(field_from_values(bg.grid, log_f)))
+                density=DensityData(ScalarField(bg.grid, log_f)))
     ops = FlowOps(p)
     rhs = ops.rhs_values(np.zeros((bg.grid.n,) * 2))
     cone = p.cone_field_values()      # already delta * chi
@@ -98,8 +97,7 @@ def test_formulas_match_written_out_expressions(m2, eps):
         ke_residual(p, ScalarField(grid, v)).values,
         area + 0.5 * lap_values(v) - p.coefficient_values() * np.exp(v))
     sol = KESolution(problem=p, v=ScalarField(grid, v),
-                     phi=ScalarField(grid, phi), residual_sup=0.0,
-                     newton_iters=0)
+                     phi=ScalarField(grid, phi), residual_history=(0.0,))
     log_rho = log_f + v - (1.0 - beta) * np.log(q + eps**2) + math.log(area)
     assert np.array_equal(sol.log_density_values(), log_rho)
     resid, _ = ricci_residual(sol, np.ones((64, 64), dtype=bool))
@@ -115,8 +113,8 @@ def test_step_state_carries_its_density(scheme, dt):
     ops = FlowOps(p)
     st = state_of(p, 0.02 * np.cos(2 * np.pi * x), dt=dt)
     for _ in range(2):      # the second step starts from the carried density
-        fresh = flow_step(replace(st, density=None), p, scheme, ops=ops)
-        st = flow_step(st, p, scheme, ops=ops)
+        fresh = flow_step(replace(st, density=None), ops, scheme)
+        st = flow_step(st, ops, scheme)
         assert np.array_equal(st.phi.values, fresh.phi.values)
         assert np.array_equal(st.density, ops.density_values(st.phi.values))
         assert not st.density.flags.writeable
@@ -124,7 +122,7 @@ def test_step_state_carries_its_density(scheme, dt):
 
 def test_step_fixed_point(problem64, solved64):
     st = state_of(problem64, solved64.phi.values, dt=0.1)
-    out = flow_step(st, problem64)
+    out = flow_step(st, FlowOps(problem64))
     assert np.abs(out.phi.values - st.phi.values).max() <= 1e-8
     assert out.t == pytest.approx(0.1)
 
@@ -132,7 +130,7 @@ def test_step_fixed_point(problem64, solved64):
 def test_step_rejects_unknown_scheme(problem64):
     st = state_of(problem64, np.zeros((64, 64)))
     with pytest.raises(ConfigurationError):
-        flow_step(st, problem64, scheme="leapfrog")
+        flow_step(st, FlowOps(problem64), scheme="leapfrog")
 
 
 def test_backward_euler_vs_rk4_cross_check():
@@ -142,8 +140,9 @@ def test_backward_euler_vs_rk4_cross_check():
     phi = 0.02 * np.cos(2 * np.pi * x)
     dt = 1e-4
     st = state_of(p, phi, dt=dt)
-    out_be = flow_step(st, p, "backward-euler-newton")
-    out_rk = flow_step(st, p, "rk4-explicit")
+    ops = FlowOps(p)
+    out_be = flow_step(st, ops, "backward-euler-newton")
+    out_rk = flow_step(st, ops, "rk4-explicit")
     assert np.abs(out_be.phi.values - out_rk.phi.values).max() <= 1e-6
 
 
@@ -152,10 +151,11 @@ def test_backward_euler_first_order():
     p = make_problem(16, eps=0.4)
     x, y = p.bg.grid.mesh()
     phi = 0.02 * np.cos(2 * np.pi * x)
+    ops = FlowOps(p)
     errs = []
     for dt in (4e-4, 2e-4):
-        be = flow_step(state_of(p, phi, dt=dt), p, "backward-euler-newton")
-        rk = flow_step(state_of(p, phi, dt=dt), p, "rk4-explicit")
+        be = flow_step(state_of(p, phi, dt=dt), ops, "backward-euler-newton")
+        rk = flow_step(state_of(p, phi, dt=dt), ops, "rk4-explicit")
         errs.append(np.abs(be.phi.values - rk.phi.values).max())
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.0    # local error O(dt^2): ratio ~ 4
@@ -167,14 +167,15 @@ def test_backward_euler_global_first_order():
     x, y = p.bg.grid.mesh()
     phi0 = 0.02 * np.cos(2 * np.pi * x)
     t_final = 8e-3
+    ops = FlowOps(p)
     errs = []
     for dt in (2e-4, 1e-4):
         a = state_of(p, phi0, dt=dt)
         b = state_of(p, phi0, dt=1e-4)
         for _ in range(int(round(t_final / dt))):
-            a = flow_step(a, p, "backward-euler-newton")
+            a = flow_step(a, ops, "backward-euler-newton")
         for _ in range(int(round(t_final / 1e-4))):
-            b = flow_step(b, p, "rk4-explicit")
+            b = flow_step(b, ops, "rk4-explicit")
         errs.append(np.abs(a.phi.values - b.phi.values).max())
     ratio = errs[0] / errs[1]
     assert 1.6 < ratio < 2.4
@@ -183,7 +184,7 @@ def test_backward_euler_global_first_order():
 def test_rk4_stability_guard(problem64):
     st = state_of(problem64, np.zeros((64, 64)), dt=0.01)
     with pytest.raises(StabilityGuardError, match="stability guard"):
-        flow_step(st, problem64, "rk4-explicit")
+        flow_step(st, FlowOps(problem64), "rk4-explicit")
 
 
 def test_positivity_error_surfaces(problem64):
@@ -222,7 +223,7 @@ def test_run_flow_matches_public_steps_bitwise(problem64, solved64):
     state = state_of(problem64, np.zeros((64, 64)))
     target = solved64.phi.values
     for k in range(20):
-        state = flow_step(state, problem64)
+        state = flow_step(state, FlowOps(problem64))
         phi = state.phi.values
         density = ops.density_values(phi)
         rhs = ops.rhs_values(phi, density)
@@ -295,8 +296,8 @@ def test_shift_covariance(problem64, solved64):
     b = FlowState(phi=ScalarField(problem64.bg.grid, phi0 + c), t=state.t,
                   dt=0.05)
     for _ in range(20):   # one time unit
-        a = flow_step(a, problem64, ops=ops)
-        b = flow_step(b, problem64, ops=ops)
+        a = flow_step(a, ops)
+        b = flow_step(b, ops)
     drift = (b.phi.values - a.phi.values).mean()
     assert drift == pytest.approx(c * np.exp(-1.0), rel=0.1)
 

@@ -9,13 +9,13 @@ from coneflow.ke_solver import (KEProblem, build_problem, continuation_solve,
                                 extrapolated_solution,
                                 holder_exponent_estimate, ke_residual,
                                 newton_solve, preconditioned_cg)
-from coneflow.torus_field import (field_from_values, from_half_spectrum,
+from coneflow.torus_field import (ScalarField, from_half_spectrum,
                                   half_spectrum, lap_values, _lap_multiplier)
 
 
 def raw_density(grid, log_values):
     """DensityData wrapper for manufactured right-hand sides."""
-    return DensityData(log_density=field_from_values(grid, log_values))
+    return DensityData(log_density=ScalarField(grid, log_values))
 
 
 def identity_problem(bg, beta, delta, eps):
@@ -40,7 +40,7 @@ def test_residual_of_manufactured_solution(product_bg64, product):
     # amplitude capped at 0.05: the density A + (1/2) Lap v* must stay
     # positive, and the cos*cos mode carries Laplacian swing 8 pi^2 amp
     x, y = grid.mesh()
-    v_star = field_from_values(
+    v_star = ScalarField(
         grid, 0.05 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y))
     log_f = (np.log(product_bg64.area + 0.5 * lap_values(v_star.values))
              - v_star.values
@@ -58,7 +58,7 @@ def test_manufactured_solution_recovery(product, product_bg128):
     # amplitude capped at 0.05: the density A + (1/2) Lap v* must stay
     # positive, and the cos*cos mode carries Laplacian swing 8 pi^2 amp
     x, y = grid.mesh()
-    v_star = field_from_values(
+    v_star = ScalarField(
         grid, 0.05 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y))
     log_f = (np.log(product_bg128.area + 0.5 * lap_values(v_star.values))
              - v_star.values
@@ -102,7 +102,7 @@ def test_uniqueness_two_initializations(product_problem64):
     bump = c1 * np.cos(2 * np.pi * x) + c2 * np.sin(2 * np.pi * y)
     bump *= 0.1 / np.abs(bump).max()    # low modes keep the density positive
     sol_b = newton_solve(product_problem64,
-                         v0=field_from_values(grid, bump))
+                         v0=ScalarField(grid, bump))
     assert np.abs(sol_a.v.values - sol_b.v.values).max() <= 1e-7
 
 
@@ -207,22 +207,22 @@ def test_continuation_schedule_validation(product_problem64):
 
 
 def test_continuation_single_epsilon(product_problem64):
-    sol, report, _ = continuation_solve(product_problem64, [1.0])
-    assert sol.residual_sup <= 1e-9
+    sols, report = continuation_solve(product_problem64, [1.0])
+    assert sols[-1].residual_sup <= 1e-9
     assert report.cauchy_sups == ()
 
 
 def test_continuation_cauchy_decreasing(product_problem128):
     sched = [0.4, 0.2, 0.1, 0.05, 0.025]
-    sol, report, _ = continuation_solve(product_problem128, sched)
+    sols, report = continuation_solve(product_problem128, sched)
     cauchy = report.cauchy_sups
     assert all(b < a for a, b in zip(cauchy, cauchy[1:]))
-    assert sol.residual_sup <= 1e-9
+    assert sols[-1].residual_sup <= 1e-9
 
 
 def test_continuation_bounded_at_cone_point(product_problem128):
     sched = [0.4, 0.2, 0.1, 0.05, 0.025]
-    _, _, sols = continuation_solve(product_problem128, sched)
+    sols, _ = continuation_solve(product_problem128, sched)
     grid = product_problem128.bg.grid
     i, j = grid.point_index(product_problem128.bg.model.cone_point)
     for s in sols:
@@ -230,7 +230,7 @@ def test_continuation_bounded_at_cone_point(product_problem128):
 
 
 def test_extrapolated_solution_small_residual(product_problem128):
-    sol0, report, _ = extrapolated_solution(product_problem128)
+    sol0, report = extrapolated_solution(product_problem128)
     assert sol0.epsilon == 0.0
     # the full-grid zero-eps residual is dominated by the near-cone cells
     # where the coefficient blows up; away from the cone the extrapolant
@@ -253,21 +253,21 @@ def test_default_schedule_shape():
 def test_holder_exponent_power_law(grid256):
     from coneflow.fibration_model import build_background, product_model
     bg = build_background(product_model(beta=0.4), grid256)
-    field = field_from_values(grid256, bg.q.values**0.4)
+    field = ScalarField(grid256, bg.q.values**0.4)
     est = holder_exponent_estimate(field, (0.5, 0.5))
     assert abs(est - 0.8) <= 0.05     # q ~ d^2, so q^0.4 ~ d^0.8
 
 
 def test_holder_exponent_smooth_field(grid128):
     x, _ = grid128.mesh()
-    f = field_from_values(grid128, np.sin(2 * np.pi * x))
+    f = ScalarField(grid128, np.sin(2 * np.pi * x))
     est = holder_exponent_estimate(f, (0.3, 0.3))
     assert est == pytest.approx(1.0, abs=1e-9)   # Lipschitz cap
 
 
 def test_holder_exponent_constant_field(grid128):
     est = holder_exponent_estimate(
-        field_from_values(grid128, np.full((128, 128), 2.0)), (0.5, 0.5))
+        ScalarField(grid128, np.full((128, 128), 2.0)), (0.5, 0.5))
     assert est == 1.0
 
 

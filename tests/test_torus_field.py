@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from coneflow.errors import ConfigurationError, SolvabilityError
-from coneflow.torus_field import (circle_samples, delta_values,
-                                  field_from_values, green_values, lap_values,
-                                  make_grid, solve_poisson_values,
-                                  write_field_csv, write_field_pgm)
+from coneflow.torus_field import (ScalarField, circle_samples, delta_values,
+                                  green_values, lap_values, make_grid,
+                                  solve_poisson_values, write_field_csv,
+                                  write_field_pgm)
 
 
 def test_make_grid_basic():
@@ -110,14 +110,14 @@ def test_green_potential_refinement_drift():
     vals = {}
     for n in (128, 256):
         g = make_grid(n)
-        psi = field_from_values(g, green_values(g, (0.5, 0.5)))
+        psi = ScalarField(g, green_values(g, (0.5, 0.5)))
         samples = circle_samples(psi, (0.5, 0.5), 0.1, n_angles=256)
         vals[n] = samples.mean() - 2 * np.log(0.1)
     assert abs(vals[256] - vals[128]) < 0.05
 
 
 def test_green_potential_log_slope(grid256):
-    psi = field_from_values(grid256, green_values(grid256, (0.5, 0.5)))
+    psi = ScalarField(grid256, green_values(grid256, (0.5, 0.5)))
     radii = np.array([0.02, 0.04, 0.06, 0.1])
     means = [circle_samples(psi, (0.5, 0.5), r).mean() for r in radii]
     slope = np.polyfit(np.log(radii), means, 1)[0]
@@ -142,7 +142,7 @@ def test_self_adjointness(grid128):
 
 
 def test_radial_profile_constant(grid64):
-    f = field_from_values(grid64, np.full((64, 64), 2.5))
+    f = ScalarField(grid64, np.full((64, 64), 2.5))
     for r in (0.05, 0.1, 0.2):
         m = circle_samples(f, (0.3, 0.3), r).mean()
         assert m == pytest.approx(2.5, abs=1e-12)
@@ -151,7 +151,7 @@ def test_radial_profile_constant(grid64):
 def test_radial_profile_quadratic(grid128):
     c = (0.5, 0.5)
     x, y = grid128.mesh()
-    f = field_from_values(grid128, (x - c[0])**2 + (y - c[1])**2)
+    f = ScalarField(grid128, (x - c[0])**2 + (y - c[1])**2)
     for r in (0.05, 0.1, 0.2):
         m = circle_samples(f, c, r).mean()
         assert m == pytest.approx(r * r, abs=5e-4)
@@ -161,18 +161,18 @@ def test_field_rejects_nonfinite(grid64):
     vals = np.zeros((64, 64))
     vals[3, 3] = np.nan
     with pytest.raises(ConfigurationError):
-        field_from_values(grid64, vals)
+        ScalarField(grid64, vals)
 
 
 def test_field_values_immutable(grid64):
-    f = field_from_values(grid64, np.ones((64, 64)))
+    f = ScalarField(grid64, np.ones((64, 64)))
     with pytest.raises(ValueError):
         f.values[0, 0] = 2.0
 
 
 def test_csv_round_trip(tmp_path, grid64):
     rng = np.random.default_rng(9)
-    f = field_from_values(grid64, rng.normal(size=(64, 64)))
+    f = ScalarField(grid64, rng.normal(size=(64, 64)))
     path = tmp_path / "field.csv"
     write_field_csv(f, path)
     assert np.array_equal(np.loadtxt(path, delimiter=","), f.values)
@@ -180,13 +180,13 @@ def test_csv_round_trip(tmp_path, grid64):
 
 def test_csv_header(tmp_path, grid64):
     path = tmp_path / "field.csv"
-    write_field_csv(field_from_values(grid64, np.ones((64, 64))), path)
+    write_field_csv(ScalarField(grid64, np.ones((64, 64))), path)
     assert path.read_text().splitlines()[0] == "# N=64"
 
 
 def test_pgm_output(tmp_path, grid64):
     x, _ = grid64.mesh()
-    f = field_from_values(grid64, np.sin(2 * np.pi * x))
+    f = ScalarField(grid64, np.sin(2 * np.pi * x))
     path = tmp_path / "field.pgm"
     write_field_pgm(f, path)
     data = path.read_bytes()
