@@ -35,11 +35,16 @@ __all__ = [
 _AGM_MAX_ITER = 64
 # Points per block in the batched root and AGM loops: a 512 x 512 field
 # then needs a few small temporaries at a time, not dozens of full ones.
+# The size is part of the result's bits: 1 << 14 complex values fill
+# numpy's 256 KiB temporary-elision size, elision reverses the operands of
+# a complex product, and numpy's FMA complex multiply is not bitwise
+# commutative.  1 << 12 would trace 3.6 MiB less at N = 512 but moves
+# Im tau there by up to 8 ulps.
 _BLOCK = 1 << 14
 
 
 def _blocks(size):
-    return [slice(i, i + _BLOCK) for i in range(0, size, _BLOCK)]
+    return [slice(i, min(i + _BLOCK, size)) for i in range(0, size, _BLOCK)]
 
 
 @dataclass(frozen=True)
@@ -57,32 +62,38 @@ def discriminant(c: WeierstrassCurve) -> complex:
 
 
 def agm_array(a, b):
-    """Elementwise complex AGM with the optimal square-root branch.
+    """Elementwise complex AGM with the optimal square-root branch (see
+    _agm_in_place), on copies of a and b."""
+    a = np.asarray(a, dtype=complex).copy()
+    b = np.asarray(b, dtype=complex).copy()
+    _agm_in_place(a.reshape(-1), b.reshape(-1))
+    return a
+
+
+def _agm_in_place(a, b):
+    """Overwrite the 1-D complex array a with agm(a, b), using b as work space.
 
     The geometric mean takes the principal square root, flipped in sign
     whenever |a' - b'| > |a' + b'| (the branch that keeps the iteration
     quadratically convergent).  Zero inputs are absorbing.  Every point
     takes the same number of steps, the first at which all have converged;
-    the steps run block by block in place, so the temporaries stay small.
+    the steps run block by block, so the temporaries stay small.
     """
-    a = np.asarray(a, dtype=complex).copy()
-    b = np.asarray(b, dtype=complex).copy()
     zero = (a == 0) | (b == 0)
     a[zero] = 0.0
     b[zero] = 0.0
-    fa, fb = a.reshape(-1), b.reshape(-1)
-    blocks = _blocks(fa.size)
+    blocks = _blocks(a.size)
     for _ in range(_AGM_MAX_ITER):
-        if all(_agm_converged(fa[s], fb[s]) for s in blocks):
+        if all(_agm_converged(a[s], b[s]) for s in blocks):
             a += b
             a /= 2.0
-            return a
+            return
         for s in blocks:
-            an = (fa[s] + fb[s]) / 2.0
-            bn = np.sqrt(fa[s] * fb[s])
+            an = (a[s] + b[s]) / 2.0
+            bn = np.sqrt(a[s] * b[s])
             flip = np.abs(an - bn) > np.abs(an + bn)
-            fa[s] = an
-            fb[s] = np.where(flip, -bn, bn)
+            a[s] = an
+            b[s] = np.where(flip, -bn, bn)
     raise NumericalError("AGM did not converge within 64 iterations")
 
 
@@ -110,10 +121,27 @@ def _companion_roots(g2, g3):
 
 
 def _cubic_roots_batched(g2, g3):
-    """Roots of 4x^3 - g2 x - g3 for arrays of invariants, in closed form.
+    """Roots of 4x^3 - g2 x - g3 for arrays of invariants, in closed form,
+    with shape g2.shape + (3,).  The work runs in blocks of _BLOCK points
+    through _block_roots; every step is pointwise, so the result does not
+    depend on the block size while the blocks' temporaries stay on one
+    side of numpy's elision size (see _BLOCK)."""
+    g2 = np.asarray(g2, dtype=complex)
+    g3 = np.broadcast_to(np.asarray(g3, dtype=complex), g2.shape)
+    f2, f3 = g2.reshape(-1), g3.reshape(-1)
+    roots = np.empty((f2.size, 3), dtype=complex)
+    for s in _blocks(f2.size):
+        a, b = f2[s], f3[s]
+        roots[s] = _block_roots(a, b, a**3 - 27.0 * b**2)
+    return roots.reshape(g2.shape + (3,))
 
-    The cubic is already depressed, x^3 + p x + q with p = -g2/4 and
-    q = -g3/4, so Cardano's formula applies: u^3 = -q/2 + s with
+
+def _block_roots(a, b, disc):
+    """Roots (M, 3) of 4x^3 - a x - b for 1-D invariant arrays a, b with
+    discriminants disc = a^3 - 27 b^2.
+
+    The cubic is already depressed, x^3 + p x + q with p = -a/4 and
+    q = -b/4, so Cardano's formula applies: u^3 = -q/2 + s with
     s = sqrt(q^2/4 + p^3/27) signed to give the larger |u^3| (no
     cancellation), v = -p/(3u), and the roots are u w^k + v w^-k for the
     cube roots of unity w^k.  Two Newton steps on the cubic then polish
@@ -121,37 +149,27 @@ def _cubic_roots_batched(g2, g3):
     discriminant at most _NEAR_DOUBLE, which includes every point with
     u = 0) fall back to companion-matrix eigenvalues.  Each point's roots
     are sorted by (Re, Im) descending, so the order is stable under
-    positive real rescaling.  The work runs in blocks of _BLOCK points;
-    every step is pointwise, so the result does not depend on the block
-    size.
+    positive real rescaling.
     """
-    g2 = np.asarray(g2, dtype=complex)
-    g3 = np.broadcast_to(np.asarray(g3, dtype=complex), g2.shape)
-    f2, f3 = g2.reshape(-1), g3.reshape(-1)
-    roots = np.empty((f2.size, 3), dtype=complex)
-    for s in _blocks(f2.size):
-        a, b = f2[s], f3[s]
-        disc = a**3 - 27.0 * b**2
-        h = b / 8.0                         # -q/2
-        sq = np.sqrt(-disc / 1728.0)        # s, then signed: Re(h* s) >= 0
-        sq[(h.real * sq.real + h.imag * sq.imag) < 0] *= -1.0
-        u = (h + sq) ** (1.0 / 3.0)
-        # u = 0 needs h = s = 0, so disc = 0: a near point too
-        near = np.abs(disc) <= _NEAR_DOUBLE * np.maximum(
-            np.abs(a)**3, 27.0 * np.abs(b)**2)
-        u[near] = 1.0       # placeholder; their roots are replaced below
-        v = a / (12.0 * u)
-        r = np.stack((u + v, u * _OMEGA + v / _OMEGA,
-                      u / _OMEGA + v * _OMEGA), axis=-1)
-        a3, b3 = a[:, None], b[:, None]
-        for _ in range(2):
-            r2 = r * r
-            r -= (r * (4.0 * r2 - a3) - b3) / (12.0 * r2 - a3)
-        if near.any():
-            r[near] = _companion_roots(a[near], b[near])
-        order = np.lexsort((-r.imag, -r.real), axis=-1)
-        roots[s] = np.take_along_axis(r, order, axis=-1)
-    return roots.reshape(g2.shape + (3,))
+    h = b / 8.0                         # -q/2
+    sq = np.sqrt(-disc / 1728.0)        # s, then signed: Re(h* s) >= 0
+    sq[(h.real * sq.real + h.imag * sq.imag) < 0] *= -1.0
+    u = (h + sq) ** (1.0 / 3.0)
+    # u = 0 needs h = s = 0, so disc = 0: a near point too
+    near = np.abs(disc) <= _NEAR_DOUBLE * np.maximum(
+        np.abs(a)**3, 27.0 * np.abs(b)**2)
+    u[near] = 1.0       # placeholder; their roots are replaced below
+    v = a / (12.0 * u)
+    r = np.stack((u + v, u * _OMEGA + v / _OMEGA,
+                  u / _OMEGA + v * _OMEGA), axis=-1)
+    a3, b3 = a[:, None], b[:, None]
+    for _ in range(2):
+        r2 = r * r
+        r -= (r * (4.0 * r2 - a3) - b3) / (12.0 * r2 - a3)
+    if near.any():
+        r[near] = _companion_roots(a[near], b[near])
+    order = np.lexsort((-r.imag, -r.real), axis=-1)
+    return np.take_along_axis(r, order, axis=-1)
 
 
 def normalize_tau(tau: complex) -> complex:
@@ -177,14 +195,22 @@ def normalize_tau(tau: complex) -> complex:
     return tau
 
 
-def _half_period_agms(e):
-    """2 agm(sqrt(e1 - e2), sqrt(e1 - e3)) and 2 agm(sqrt(e3 - e1),
-    sqrt(e3 - e2)) for arrays of roots e[..., 0:3]; pi over these are the
-    half-periods w1 and w2.  Callers divide: periods_from_weierstrass in
-    Python complex arithmetic, which rounds otherwise than numpy's."""
-    e1, e2, e3 = e[..., 0], e[..., 1], e[..., 2]
-    return (2.0 * agm_array(np.sqrt(e1 - e2), np.sqrt(e1 - e3)),
-            2.0 * agm_array(np.sqrt(e3 - e1), np.sqrt(e3 - e2)))
+def _write_agm_inputs(e, out):
+    """Write the half-periods' AGM inputs for roots e (M, 3) into the rows
+    of out (4, M): sqrt(e1 - e2) and sqrt(e1 - e3) for w1, sqrt(e3 - e1)
+    and sqrt(e3 - e2) for w2."""
+    e1, e2, e3 = e[:, 0], e[:, 1], e[:, 2]
+    for row, (x, y) in zip(out, ((e1, e2), (e1, e3), (e3, e1), (e3, e2))):
+        np.sqrt(x - y, out=row)
+
+
+def _half_period_agms(rows):
+    """Both AGMs, in place on rows filled by _write_agm_inputs: w1 and w2
+    are then pi / (2 rows[0]) and pi / (2 rows[2]).  Callers divide:
+    periods_from_weierstrass in Python complex arithmetic, which rounds
+    otherwise than numpy's."""
+    _agm_in_place(rows[0], rows[1])
+    _agm_in_place(rows[2], rows[3])
 
 
 def periods_from_weierstrass(c: WeierstrassCurve):
@@ -208,17 +234,13 @@ def periods_from_weierstrass(c: WeierstrassCurve):
         down, real, up = e[0, np.argsort(e[0].imag)]
         e[0] = ((real, up, down) if g3.real > 0 else
                 (up, down, real) if g3.real < 0 else (up, real, down))
-    w1, w2 = (np.pi / complex(m[0]) for m in _half_period_agms(e))
+    rows = np.empty((4, 1), dtype=complex)
+    _write_agm_inputs(e, rows)
+    _half_period_agms(rows)
+    w1, w2 = (np.pi / complex(m) for m in 2.0 * rows[::2, 0])
     if (w2 / w1).imag < 0:
         w2 = -w2
     return w1, w2, normalize_tau(w2 / w1)
-
-
-def _im_tau_from_invariants(g2, g3):
-    """Im tau for arrays of invariants through the AGM period ratio."""
-    e = _cubic_roots_batched(g2, g3)
-    w1, w2 = (np.pi / m for m in _half_period_agms(e))
-    return np.abs((w2 / w1).imag)
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +315,38 @@ def local_log_im_tau(model: LocalLogTau, dists, b):
     return (b / (2.0 * np.pi)) * g
 
 
-def _evaluate_modes(grid: Grid, const, modes):
-    x, y = grid.mesh()
-    out = np.full((grid.n, grid.n), complex(const), dtype=complex)
+def _evaluate_modes(x, y, const, modes):
+    out = np.full(x.shape, complex(const), dtype=complex)
     for kx, ky, amp in modes:
         out += complex(amp) * np.exp(2j * np.pi * (kx * x + ky * y))
     return out
+
+
+def _weierstrass_im_tau(model: WeierstrassFamilyTau, grid: Grid):
+    """Im(w2/w1) of the family at every grid point, in one pass over
+    blocks of _BLOCK points: the invariants, discriminant check, roots and
+    AGM inputs of a block, then both AGMs over the whole grid (every point
+    takes the same steps), then the period ratio block by block.  The AGM
+    inputs are the only full-grid complex arrays."""
+    n = grid.n
+    axis = grid.axis()
+    rows = np.empty((4, n * n), dtype=complex)
+    for s in _blocks(n * n):
+        i, j = np.divmod(np.arange(s.start, s.stop), n)
+        x, y = axis[i], axis[j]
+        g2 = _evaluate_modes(x, y, model.g2, model.g2_modes)
+        g3 = _evaluate_modes(x, y, model.g3, model.g3_modes)
+        disc = g2**3 - 27.0 * g3**2
+        if np.any(np.abs(disc) < 1e-12):
+            raise ModelError("Weierstrass family degenerates on the grid")
+        _write_agm_inputs(_block_roots(g2, g3, disc), rows[:, s])
+    _half_period_agms(rows)
+    im = np.empty(n * n)
+    for s in _blocks(n * n):
+        w1 = np.pi / (2.0 * rows[0, s])
+        w2 = np.pi / (2.0 * rows[2, s])
+        im[s] = np.abs((w2 / w1).imag)
+    return im.reshape(n, n)
 
 
 def tau_field(model: TauModel, grid: Grid, singular_points=(), ib_indices=()):
@@ -319,12 +367,7 @@ def tau_field(model: TauModel, grid: Grid, singular_points=(), ib_indices=()):
             if b > 0:
                 im = im + local_log_im_tau(model, periodic_distance(grid, p), b)
     elif model.kind == "weierstrass":
-        g2 = _evaluate_modes(grid, model.g2, model.g2_modes)
-        g3 = _evaluate_modes(grid, model.g3, model.g3_modes)
-        disc = g2**3 - 27.0 * g3**2
-        if np.any(np.abs(disc) < 1e-12):
-            raise ModelError("Weierstrass family degenerates on the grid")
-        im = _im_tau_from_invariants(g2, g3)
+        im = _weierstrass_im_tau(model, grid)
     else:
         raise ConfigurationError(f"unknown tau model kind {model.kind!r}")
 

@@ -197,8 +197,9 @@ def build_background(model: FibrationModel, grid: Grid) -> BackgroundGeometry:
     positive at the smoothing levels POSITIVITY_EPSILONS.
     """
     model, wp, tau_mask, wp_mass, area = _moduli(model, grid)
-    psi_r = green_values(grid, model.cone_point)
-    q = np.exp(psi_r - psi_r.max())
+    q = green_values(grid, model.cone_point)
+    q -= q.max()
+    np.exp(q, out=q)
     # nonnegativity is guaranteed (and enforced) for the built-in kinds; a
     # varying Weierstrass family on the torus is never holomorphic, so its
     # density is genuinely signed and only Im tau > 0 is required there
@@ -212,12 +213,12 @@ def build_background(model: FibrationModel, grid: Grid) -> BackgroundGeometry:
                             wp_mass=wp_mass, tau_mask=tau_mask)
 
     for eps in POSITIVITY_EPSILONS:
-        cone = cone_smoothing.chi_values(eps, q, model.beta)
-        density = bg.metric_density(model.delta * cone)
-        if density.min() <= 0.0:
+        low = bg.metric_density(
+            model.delta * cone_smoothing.chi_values(eps, q, model.beta)).min()
+        if low <= 0.0:
             raise ModelError(
                 f"delta={model.delta} breaks positivity of the initial density "
-                f"at eps={eps} (min {density.min():.3e})")
+                f"at eps={eps} (min {low:.3e})")
     return bg
 
 

@@ -270,9 +270,11 @@ def continuation_solve(problem: KEProblem, schedule):
 
     Returns (the solutions, one per epsilon, report).  The report's Cauchy
     differences are sups over the compact region q >= 0.1 and are expected
-    to decrease down the ladder.
+    to decrease down the ladder.  A grid too coarse for the Holder fit's
+    radii is rejected before the first rung.
     """
     schedule = _check_schedule(schedule, problem.bg.grid.n)
+    _oscillation_radii(problem.bg.grid.n)   # raises before any rung is solved
     region = problem.bg.q.values >= 0.1
     sols = []
     cone_prev = None
@@ -359,14 +361,10 @@ def extrapolated_solution(problem: KEProblem):
     return sol, report
 
 
-def holder_exponent_estimate(v: ScalarField, center) -> float:
-    """Least-squares slope of log oscillation against log radius.
-
-    Oscillation at radius rho is max - min of the circle samples together
-    with the center value, over dyadic radii in [4/N, 0.1].  The result is
-    clamped into (0, 1]; a constant field reports 1 by convention.
-    """
-    n = v.grid.n
+def _oscillation_radii(n: int):
+    """Dyadic radii in [4/N, 0.1] for the oscillation fit, from 0.1 down
+    (with 4/N appended on grids that fit only one); a grid with fewer than
+    two is too coarse."""
     radii = []
     r = 0.1
     while r >= 4.0 / n:
@@ -376,6 +374,18 @@ def holder_exponent_estimate(v: ScalarField, center) -> float:
         radii.append(4.0 / n)   # coarse grids: include the window's low end
     if len(radii) < 2:
         raise ConfigurationError(f"grid too coarse for oscillation radii at N={n}")
+    return radii
+
+
+def holder_exponent_estimate(v: ScalarField, center) -> float:
+    """Least-squares slope of log oscillation against log radius.
+
+    Oscillation at radius rho is max - min of the circle samples together
+    with the center value, over the radii of _oscillation_radii.  The
+    result is clamped into (0, 1]; a constant field reports 1 by
+    convention.
+    """
+    radii = _oscillation_radii(v.grid.n)
     center_val = float(v.values[v.grid.point_index(center)])
     oscs, used = [], []
     for rho in radii:

@@ -81,15 +81,6 @@ class ScalarField:
 
 
 @lru_cache(maxsize=32)
-def _wavenumbers(n: int):
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    kx.setflags(write=False)
-    ky.setflags(write=False)
-    return kx, ky
-
-
-@lru_cache(maxsize=32)
 def _lap_multiplier(n: int):
     """Laplacian symbol on the rfft2 half spectrum, shape (n, n//2+1)."""
     kx = np.fft.fftfreq(n, d=1.0 / n)[:, None]
@@ -136,11 +127,10 @@ def lap_values(values: np.ndarray) -> np.ndarray:
 
 
 def gradient_values(values: np.ndarray):
-    n = values.shape[0]
-    kx, ky = _wavenumbers(n)
+    k = np.fft.fftfreq(values.shape[0], d=1.0 / values.shape[0])
     hat = _fft.fft2(values, workers=_workers())
-    gx = _fft.ifft2(2j * np.pi * kx * hat, workers=_workers()).real
-    gy = _fft.ifft2(2j * np.pi * ky * hat, workers=_workers()).real
+    gx = _fft.ifft2(2j * np.pi * k[:, None] * hat, workers=_workers()).real
+    gy = _fft.ifft2(2j * np.pi * k[None, :] * hat, workers=_workers()).real
     return gx, gy
 
 
@@ -159,13 +149,22 @@ def solve_poisson_values(rhs: np.ndarray, mean_tol: float = 1e-10) -> np.ndarray
     return from_half_spectrum(sol)
 
 
+def _phases(n: int, p):
+    """exp(-2 pi i (kx x + ky y)) for p = (x, y) on the full N x N
+    spectrum, formed in one complex buffer, and the 1-D wavenumbers k."""
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    hat = np.empty((n, n), dtype=complex)
+    np.add(k[:, None] * (p[0] % 1.0), k[None, :] * (p[1] % 1.0), out=hat)
+    hat *= -2j * np.pi
+    return np.exp(hat, out=hat), k
+
+
 def delta_values(grid: Grid, p) -> np.ndarray:
     """Band-limited unit-mass delta at p (all Fourier coefficients are the
     plane-wave phases; real part taken for the asymmetric Nyquist mode)."""
     n = grid.n
-    kx, ky = _wavenumbers(n)
-    phase = np.exp(-2j * np.pi * (kx * (p[0] % 1.0) + ky * (p[1] % 1.0)))
-    return _fft.ifft2(phase, workers=_workers()).real * n * n
+    hat, _ = _phases(n, p)
+    return _fft.ifft2(hat, workers=_workers(), overwrite_x=True).real * n * n
 
 
 def green_values(grid: Grid, p) -> np.ndarray:
@@ -177,13 +176,12 @@ def green_values(grid: Grid, p) -> np.ndarray:
     refinement, so exp(psi_p) behaves like |s - p|^2.
     """
     n = grid.n
-    kx, ky = _wavenumbers(n)
-    k2 = kx**2 + ky**2
-    phase = np.exp(-2j * np.pi * (kx * (p[0] % 1.0) + ky * (p[1] % 1.0)))
+    hat, k = _phases(n, p)
+    np.negative(hat, out=hat)
     with np.errstate(divide="ignore", invalid="ignore"):
-        hat = -phase / (np.pi * k2)
+        np.divide(hat, np.pi * (k[:, None]**2 + k[None, :]**2), out=hat)
     hat[0, 0] = 0.0
-    return _fft.ifft2(hat, workers=_workers()).real * n * n
+    return _fft.ifft2(hat, workers=_workers(), overwrite_x=True).real * n * n
 
 
 # ---------------------------------------------------------------------------

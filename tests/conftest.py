@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,24 @@ def full_k2():
         kx, ky = np.meshgrid(k, k, indexing="ij")
         return kx**2 + ky**2
     return make
+
+
+@pytest.fixture(scope="session")
+def traced_peak_mib():
+    """traced_peak_mib(f): the peak of memory traced by tracemalloc while
+    f() runs, in MiB, after one warm-up call.  numpy reports its buffers
+    to tracemalloc, so the figure is deterministic."""
+    def measure(f):
+        f()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            f()
+            return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        finally:
+            tracemalloc.stop()
+    return measure
 
 
 @pytest.fixture()

@@ -247,6 +247,29 @@ def test_solve_ke_deterministic(model_file, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_solve_ke_too_coarse_for_holder_radii_fails_before_solving(
+        model_file, tmp_path, monkeypatch, capsys):
+    # N=32 leaves one dyadic radius in [4/N, 0.1]: the Holder fit cannot
+    # run, so the solve must stop before its first rung, not after its last
+    calls = []
+    newton = ke_solver.newton_solve
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(ke_solver, "newton_solve", counting)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, model_file, grid_n=32, output_dir=str(out),
+                       epsilon_schedule=[0.4, 0.28, 0.196, 0.1372, 0.09604,
+                                         0.067228])
+    assert main(["solve-ke", "--config", cfg]) == 1
+    assert calls == []
+    assert capsys.readouterr().err.splitlines() == [
+        "error: grid too coarse for oscillation radii at N=32"]
+    assert not out.exists()
+
+
 def test_flow_run_artifacts_and_gaps(model_file, tmp_path):
     out = tmp_path / "out"
     rc = main(["flow", "run", "--model", model_file, "--grid-n", "64",
@@ -277,6 +300,26 @@ def test_flow_run_byte_identical_across_reruns_and_threads(
         runs.append({name: (out / name).read_bytes() for name in names})
     for other in runs[1:]:
         assert other == runs[0]
+
+
+def test_flow_run_quick_byte_identical_across_blas_threads(model_file,
+                                                         tmp_path):
+    # at N=64 CG's 4,096-point dot products stay on one OpenBLAS thread;
+    # at N >= 128 they do not, and the bytes depend on the thread count
+    src = os.path.dirname(os.path.dirname(coneflow.__file__))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "coneflow", "flow", "run", "--quick",
+             "--model", model_file, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, {p.name: p.read_bytes()
+                                   for p in sorted(out.iterdir())}))
+    assert len(runs[0][1]) == 4
+    assert runs[1] == runs[0]
 
 
 def test_verify_all_byte_identical_across_reruns_and_threads(

@@ -10,6 +10,7 @@ from coneflow.elliptic_periods import (ConstantTau, LocalLogTau,
                                        periods_from_weierstrass, tau_field)
 from coneflow import elliptic_periods
 from coneflow.errors import ModelError
+from coneflow.torus_field import make_grid
 
 
 def quad_period_oracle(a, b):
@@ -385,6 +386,72 @@ def test_tau_field_weierstrass_independent_of_block_size(grid64, monkeypatch):
         blocked = tau_field(model, grid64)[0].values
         monkeypatch.undo()
         assert blocked.tobytes() == whole.tobytes()
+
+
+def full_grid_im_tau(model, grid):
+    """The formula tau_field streams, on whole-grid arrays: the invariants
+    on grid.mesh(), every root, both AGMs, then pi / (2 agm)."""
+    x, y = grid.mesh()
+
+    def invariant(const, modes):
+        out = np.full(x.shape, complex(const))
+        for kx, ky, amp in modes:
+            out += complex(amp) * np.exp(2j * np.pi * (kx * x + ky * y))
+        return out
+
+    e = elliptic_periods._cubic_roots_batched(
+        invariant(model.g2, model.g2_modes), invariant(model.g3, model.g3_modes))
+    e1, e2, e3 = e[..., 0], e[..., 1], e[..., 2]
+    w1 = np.pi / (2.0 * agm_array(np.sqrt(e1 - e2), np.sqrt(e1 - e3)))
+    w2 = np.pi / (2.0 * agm_array(np.sqrt(e3 - e1), np.sqrt(e3 - e2)))
+    return np.abs((w2 / w1).imag)
+
+
+# The benchmark's family (up to a lattice translate) and one with several
+# modes on each invariant.
+BENCH_FAMILY = WeierstrassFamilyTau(g2=4.0, g3=0.0, g2_modes=((1, 0, 0.2),),
+                                    g3_modes=((0, 1, 0.15),))
+MULTI_MODE_FAMILY = WeierstrassFamilyTau(
+    g2=4.0, g3=0.5,
+    g2_modes=((1, 0, 0.2), (2, 1, 0.1 - 0.05j), (-1, 3, 0.03j)),
+    g3_modes=((0, 1, 0.15 + 0.05j), (1, 1, 0.08), (3, -2, 0.02)))
+
+
+@pytest.mark.parametrize("model", [BENCH_FAMILY, MULTI_MODE_FAMILY])
+def test_tau_field_streams_the_full_grid_formula(grid256, model):
+    im = tau_field(model, grid256)[0].values
+    assert np.array_equal(im, full_grid_im_tau(model, grid256))
+
+
+def test_tau_field_rejects_a_family_degenerate_past_the_first_block(grid256):
+    # g2 = 3 + 0.1 cos(2 pi x), g3 = 1 degenerates only at x = 1/4 and 3/4,
+    # rows that lie past the first block of points
+    model = WeierstrassFamilyTau(g2=3.0, g3=1.0,
+                                 g2_modes=((1, 0, 0.05), (-1, 0, 0.05)))
+    assert grid256.n * grid256.n // 4 >= elliptic_periods._BLOCK
+    with pytest.raises(ModelError,
+                       match="^Weierstrass family degenerates on the grid$"):
+        tau_field(model, grid256)
+
+
+def test_cubic_roots_independent_of_block_size(monkeypatch):
+    # 5,000 points: every block's temporaries stay below numpy's 256 KiB
+    # temporary-elision size at both block sizes (see _BLOCK)
+    rng = np.random.default_rng(11)
+    g2 = rng.normal(size=5000) + 1j * rng.normal(size=5000)
+    g3 = rng.normal(size=5000) + 1j * rng.normal(size=5000)
+    whole = elliptic_periods._cubic_roots_batched(g2, g3)
+    monkeypatch.setattr(elliptic_periods, "_BLOCK", 1 << 10)
+    assert elliptic_periods._cubic_roots_batched(g2, g3).tobytes() == \
+        whole.tobytes()
+
+
+@pytest.mark.slow
+def test_tau_field_memory_at_512(traced_peak_mib):
+    # the four AGM input rows (16 MiB) and one block's root temporaries;
+    # the full-grid formula (full_grid_im_tau) needs 32 MiB
+    grid = make_grid(512)
+    assert traced_peak_mib(lambda: tau_field(BENCH_FAMILY, grid)) <= 28.0
 
 
 def test_constant_tau_requires_upper_half_plane():

@@ -124,6 +124,14 @@ def test_green_potential_log_slope(grid256):
     assert abs(slope - 2.0) < 0.05
 
 
+@pytest.mark.slow
+def test_green_potential_memory_at_512(traced_peak_mib):
+    # the spectrum is formed in one complex buffer and transformed in
+    # place: 4 MiB plus the 2 MiB result (full N x N kx, ky grids need 16)
+    g = make_grid(512)
+    assert traced_peak_mib(lambda: green_values(g, (0.5, 0.5))) <= 8.0
+
+
 def test_self_adjointness(grid128):
     rng = np.random.default_rng(7)
     k = np.fft.fftfreq(128, d=1.0 / 128)
