@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConeflowError, ConfigurationError, ModelError
 from .fibration_model import _read, lp_threshold, model_from_json_dict
-from .flow_engine import SCHEMES, run_flow
+from .flow_engine import SCHEMES, _step_count, run_flow
 from .ke_solver import build_problem, continuation_solve, newton_solve
 from .torus_field import write_field_csv, write_field_pgm
 from .verify import run_verification_suite
@@ -91,6 +91,7 @@ def parse_config_dict(d: dict, base_dir=".") -> RunConfig:
             f"config.flow.scheme: unknown scheme {flow['scheme']!r}")
     if not (0.0 < flow["dt"] <= flow["T"] <= 50.0):
         raise ConfigurationError("config.flow: need 0 < dt <= T <= 50")
+    _step_count(flow["T"], flow["dt"], "config.flow")
     masks = dict(DEFAULT_MASKS)
     for key, value in _read(d, "masks", "config", dict, {}).items():
         if key not in _MASK_KEYS:

@@ -98,8 +98,12 @@ class BackgroundGeometry:
     tau_mask: np.ndarray
 
     def metric_density(self, v) -> np.ndarray:
-        """A + (1/2) Lap v: the density of the metric with potential v."""
-        return self.area + 0.5 * lap_values(v)
+        """A + (1/2) Lap v: the density of the metric with potential v,
+        formed in the array lap_values returns."""
+        density = lap_values(v)
+        density *= 0.5
+        density += self.area
+        return density
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,9 @@ class FlowOps:
         self.log_prefactor = -problem.log_density_values(0.0)
 
     def density_values(self, phi_values) -> np.ndarray:
-        return self.bg.metric_density(phi_values) + self.half_lap_cone
+        density = self.bg.metric_density(phi_values)
+        density += self.half_lap_cone
+        return density
 
     def rhs_values(self, phi_values, density=None) -> np.ndarray:
         """Flow right-hand side at phi; density, when given, must be
@@ -107,8 +109,24 @@ class FlowOps:
         if density.min() <= 0.0:
             raise PositivityError(
                 "flow state left the Kahler cone (nonpositive density)")
-        return (self.log_prefactor + np.log(density)
-                - phi_values - self.cone)
+        # log_prefactor + log(density) - phi - cone, in one array
+        rhs = np.log(density)
+        rhs += self.log_prefactor
+        rhs -= phi_values
+        rhs -= self.cone
+        return rhs
+
+
+def _step_count(T, dt, where="flow"):
+    """The number of dt steps in the horizon T, which must be a whole
+    number of them (to 1e-9 relative); ConfigurationError naming where
+    otherwise."""
+    ratio = T / dt
+    steps = round(ratio)
+    if abs(ratio - steps) > 1e-9 * ratio:
+        raise ConfigurationError(
+            f"{where}: T={T} is not a whole number of steps of dt={dt}")
+    return int(steps)
 
 
 def _rk4_guard(ops: FlowOps, density, dt):
@@ -137,9 +155,16 @@ def _backward_euler(ops: FlowOps, phi, dt, density_phi):
             density = ops.density_values(u)
             if density.min() <= 0.0:
                 return None
-        return u - phi - dt * ops.rhs_values(u, density), density
+        # u - phi - dt rhs(u)
+        step = ops.rhs_values(u, density)
+        step *= dt
+        resid = np.subtract(u, phi)
+        resid -= step
+        return resid, density
 
-    u = phi + dt * ops.rhs_values(phi, density_phi)     # explicit predictor
+    u = ops.rhs_values(phi, density_phi)     # explicit predictor phi + dt rhs
+    u *= dt
+    u += phi
     start = evaluate(u)
     if start is None:
         u, start = phi, evaluate(phi, density_phi)
@@ -195,7 +220,8 @@ def run_flow(problem: KEProblem, T: float, dt: float,
              scheme: str = "backward-euler-newton",
              masks: dict = None, target_phi: ScalarField = None,
              monitor_mask=None, snapshot_times=()) -> tuple:
-    """Evolve from phi(0) = 0 to time T, sampling every step.
+    """Evolve from phi(0) = 0 to time T, a whole number of steps dt,
+    sampling every step.
 
     masks maps names to boolean arrays; the trajectory records the sup gap
     to target_phi on each.  monitor_mask (default: the first mask) hosts
@@ -208,6 +234,7 @@ def run_flow(problem: KEProblem, T: float, dt: float,
         raise ConfigurationError("flow horizon is capped at T = 50")
     if dt <= 0 or T <= 0:
         raise ConfigurationError("T and dt must be positive")
+    n_steps = _step_count(T, dt)
     ops = FlowOps(problem)
     n = problem.bg.grid.n
     masks = masks or {}
@@ -216,7 +243,6 @@ def run_flow(problem: KEProblem, T: float, dt: float,
     traj = Trajectory()
     phi = np.zeros((n, n))
     state = FlowState(phi=ScalarField(problem.bg.grid, phi), t=0.0, dt=dt)
-    n_steps = int(round(T / dt))
     snapshot_times = sorted(snapshot_times)
     target = None if target_phi is None else target_phi.values
     try:
@@ -382,7 +408,8 @@ class ProductFlow4D:
 
     def run(self, T: float, dt: float, phi=None, sample_every: int = 50,
             reduced_reference: bool = False):
-        """Explicit Euler to time T; returns (phi, samples dict).
+        """Explicit Euler to time T, a whole number of steps dt; returns
+        (phi, samples dict).
 
         With reduced_reference=True a reduced-flow Euler trajectory on the
         base grid is advanced in lockstep and the sup difference recorded.
@@ -394,7 +421,7 @@ class ProductFlow4D:
                 f"{limit:.3e} at horizon T={T}")
         phi = self.initial_state() if phi is None else np.array(phi, dtype=float)
         phi_red = np.zeros((self.nb, self.nb)) if reduced_reference else None
-        n_steps = int(round(T / dt))
+        n_steps = _step_count(T, dt, "ProductFlow4D.run")
         samples = {"t": [], "fiber_gap": [], "reduced_diff": []}
         for s in range(n_steps):
             t = s * dt

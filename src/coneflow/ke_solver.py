@@ -140,30 +140,47 @@ def preconditioned_cg(coeff, op_symbol, b, rel_tol=1e-12):
     r + (coeff - mean(coeff)) z with no transform, and A p follows by the
     same recurrence as p.  Each iteration therefore costs one transform
     pair, the preconditioner's.
+
+    P^-1 multiplies the half spectrum in place by the real reciprocal
+    1 / P, which gives the bits of the complex division by P (whose
+    imaginary part is zero).  The vector updates are written in place, in
+    the same operations and order as x += alpha p, r -= alpha ap,
+    p = z + beta p and ap = (r + shift z) + beta ap; the spent z is their
+    scratch, so an iteration allocates only the transforms' arrays.
     """
     x = np.zeros_like(b)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return x, 0
     c_mean = float(np.mean(coeff))
-    symbol = op_symbol + c_mean
+    inv_symbol = 1.0 / (op_symbol + c_mean)
     shift = coeff - c_mean
+
+    def precondition(r):
+        hat = half_spectrum(r)
+        return from_half_spectrum(np.multiply(hat, inv_symbol, out=hat))
+
     r = b.copy()
-    z = from_half_spectrum(half_spectrum(r) / symbol)
+    z = precondition(r)
     p = z.copy()
-    ap = r + shift * z
+    ap = np.multiply(shift, z)
+    ap += r
     rz = float(np.vdot(r, z).real)
     for it in range(CG_MAX_ITER):
         alpha = rz / float(np.vdot(p, ap).real)
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(p, alpha, out=z)
+        r -= np.multiply(ap, alpha, out=z)
         if np.linalg.norm(r) <= rel_tol * b_norm:
             return x, it + 1
-        z = from_half_spectrum(half_spectrum(r) / symbol)
+        z = precondition(r)
         rz_new = float(np.vdot(r, z).real)
         beta = rz_new / rz
-        p = z + beta * p
-        ap = (r + shift * z) + beta * ap
+        p *= beta
+        p += z
+        z *= shift
+        z += r
+        ap *= beta
+        ap += z
         rz = rz_new
     return x, CG_MAX_ITER
 

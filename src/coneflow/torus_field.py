@@ -122,8 +122,11 @@ def make_grid(n: int) -> Grid:
 # ---------------------------------------------------------------------------
 
 def lap_values(values: np.ndarray) -> np.ndarray:
-    return from_half_spectrum(_lap_multiplier(values.shape[0])
-                              * half_spectrum(values))
+    """Lap of a real N x N field; the half spectrum is multiplied in place
+    by the real symbol (the bits of _lap_multiplier(n) * hat)."""
+    hat = half_spectrum(values)
+    return from_half_spectrum(
+        np.multiply(hat, _lap_multiplier(values.shape[0]), out=hat))
 
 
 def gradient_values(values: np.ndarray):

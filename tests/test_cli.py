@@ -388,6 +388,20 @@ def test_flow_run_rk4_guard_violation(model_file, tmp_path, capsys):
     assert "stability guard" in err
 
 
+@pytest.mark.parametrize("dt", ["0.3", "0.6"])
+def test_flow_run_horizon_off_the_step_lattice(model_file, tmp_path, capsys,
+                                               dt):
+    # T=1 is not a whole number of these steps: the run would stop at
+    # t=0.9 or t=1.2, so it must not start
+    out = tmp_path / "out"
+    rc = main(["flow", "run", "--model", model_file, "--grid-n", "32",
+               "--T", "1", "--dt", dt, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config.flow: T=1.0 is not a whole number of steps of dt={dt}"]
+    assert not out.exists()
+
+
 def test_cli_requires_model_or_config(capsys):
     rc = main(["solve-ke"])
     assert rc == 1

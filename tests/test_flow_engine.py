@@ -270,6 +270,13 @@ def test_run_flow_rejects_long_horizon(problem64):
         run_flow(problem64, T=60.0, dt=0.05)
 
 
+@pytest.mark.parametrize("dt", [0.3, 0.6])
+def test_run_flow_rejects_horizon_off_the_step_lattice(problem64, dt):
+    # 1/0.3 and 1/0.6 steps would stop at t=0.9 and t=1.2
+    with pytest.raises(ConfigurationError, match="whole number of steps"):
+        run_flow(problem64, T=1.0, dt=dt)
+
+
 def test_dt_phi_decay_rate(problem64, solved64):
     masks = {"qr>=0.1": problem64.bg.q.values >= 0.1}
     _, traj, _ = run_flow(problem64, T=8.0, dt=0.05, masks=masks,
@@ -372,6 +379,11 @@ def test_oracle_rhs_matches_direct_formula_bitwise(oracle):
 def test_oracle_stability_guard(oracle):
     with pytest.raises(StabilityGuardError):
         oracle.run(T=2.0, dt=5e-3)
+
+
+def test_oracle_rejects_horizon_off_the_step_lattice(oracle):
+    with pytest.raises(ConfigurationError, match="whole number of steps"):
+        oracle.run(T=2.5e-4, dt=1e-4)
 
 
 def test_oracle_positivity_error(oracle):

@@ -4,7 +4,8 @@ from dataclasses import replace
 
 from coneflow.errors import ConfigurationError
 from coneflow.fibration_model import DensityData
-from coneflow.ke_solver import (KEProblem, build_problem, continuation_solve,
+from coneflow.ke_solver import (CG_MAX_ITER, KEProblem, build_problem,
+                                continuation_solve,
                                 default_extrapolation_schedule,
                                 extrapolated_solution,
                                 holder_exponent_estimate, ke_residual,
@@ -190,9 +191,11 @@ def test_preconditioned_cg_variable_coefficient(n, rel_tol, nyquist_field):
 
 
 def test_preconditioned_cg_zero_rhs():
-    x, iters = preconditioned_cg(cone_like_coefficient(16),
-                                 -0.5 * _lap_multiplier(16), np.zeros((16, 16)))
+    args = (cone_like_coefficient(16), -0.5 * _lap_multiplier(16),
+            np.zeros((16, 16)))
+    x, iters = preconditioned_cg(*args)
     assert iters == 0 and not x.any()
+    assert np.array_equal(x, plain_cg(*args)[0])
 
 
 def test_continuation_schedule_validation(product_problem64):
@@ -279,3 +282,139 @@ def test_holder_exponent_solved_stability(product):
         vals[n] = holder_exponent_estimate(sol.v, (0.5, 0.5))
         assert 0.0 < vals[n] <= 1.0
     assert abs(vals[256] - vals[128]) <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# bitwise oracles for the in-place hot path: each kernel against the plain
+# expressions it replaces, written out with their temporaries
+# ---------------------------------------------------------------------------
+
+def plain_lap(values):
+    return from_half_spectrum(_lap_multiplier(values.shape[0])
+                              * half_spectrum(values))
+
+
+def plain_cg(coeff, op_symbol, b, rel_tol=1e-12):
+    """preconditioned_cg with the preconditioner as a complex division of
+    the half spectrum and every vector update through temporaries."""
+    x = np.zeros_like(b)
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return x, 0
+    c_mean = float(np.mean(coeff))
+    symbol = op_symbol + c_mean
+    shift = coeff - c_mean
+    r = b.copy()
+    z = from_half_spectrum(half_spectrum(r) / symbol)
+    p = z.copy()
+    ap = r + shift * z
+    rz = float(np.vdot(r, z).real)
+    for it in range(CG_MAX_ITER):
+        alpha = rz / float(np.vdot(p, ap).real)
+        x += alpha * p
+        r -= alpha * ap
+        if np.linalg.norm(r) <= rel_tol * b_norm:
+            return x, it + 1
+        z = from_half_spectrum(half_spectrum(r) / symbol)
+        rz_new = float(np.vdot(r, z).real)
+        beta = rz_new / rz
+        p = z + beta * p
+        ap = (r + shift * z) + beta * ap
+        rz = rz_new
+    return x, CG_MAX_ITER
+
+
+@pytest.mark.parametrize("rel_tol", [1e-12, 1e-13])
+@pytest.mark.parametrize("coefficient", ["constant", "cone"])
+@pytest.mark.parametrize("n", [16, 64, 128, 512])
+def test_preconditioned_cg_matches_plain_loop_bitwise(n, coefficient, rel_tol,
+                                                      nyquist_field):
+    c = np.full((n, n), 3.0) if coefficient == "constant" \
+        else cone_like_coefficient(n)
+    op_symbol = -0.5 * _lap_multiplier(n)
+    b = nyquist_field(n, seed=n + 3)
+    x, iters = preconditioned_cg(c, op_symbol, b, rel_tol=rel_tol)
+    x_ref, iters_ref = plain_cg(c, op_symbol, b, rel_tol=rel_tol)
+    assert iters == iters_ref >= 1
+    assert np.array_equal(x, x_ref)
+
+
+def test_kernels_match_plain_formulas_bitwise(product_problem128,
+                                              nyquist_field):
+    from coneflow.flow_engine import FlowOps
+    bg = product_problem128.bg
+    x, y = bg.grid.mesh()
+    phi = 0.02 * np.cos(2 * np.pi * x) * np.sin(4 * np.pi * y) \
+        + 1e-7 * nyquist_field(128, seed=5)
+    ops = FlowOps(product_problem128)
+    assert np.array_equal(lap_values(phi), plain_lap(phi))
+    density = bg.area + 0.5 * plain_lap(phi)
+    assert np.array_equal(bg.metric_density(phi), density)
+    density = density + ops.half_lap_cone
+    assert np.array_equal(ops.density_values(phi), density)
+    rhs = ops.log_prefactor + np.log(density) - phi - ops.cone
+    assert np.array_equal(ops.rhs_values(phi), rhs)
+    assert np.array_equal(ops.rhs_values(phi, density), rhs)
+
+
+def test_flow_steps_match_plain_formulas_bitwise(product_problem128,
+                                                   monkeypatch):
+    # backward-Euler steps written with the plain density, rhs and
+    # residual, through damped_newton with the plain CG loop; the first
+    # step's predictor leaves the Kahler cone, the second's does not
+    from coneflow import ke_solver
+    from coneflow.flow_engine import (STEP_CG_FLOOR, STEP_MAX_NEWTON,
+                                      STEP_TOL, FlowOps, FlowState, flow_step)
+    p, dt = product_problem128, 0.05
+    ops = FlowOps(p)
+    op_symbol = -dt * 0.5 * _lap_multiplier(128)
+
+    def density_of(u):
+        return p.bg.area + 0.5 * plain_lap(u) + ops.half_lap_cone
+
+    def rhs(u, density):
+        return ops.log_prefactor + np.log(density) - u - ops.cone
+
+    def plain_step(phi):
+        def evaluate(u):
+            density = density_of(u)
+            if density.min() <= 0.0:
+                return None
+            return u - phi - dt * rhs(u, density), density
+
+        u = phi + dt * rhs(phi, density_of(phi))
+        start = evaluate(u)
+        predicted = start is not None
+        if not predicted:
+            u, start = phi, evaluate(phi)
+        with monkeypatch.context() as m:
+            m.setattr(ke_solver, "preconditioned_cg", plain_cg)
+            u, density, _ = ke_solver.damped_newton(
+                u, start, evaluate,
+                lambda u, density, resid: ((1.0 + dt) * density, op_symbol,
+                                           -density * resid),
+                STEP_TOL, STEP_MAX_NEWTON, STEP_CG_FLOOR)
+        return u, density, predicted
+
+    x, y = p.bg.grid.mesh()
+    phi = 0.005 * np.cos(2 * np.pi * x) * np.sin(4 * np.pi * y)
+    state = FlowState(phi=ScalarField(p.bg.grid, phi), t=0.0, dt=dt)
+    used_predictor = []
+    for _ in range(2):
+        state = flow_step(state, ops)
+        phi, density, predicted = plain_step(phi)
+        used_predictor.append(predicted)
+        assert np.array_equal(state.phi.values, phi)
+        assert np.array_equal(state.density, density)
+    assert used_predictor == [False, True]
+
+
+@pytest.mark.slow
+def test_preconditioned_cg_keeps_no_work_array(traced_peak_mib,
+                                               nyquist_field):
+    # the spent z is the updates' scratch: a persistent work array would
+    # add 2 MiB at N=512 (19.0 MiB)
+    c = cone_like_coefficient(512)
+    op_symbol = -0.5 * _lap_multiplier(512)
+    b = nyquist_field(512, seed=7)
+    assert traced_peak_mib(lambda: preconditioned_cg(c, op_symbol, b)) <= 17.1

@@ -5,7 +5,10 @@ the standard library's ast module: every name a module exports through
 __all__ must exist, and every module-level import must be used, so a
 deleted function cannot leave a stale export or import behind.  No module
 writes an underscore attribute of another object, so no object carries
-private state that some other code sets behind its back.
+private state that some other code sets behind its back.  No knob hides
+in the environment: CONEFLOW_THREADS, read by torus_field._workers, is
+the only variable the package reads, and preconditioned_cg keeps the
+signature that the benchmark tracer and the tests' cg_tolerances wrap.
 """
 
 import ast
@@ -89,3 +92,43 @@ def test_no_foreign_private_attribute_writes(module):
                     writes.append((ast.unparse(attr), attr.lineno))
     assert not writes, f"{qualified(module)}: private attributes of other " \
         f"objects assigned at {writes}"
+
+
+def environment_reads(tree):
+    """[(enclosing function, line)] of every os.environ or os.getenv use
+    and of every import of either name from os."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Attribute) and node.attr in (
+                "environ", "getenv") and isinstance(node.value, ast.Name) \
+                and node.value.id == "os":
+            found.append((where, node.lineno))
+        if isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                alias.name in ("environ", "getenv") for alias in node.names):
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_environment_read_only_for_fft_workers():
+    reads = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, f"{module}.py")) as fh:
+            for where, line in environment_reads(ast.parse(fh.read())):
+                reads.setdefault((module, where), []).append(line)
+    assert set(reads) == {("torus_field", "_workers")}, \
+        f"the environment is read at {reads}"
+
+
+def test_preconditioned_cg_signature():
+    with open(os.path.join(SRC, "ke_solver.py")) as fh:
+        tree = ast.parse(fh.read())
+    (cg,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name == "preconditioned_cg"]
+    assert ast.unparse(cg.args) == "coeff, op_symbol, b, rel_tol=1e-12"

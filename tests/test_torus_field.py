@@ -3,9 +3,10 @@ import pytest
 
 from coneflow.errors import ConfigurationError, SolvabilityError
 from coneflow.torus_field import (ScalarField, circle_samples, delta_values,
-                                  green_values, lap_values, make_grid,
-                                  solve_poisson_values, write_field_csv,
-                                  write_field_pgm)
+                                  green_values, half_spectrum, lap_values,
+                                  make_grid, solve_poisson_values,
+                                  write_field_csv, write_field_pgm,
+                                  _lap_multiplier)
 
 
 def test_make_grid_basic():
@@ -79,6 +80,39 @@ def test_real_transforms_match_complex_formula(n, nyquist_field, full_k2):
                       (solve_poisson_values(vals), inv_half_lap)):
         ref = complex_formula(mult)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512])
+def test_in_place_real_multiply_keeps_complex_bits(n):
+    # lap_values and the CG preconditioner multiply a half spectrum in place
+    # by a real array: numpy must give the bits of m * hat, and for a
+    # positive real s those of the complex division hat / s
+    rng = np.random.default_rng(n)
+    shape = (n, n // 2 + 1)
+    spectra = (half_spectrum(rng.normal(size=(n, n))),
+               rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    lap = _lap_multiplier(n)
+    for hat in spectra:
+        for s in (0.5 * -lap + 0.37, rng.uniform(1e-3, 1e3, size=shape)):
+            quotient = hat / s
+            inplace = hat.copy()
+            np.multiply(inplace, 1.0 / s, out=inplace)
+            assert quotient.tobytes() == inplace.tobytes(), \
+                "hat / s is no longer hat * (1 / s) bit for bit"
+        for m in (lap, rng.normal(size=shape)):
+            product = m * hat
+            inplace = hat.copy()
+            np.multiply(inplace, m, out=inplace)
+            assert product.tobytes() == inplace.tobytes(), \
+                "m * hat is no longer the in-place hat * m bit for bit"
+
+
+@pytest.mark.slow
+def test_lap_values_memory_at_128(traced_peak_mib):
+    # the spectrum is multiplied in place: one complex half spectrum and
+    # the result (a separate product would add 0.13 MiB)
+    vals = np.random.default_rng(1).normal(size=(128, 128))
+    assert traced_peak_mib(lambda: lap_values(vals)) <= 0.30
 
 
 def test_solve_poisson_rejects_nonzero_mean():
