@@ -27,7 +27,8 @@ import tempfile
 from dataclasses import dataclass, field
 
 from .errors import ConeflowError, ConfigurationError, ModelError
-from .fibration_model import _read, lp_threshold, model_from_json_dict
+from .fibration_model import (_integer, _known_keys, _read, _real,
+                              lp_threshold, model_from_json_dict)
 from .flow_engine import SCHEMES, _step_count, run_flow
 from .ke_solver import build_problem, continuation_solve, newton_solve
 from .torus_field import write_field_csv, write_field_pgm
@@ -60,9 +61,7 @@ _MASK_KEYS = {"qr_min", "sigma_levels"}
 def parse_config_dict(d: dict, base_dir=".") -> RunConfig:
     if not isinstance(d, dict):
         raise ConfigurationError("config: expected a JSON object")
-    for key in d:
-        if key not in _CONFIG_KEYS:
-            raise ConfigurationError(f"config.{key}: unknown key")
+    _known_keys(d, _CONFIG_KEYS, "config")
     if "model" not in d:
         raise ConfigurationError("config.model: required (path to a model JSON)")
     model = _read(d, "model", "config", str)
@@ -70,36 +69,30 @@ def parse_config_dict(d: dict, base_dir=".") -> RunConfig:
         else os.path.join(base_dir, model)
     if not os.path.exists(model_path):
         raise ConfigurationError(f"config.model: no such file {model_path!r}")
-    grid_n = _read(d, "grid_n", "config", int, DEFAULT_GRID_N)
+    grid_n = _read(d, "grid_n", "config", _integer, DEFAULT_GRID_N)
     if grid_n < 16 or grid_n % 2:
         raise ConfigurationError(f"config.grid_n: must be even and >= 16, got {grid_n}")
     schedule = _read(d, "epsilon_schedule", "config",
-                     lambda v: tuple(float(e) for e in v),
+                     lambda v: tuple(map(_real, v)),
                      DEFAULT_EPSILON_SCHEDULE)
     for e in schedule:
         if not (0.0 < e <= 1.0):
             raise ConfigurationError(f"config.epsilon_schedule: value {e} out of (0, 1]")
-    flow = dict(DEFAULT_FLOW)
-    for key, value in _read(d, "flow", "config", dict, {}).items():
-        if key not in _FLOW_KEYS:
-            raise ConfigurationError(f"config.flow.{key}: unknown key")
-        flow[key] = value
-    flow["T"] = _read(flow, "T", "config.flow", float)
-    flow["dt"] = _read(flow, "dt", "config.flow", float)
+    flow = {**DEFAULT_FLOW, **_read(d, "flow", "config", dict, {})}
+    _known_keys(flow, _FLOW_KEYS, "config.flow")
+    flow["T"] = _read(flow, "T", "config.flow", _real)
+    flow["dt"] = _read(flow, "dt", "config.flow", _real)
     if flow["scheme"] not in SCHEMES:
         raise ConfigurationError(
             f"config.flow.scheme: unknown scheme {flow['scheme']!r}")
     if not (0.0 < flow["dt"] <= flow["T"] <= 50.0):
         raise ConfigurationError("config.flow: need 0 < dt <= T <= 50")
     _step_count(flow["T"], flow["dt"], "config.flow")
-    masks = dict(DEFAULT_MASKS)
-    for key, value in _read(d, "masks", "config", dict, {}).items():
-        if key not in _MASK_KEYS:
-            raise ConfigurationError(f"config.masks.{key}: unknown key")
-        masks[key] = value
-    masks["qr_min"] = _read(masks, "qr_min", "config.masks", float)
+    masks = {**DEFAULT_MASKS, **_read(d, "masks", "config", dict, {})}
+    _known_keys(masks, _MASK_KEYS, "config.masks")
+    masks["qr_min"] = _read(masks, "qr_min", "config.masks", _real)
     masks["sigma_levels"] = _read(masks, "sigma_levels", "config.masks",
-                                  lambda v: [float(x) for x in v])
+                                  lambda v: list(map(_real, v)))
     return RunConfig(model_path=model_path, grid_n=grid_n,
                      epsilon_schedule=schedule, flow=flow, masks=masks,
                      output_dir=str(d.get("output_dir", "out")))
@@ -343,7 +336,7 @@ def _config_from_args(args) -> RunConfig:
             flow[key] = getattr(args, key)
     if args.quick:
         d["grid_n"] = 64
-        flow["T"] = min(_read(flow, "T", "config.flow", float,
+        flow["T"] = min(_read(flow, "T", "config.flow", _real,
                               DEFAULT_FLOW["T"]), 8.0)
     d["flow"] = flow
     return parse_config_dict(d, base_dir)

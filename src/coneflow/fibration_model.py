@@ -74,9 +74,11 @@ class FibrationModel:
     def __post_init__(self):
         if not (0.0 < self.beta < 1.0):
             raise ModelError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.delta <= 0:
-            raise ModelError("delta must be positive")
+        if not (0.0 < self.delta < math.inf):
+            raise ModelError("delta must be positive and finite")
         pts = [self.cone_point] + [f.point for f in self.fibers]
+        if not all(math.isfinite(c) for p in pts for c in p):
+            raise ModelError("marked points must be finite")
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 if pair_distance(pts[i], pts[j]) == 0.0:
@@ -322,14 +324,35 @@ def _read(d, key, path, convert, default=_REQUIRED):
         return default
     try:
         return convert(d[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{path}.{key}: {exc}") from None
+
+
+def _known_keys(d, known, path):
+    """ConfigurationError naming the first key of d not in known."""
+    for key in d:
+        if key not in known:
+            raise ConfigurationError(f"{path}.{key}: unknown key")
+
+
+def _real(v):
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {v!r}")
+    return x
+
+
+def _integer(v):
+    k = int(v)
+    if k != v:
+        raise ValueError(f"must be an integer, got {v!r}")
+    return k
 
 
 def _pair(v):
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise ValueError(f"expected [x, y], got {v!r}")
-    return float(v[0]), float(v[1])
+    return _real(v[0]), _real(v[1])
 
 
 def _complex(v):
@@ -338,7 +361,7 @@ def _complex(v):
 
 def _modes(v):
     """[[kx, ky, re, im], ...] as (kx, ky, complex amplitude) tuples."""
-    return tuple((int(kx), int(ky), complex(float(re), float(im)))
+    return tuple((_integer(kx), _integer(ky), complex(_real(re), _real(im)))
                  for kx, ky, re, im in v)
 
 
@@ -353,16 +376,14 @@ def _tau_from_dict(d: dict, path="tau_model") -> TauModel:
     }
     if not isinstance(kind, str) or kind not in known:
         raise ConfigurationError(f"{path}.kind: unknown kind {kind!r}")
-    for key in d:
-        if key not in known[kind]:
-            raise ConfigurationError(f"{path}.{key}: unknown key")
+    _known_keys(d, known[kind], path)
     try:
         if kind == "constant":
             return ConstantTau(_read(d, "tau", path, _complex, 1j))
         if kind == "ib_local":
             return LocalLogTau(
-                baseline=_read(d, "baseline", path, float, 1.0),
-                cap_radius=_read(d, "cap_radius", path, float, 0.25))
+                baseline=_read(d, "baseline", path, _real, 1.0),
+                cap_radius=_read(d, "cap_radius", path, _real, 0.25))
         return WeierstrassFamilyTau(
             g2=_read(d, "g2", path, _complex, 4.0 + 0j),
             g3=_read(d, "g3", path, _complex, 0j),
@@ -381,11 +402,9 @@ def model_from_json_dict(d: dict, path="model") -> FibrationModel:
     and grid_n (an integer) are accepted and validated but unused."""
     if not isinstance(d, dict):
         raise ConfigurationError(f"{path}: expected a JSON object")
-    for key in d:
-        if key not in _MODEL_KEYS:
-            raise ConfigurationError(f"{path}.{key}: unknown key")
-    beta = _read(d, "beta", path, float)
-    delta = _read(d, "delta", path, float)
+    _known_keys(d, _MODEL_KEYS, path)
+    beta = _read(d, "beta", path, _real)
+    delta = _read(d, "delta", path, _real)
     cone_point = _read(d, "cone_point", path, _pair)
     if not (0.0 < beta < 1.0):
         raise ConfigurationError(f"{path}.beta: must lie in (0, 1), got {beta}")
@@ -399,12 +418,10 @@ def model_from_json_dict(d: dict, path="model") -> FibrationModel:
         fpath = f"{path}.fibers[{i}]"
         if not isinstance(fd, dict):
             raise ConfigurationError(f"{fpath}: expected an object")
-        for key in fd:
-            if key not in {"point", "m", "b"}:
-                raise ConfigurationError(f"{fpath}.{key}: unknown key")
+        _known_keys(fd, {"point", "m", "b"}, fpath)
         pt = _read(fd, "point", fpath, _pair)
-        m = _read(fd, "m", fpath, int, 1)
-        b = _read(fd, "b", fpath, int, 0)
+        m = _read(fd, "m", fpath, _integer, 1)
+        b = _read(fd, "b", fpath, _integer, 0)
         if m < 1:
             raise ConfigurationError(f"{fpath}.m: must be >= 1, got {m}")
         if b < 0:
@@ -412,9 +429,9 @@ def model_from_json_dict(d: dict, path="model") -> FibrationModel:
         fibers.append(SingularFiber(point=pt, multiplicity=m, ib_index=b))
     tau = _tau_from_dict(d.get("tau_model", {"kind": "constant", "tau": [0, 1]}),
                          f"{path}.tau_model")
-    if _read(d, "fiber_area", path, float, 1.0) <= 0:
+    if _read(d, "fiber_area", path, _real, 1.0) <= 0:
         raise ConfigurationError(f"{path}.fiber_area: must be positive")
-    _read(d, "grid_n", path, int, None)
+    _read(d, "grid_n", path, _integer, None)
     try:
         return FibrationModel(beta=beta, delta=delta, cone_point=cone_point,
                               fibers=tuple(fibers), tau_model=tau)

@@ -57,12 +57,17 @@ def _inverse(mult, hat, out):
 
 @dataclass(frozen=True)
 class FlowState:
+    """phi at time t with what FlowOps evaluated there: its density and the
+    flow right-hand side, both made read-only; FlowOps.state builds one."""
     phi: ScalarField
     t: float
     dt: float
-    # read-only FlowOps.density_values(phi.values) of the problem that made
-    # this state, as flow_step returns it; None to have it recomputed
-    density: np.ndarray = None
+    density: np.ndarray
+    rhs: np.ndarray
+
+    def __post_init__(self):
+        self.density.setflags(write=False)
+        self.rhs.setflags(write=False)
 
 
 @dataclass
@@ -91,7 +96,6 @@ class FlowOps:
 
     def __init__(self, problem: KEProblem):
         self.bg = problem.bg
-        self.area = problem.bg.area
         self.cone = problem.cone_field_values()           # delta chi field
         self.half_lap_cone = 0.5 * lap_values(self.cone)
         self.log_prefactor = -problem.log_density_values(0.0)
@@ -116,6 +120,12 @@ class FlowOps:
         rhs -= self.cone
         return rhs
 
+    def state(self, phi_values, t, dt) -> FlowState:
+        """The state at phi_values, with its density and rhs evaluated."""
+        density = self.density_values(phi_values)
+        return FlowState(ScalarField(self.bg.grid, phi_values), t, dt,
+                         density, self.rhs_values(phi_values, density))
+
 
 def _step_count(T, dt, where="flow"):
     """The number of dt steps in the horizon T, which must be a whole
@@ -129,91 +139,75 @@ def _step_count(T, dt, where="flow"):
     return int(steps)
 
 
-def _rk4_guard(ops: FlowOps, density, dt):
-    guard = 0.2 * ops.bg.grid.spacing**2 * ops.area / float(density.max())
-    if dt > guard:
-        raise StabilityGuardError(
-            f"rk4 step dt={dt} exceeds the stability guard {guard:.3e} "
-            f"(0.2 h^2 A / max density)")
-
-
-def _backward_euler(ops: FlowOps, phi, dt, density_phi):
+def _backward_euler(ops: FlowOps, state: FlowState):
     """Solve u - dt * rhs(u) = phi to sup|u - phi - dt rhs(u)| <= STEP_TOL
     by damped Newton (damped_newton, at most STEP_MAX_NEWTON steps) from the
     explicit predictor, or from phi when the predictor leaves the Kahler
-    cone.  Returns (u, its density, Newton steps); density_phi must be
-    ops.density_values(phi).
+    cone.  Returns (u, (its density, its rhs), Newton steps).
 
     The linearization (1+dt) I - dt (1/2) Lap / D, multiplied through by
     the density D, is SPD: (1+dt) D w - dt (1/2) Lap w, solved by CG to the
     relative tolerance max(STEP_CG_FLOOR, 0.1 * STEP_TOL / sup|residual|).
     """
+    phi, dt = state.phi.values, state.dt
     op_symbol = -dt * 0.5 * _lap_multiplier(ops.bg.grid.n)
 
-    def evaluate(u, density=None):
-        if density is None:
-            density = ops.density_values(u)
-            if density.min() <= 0.0:
-                return None
+    def residual(u, density, rhs):
         # u - phi - dt rhs(u)
-        step = ops.rhs_values(u, density)
-        step *= dt
         resid = np.subtract(u, phi)
-        resid -= step
-        return resid, density
+        resid -= rhs * dt
+        return resid, (density, rhs)
 
-    u = ops.rhs_values(phi, density_phi)     # explicit predictor phi + dt rhs
-    u *= dt
+    def evaluate(u):
+        density = ops.density_values(u)
+        if density.min() <= 0.0:
+            return None
+        return residual(u, density, ops.rhs_values(u, density))
+
+    u = state.rhs * dt      # explicit predictor phi + dt rhs
     u += phi
     start = evaluate(u)
     if start is None:
-        u, start = phi, evaluate(phi, density_phi)
-    u, density, history = damped_newton(
+        u, start = phi, residual(phi, state.density, state.rhs)
+    u, evaluated, history = damped_newton(
         u, start, evaluate,
-        lambda u, density, resid: ((1.0 + dt) * density, op_symbol,
-                                   -density * resid),
+        lambda u, evaluated, resid: ((1.0 + dt) * evaluated[0], op_symbol,
+                                     -evaluated[0] * resid),
         STEP_TOL, STEP_MAX_NEWTON, STEP_CG_FLOOR)
-    return u, density, len(history) - 1
+    return u, evaluated, len(history) - 1
 
 
-def _rk4(ops: FlowOps, phi, dt, density_phi):
-    """One classical RK4 step; returns (phi at t + dt, its density).
-    density_phi must be ops.density_values(phi)."""
-    k1 = ops.rhs_values(phi, density_phi)
+def _rk4(ops: FlowOps, state: FlowState) -> FlowState:
+    """One classical RK4 step, if dt is within the stability guard."""
+    phi, dt = state.phi.values, state.dt
+    guard = 0.2 * ops.bg.grid.spacing**2 * ops.bg.area \
+        / float(state.density.max())
+    if dt > guard:
+        raise StabilityGuardError(
+            f"rk4 step dt={dt} exceeds the stability guard {guard:.3e} "
+            f"(0.2 h^2 A / max density)")
+    k1 = state.rhs
     k2 = ops.rhs_values(phi + 0.5 * dt * k1)
     k3 = ops.rhs_values(phi + 0.5 * dt * k2)
     k4 = ops.rhs_values(phi + dt * k3)
-    out = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    density = ops.density_values(out)
-    if density.min() <= 0.0:
-        raise PositivityError("rk4 step lost density positivity")
-    return out, density
+    return ops.state(phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+                     state.t + dt, dt)
 
 
 def flow_step(state: FlowState, ops: FlowOps,
               scheme: str = "backward-euler-newton") -> FlowState:
     """Advance the state by its dt with the chosen scheme, for the problem
-    ops was built from.
-
-    The new state carries its density, which the next step takes from it
-    instead of recomputing it.
-    """
+    ops was built from; the step starts from the state's density and rhs
+    and returns the new state with its own."""
     if scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {scheme!r}; pick from {SCHEMES}")
     if state.dt <= 0:
         raise ConfigurationError("dt must be positive")
-    phi = np.array(state.phi.values, dtype=float)
-    density = state.density
-    if density is None:
-        density = ops.density_values(phi)
     if scheme == "rk4-explicit":
-        _rk4_guard(ops, density, state.dt)
-        new_phi, density = _rk4(ops, phi, state.dt, density)
-    else:
-        new_phi, density, _ = _backward_euler(ops, phi, state.dt, density)
-    density.setflags(write=False)
-    return FlowState(phi=ScalarField(state.phi.grid, new_phi),
-                     t=state.t + state.dt, dt=state.dt, density=density)
+        return _rk4(ops, state)
+    u, evaluated, _ = _backward_euler(ops, state)
+    return FlowState(ScalarField(state.phi.grid, u), state.t + state.dt,
+                     state.dt, *evaluated)
 
 
 def run_flow(problem: KEProblem, T: float, dt: float,
@@ -241,15 +235,13 @@ def run_flow(problem: KEProblem, T: float, dt: float,
     if monitor_mask is None and masks:
         monitor_mask = next(iter(masks.values()))
     traj = Trajectory()
-    phi = np.zeros((n, n))
-    state = FlowState(phi=ScalarField(problem.bg.grid, phi), t=0.0, dt=dt)
+    state = ops.state(np.zeros((n, n)), 0.0, dt)
     snapshot_times = sorted(snapshot_times)
     target = None if target_phi is None else target_phi.values
     try:
         for _ in range(n_steps):
             state = flow_step(state, ops, scheme)
             phi, density = state.phi.values, state.density
-            rhs = ops.rhs_values(phi, density)
             gaps = {}
             if target is not None:
                 diff = np.abs(phi - target)
@@ -259,9 +251,10 @@ def run_flow(problem: KEProblem, T: float, dt: float,
             if monitor_mask is not None:
                 psi = phi + ops.cone
                 monitors["sup_psi"] = float(np.abs(psi[monitor_mask]).max())
-                monitors["sup_dt_psi"] = float(np.abs(rhs[monitor_mask]).max())
+                monitors["sup_dt_psi"] = float(
+                    np.abs(state.rhs[monitor_mask]).max())
                 monitors["trace_ref"] = float(
-                    (ops.area / density[monitor_mask]).max())
+                    (ops.bg.area / density[monitor_mask]).max())
             traj.append(state.t, gaps, float(phi.mean()),
                         float(density.min()), monitors)
             if snapshot_times and abs(state.t - snapshot_times[0]) < 0.5 * dt:
@@ -317,7 +310,6 @@ class ProductFlow4D:
         self.base_problem = replace(build_problem(model, nb, problem.epsilon),
                                     beta=problem.beta, delta=problem.delta)
         self.base_ops = FlowOps(self.base_problem)
-        self.area = self.base_problem.bg.area
 
         kf = np.fft.fftfreq(nf, d=1.0 / nf)
         kb = np.fft.fftfreq(nb, d=1.0 / nb)
@@ -332,8 +324,6 @@ class ProductFlow4D:
         self._mult_mixed = m_re + 1j * m_im
         self._base_log_prefactor = self.base_ops.log_prefactor \
             - math.log(self.fiber_area)
-        self._cone = self.base_ops.cone
-        self._half_lap_cone = self.base_ops.half_lap_cone
         self._spectra = np.empty((2, nf, nf, nb, nb), dtype=complex)
 
     def initial_state(self, fiber_mode_amplitude: float = 0.0):
@@ -379,8 +369,8 @@ class ProductFlow4D:
             np.multiply(z1[i].real, 0.5, out=p)
             p += fiber
             np.multiply(z1[i].imag, 0.5, out=det)
-            np.add(self.area, det, out=det)
-            det += self._half_lap_cone
+            np.add(self.base_ops.bg.area, det, out=det)
+            det += self.base_ops.half_lap_cone
             det *= p
             np.multiply(z2[i].real, 0.5, out=m)
             det -= np.square(m, out=m)
@@ -390,7 +380,7 @@ class ProductFlow4D:
                 return False
             np.add(shift, np.log(det, out=det), out=det)
             det -= phi[i]
-            det -= self._cone
+            det -= self.base_ops.cone
         return True
 
     def stability_limit(self, horizon_t: float) -> float:

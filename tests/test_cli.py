@@ -182,6 +182,36 @@ BAD_INPUTS = {
     "flag_dt_above_T": "config.flow: need 0 < dt <= T <= 50",
     "flag_epsilon_zero": "config.epsilon_schedule: value 0.0 out of (0, 1]",
     "flag_epsilon_two": "config.epsilon_schedule: value 2.0 out of (0, 1]",
+    "cone_point_nan": "model.cone_point: must be finite, got nan",
+    "delta_overflows": "model.delta: must be finite, got inf",
+    "g2_nan": "model.tau_model.g2: must be finite, got nan",
+    "fiber_area_infinite": "model.fiber_area: must be finite, got inf",
+    "baseline_infinite": "model.tau_model.baseline: must be finite, got inf",
+    "m_fractional": "model.fibers[0].m: must be an integer, got 2.7",
+    "m_overflows": "model.fibers[0].m: cannot convert float infinity",
+    "b_fractional": "model.fibers[0].b: must be an integer, got 1.5",
+    "kx_fractional": "model.tau_model.g2_modes: must be an integer, got 1.5",
+    "model_grid_n_fractional": "model.grid_n: must be an integer, got 64.5",
+    "config_grid_n_fractional": "config.grid_n: must be an integer, got 64.5",
+}
+
+# model keys merged into BAD_MODEL for the cases above; json.dumps writes
+# nan and inf as NaN and Infinity, which json.load reads back
+BAD_MODEL_KEYS = {
+    "cone_point_nan": {"cone_point": [float("nan"), 0.5]},
+    "delta_overflows": {"delta": 1e300},    # written as 1e400 below
+    "g2_nan": {"tau_model": {"kind": "weierstrass",
+                             "g2": [float("nan"), 0.0]}},
+    "fiber_area_infinite": {"fiber_area": float("inf")},
+    "baseline_infinite": {
+        "fibers": [{"point": [0.25, 0.25], "m": 1, "b": 1}],
+        "tau_model": {"kind": "ib_local", "baseline": float("inf")}},
+    "m_fractional": {"fibers": [{"point": [0.25, 0.25], "m": 2.7}]},
+    "m_overflows": {"fibers": [{"point": [0.25, 0.25], "m": float("inf")}]},
+    "b_fractional": {"fibers": [{"point": [0.25, 0.25], "m": 1, "b": 1.5}]},
+    "kx_fractional": {"tau_model": {"kind": "weierstrass",
+                                    "g2_modes": [[1.5, 0, 0.2, 0.0]]}},
+    "model_grid_n_fractional": {"grid_n": 64.5},
 }
 
 # flags that the run-config checks must reject, as for the same config keys
@@ -195,7 +225,7 @@ BAD_FLAGS = {
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_gives_one_error_line(case, tmp_path):
-    model = dict(BAD_MODEL)
+    model = dict(BAD_MODEL, **BAD_MODEL_KEYS.get(case, {}))
     if case == "delta_breaks_positivity":
         model["delta"] = 50.0
     elif case == "fiber_without_point":
@@ -203,7 +233,11 @@ def test_bad_input_gives_one_error_line(case, tmp_path):
     elif case == "points_snap_together":
         # 0.501 snaps onto the cone point's lattice site at N=64
         model["fibers"] = [{"point": [0.501, 0.5], "m": 2}]
-    (tmp_path / "model.json").write_text(json.dumps(model))
+    # 1e400 overflows to inf as json.load reads it
+    (tmp_path / "model.json").write_text(
+        json.dumps(model).replace("1e+300", "1e400"))
+    (tmp_path / "config.json").write_text(
+        json.dumps({"model": "model.json", "grid_n": 64.5}))
     cell = {"periods_non_numeric_cell": "abc,1",
             "periods_non_finite_cell": "nan,1"}.get(case, "3,1")
     (tmp_path / "curves.csv").write_text(f"# g2, g3\n4,0\n{cell}\n")
@@ -211,6 +245,8 @@ def test_bad_input_gives_one_error_line(case, tmp_path):
         args = ["periods", "--input", "curves.csv", "--out", "out"]
     elif case in BAD_FLAGS:
         args = BAD_FLAGS[case] + ["--model", "model.json"]
+    elif case == "config_grid_n_fractional":
+        args = ["model", "check", "--config", "config.json"]
     else:
         args = ["model", "check", "--model", "model.json", "--grid-n", "64"]
     src = os.path.dirname(os.path.dirname(coneflow.__file__))

@@ -210,3 +210,17 @@ def test_model_json_bad_value_names_key_path(overrides, key):
     d.update(overrides)
     with pytest.raises(ConfigurationError, match=key):
         model_from_json_dict(d)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("beta", np.nan), ("delta", np.nan), ("delta", np.inf),
+    ("cone_point", (np.nan, 0.5)), ("cone_point", (0.5, np.inf)),
+    ("fibers", (SingularFiber(point=(np.nan, 0.25), multiplicity=2),)),
+])
+def test_model_rejects_non_finite_numbers(field, value):
+    # NaN passes the delta and point range checks, so finiteness is
+    # checked on its own
+    kwargs = {"beta": 0.5, "delta": 0.1, "cone_point": (0.5, 0.5)}
+    kwargs[field] = value
+    with pytest.raises(ModelError):
+        FibrationModel(**kwargs)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ from coneflow.errors import (ConfigurationError, PositivityError,
 from coneflow import flow_engine
 from coneflow.estimates import ricci_residual
 from coneflow.fibration_model import product_model
-from coneflow.flow_engine import (FlowOps, FlowState, ProductFlow4D,
-                                  fit_decay_slope, flow_step, run_flow)
+from coneflow.flow_engine import (FlowOps, ProductFlow4D, fit_decay_slope,
+                                  flow_step, run_flow)
 from coneflow.ke_solver import (KESolution, build_problem, ke_residual,
                                 newton_solve)
 from coneflow.torus_field import ScalarField, lap_values
@@ -31,8 +32,7 @@ def solved64(problem64):
 
 
 def state_of(problem, phi_values, t=0.0, dt=0.05):
-    return FlowState(phi=ScalarField(problem.bg.grid, phi_values), t=t,
-                     dt=dt)
+    return FlowOps(problem).state(phi_values, t, dt)
 
 
 def test_rhs_vanishes_at_solution(problem64, solved64):
@@ -111,13 +111,34 @@ def test_step_state_carries_its_density(scheme, dt):
     p = make_problem(16, eps=0.4)
     x, y = p.bg.grid.mesh()
     ops = FlowOps(p)
-    st = state_of(p, 0.02 * np.cos(2 * np.pi * x), dt=dt)
-    for _ in range(2):      # the second step starts from the carried density
-        fresh = flow_step(replace(st, density=None), ops, scheme)
+    st = ops.state(0.02 * np.cos(2 * np.pi * x), 0.0, dt)
+    for _ in range(2):      # the second step starts from the carried state
+        fresh = flow_step(ops.state(st.phi.values, st.t, dt), ops, scheme)
         st = flow_step(st, ops, scheme)
         assert np.array_equal(st.phi.values, fresh.phi.values)
         assert np.array_equal(st.density, ops.density_values(st.phi.values))
+        assert np.array_equal(st.rhs, ops.rhs_values(st.phi.values))
         assert not st.density.flags.writeable
+        assert not st.rhs.flags.writeable
+
+
+@pytest.mark.parametrize("scheme, n, dt", [("backward-euler-newton", 64, 0.05),
+                                           ("rk4-explicit", 16, 1e-4)])
+def test_run_flow_evaluates_each_phi_once(scheme, n, dt, monkeypatch):
+    # every rhs is formed once and carried by its state: no two rhs_values
+    # calls see the same phi (rk4 at N=16, where its guard admits dt=1e-4)
+    seen = []
+    real = FlowOps.rhs_values
+
+    def recording(self, phi_values, *args):
+        seen.append(hashlib.sha256(phi_values.tobytes()).digest())
+        return real(self, phi_values, *args)
+
+    monkeypatch.setattr(FlowOps, "rhs_values", recording)
+    run_flow(make_problem(n, eps=0.4), T=1.0, dt=dt, scheme=scheme,
+             masks={"all": np.ones((n, n), dtype=bool)})
+    assert len(seen) > round(1.0 / dt)
+    assert len(set(seen)) == len(seen)
 
 
 def test_step_fixed_point(problem64, solved64):
@@ -212,8 +233,8 @@ def test_run_flow_converges_and_reports(problem64, solved64):
 
 
 def test_run_flow_matches_public_steps_bitwise(problem64, solved64):
-    # run_flow reuses each accepted step's density for its diagnostics and
-    # the next step; fresh ops per public call recompute every density
+    # run_flow reads each accepted step's density and rhs for its
+    # diagnostics; here fresh ops recompute them for every state
     masks = {"all": np.ones((64, 64), dtype=bool),
              "qr>=0.1": problem64.bg.q.values >= 0.1}
     monitor = masks["qr>=0.1"]
@@ -236,7 +257,7 @@ def test_run_flow_matches_public_steps_bitwise(problem64, solved64):
             np.abs((phi + ops.cone)[monitor]).max()
         assert traj.monitors["sup_dt_psi"][k] == np.abs(rhs[monitor]).max()
         assert traj.monitors["trace_ref"][k] == \
-            (ops.area / density[monitor]).max()
+            (ops.bg.area / density[monitor]).max()
     assert len(traj.times) == 20
     assert np.array_equal(final.phi.values, state.phi.values)
 
@@ -300,8 +321,7 @@ def test_shift_covariance(problem64, solved64):
     phi0 = state.phi.values
     ops = FlowOps(problem64)
     a = state
-    b = FlowState(phi=ScalarField(problem64.bg.grid, phi0 + c), t=state.t,
-                  dt=0.05)
+    b = ops.state(phi0 + c, state.t, 0.05)
     for _ in range(20):   # one time unit
         a = flow_step(a, ops)
         b = flow_step(b, ops)
@@ -369,10 +389,11 @@ def test_oracle_rhs_matches_direct_formula_bitwise(oracle):
     z1 = sfft.ifftn(oracle._mult_lap * hat, workers=2)
     z2 = sfft.ifftn(oracle._mult_mixed * hat, workers=2)
     p = math.exp(-t) * oracle.fiber_area + 0.5 * z1.real
-    q = oracle.area + 0.5 * z1.imag + oracle._half_lap_cone
+    ops = oracle.base_ops
+    q = ops.bg.area + 0.5 * z1.imag + ops.half_lap_cone
     det = p * q - (0.5 * z2.real)**2 - (0.5 * z2.imag)**2
     expected = (t + oracle._base_log_prefactor + np.log(det)
-                - phi - oracle._cone)
+                - phi - ops.cone)
     assert np.array_equal(oracle.rhs(phi, t), expected)
 
 

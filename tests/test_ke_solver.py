@@ -364,7 +364,7 @@ def test_flow_steps_match_plain_formulas_bitwise(product_problem128,
     # step's predictor leaves the Kahler cone, the second's does not
     from coneflow import ke_solver
     from coneflow.flow_engine import (STEP_CG_FLOOR, STEP_MAX_NEWTON,
-                                      STEP_TOL, FlowOps, FlowState, flow_step)
+                                      STEP_TOL, FlowOps, flow_step)
     p, dt = product_problem128, 0.05
     ops = FlowOps(p)
     op_symbol = -dt * 0.5 * _lap_multiplier(128)
@@ -398,7 +398,7 @@ def test_flow_steps_match_plain_formulas_bitwise(product_problem128,
 
     x, y = p.bg.grid.mesh()
     phi = 0.005 * np.cos(2 * np.pi * x) * np.sin(4 * np.pi * y)
-    state = FlowState(phi=ScalarField(p.bg.grid, phi), t=0.0, dt=dt)
+    state = ops.state(phi, 0.0, dt)
     used_predictor = []
     for _ in range(2):
         state = flow_step(state, ops)
