@@ -336,6 +336,8 @@ def _known_keys(d, known, path):
 
 
 def _real(v):
+    if isinstance(v, bool):     # JSON true/false: not a number
+        raise TypeError(f"must be a number, got {v!r}")
     x = float(v)
     if not math.isfinite(x):
         raise ValueError(f"must be finite, got {v!r}")
@@ -343,6 +345,8 @@ def _real(v):
 
 
 def _integer(v):
+    if isinstance(v, bool):
+        raise TypeError(f"must be an integer, got {v!r}")
     k = int(v)
     if k != v:
         raise ValueError(f"must be an integer, got {v!r}")

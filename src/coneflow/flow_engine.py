@@ -23,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.fft as _fft
 
 from .errors import (ConfigurationError, DivergenceError, PositivityError,
                      StabilityGuardError)
@@ -47,12 +46,6 @@ STEP_CG_FLOOR = 1e-13
 
 # the second of ProductFlow4D.rhs's two threads (started on first use)
 _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="coneflow-4d")
-
-
-def _inverse(mult, hat, out):
-    """ifftn(mult * hat), with the product written into out."""
-    return _fft.ifftn(np.multiply(mult, hat, out=out), workers=1,
-                      overwrite_x=True)
 
 
 @dataclass(frozen=True)
@@ -304,6 +297,8 @@ class ProductFlow4D:
             raise ConfigurationError("the 4D oracle supports product models only")
         if np.abs(problem.density.log_density.values).max() > 1e-10:
             raise ConfigurationError("the 4D oracle requires F identically 1")
+        import scipy.fft    # deferred: slow to import, used only here
+        self._fft = scipy.fft
         self.nf = nf
         self.nb = nb
         self.fiber_area = float(fiber_area)
@@ -342,10 +337,10 @@ class ProductFlow4D:
         # on two threads: the two multiplier products and inverse transforms
         # run side by side, then each thread takes half the fiber rows of
         # the pointwise part.
-        hat = _fft.fftn(phi, workers=2)
-        pending = _HELPER.submit(_inverse, self._mult_lap, hat,
+        hat = self._fft.fftn(phi, workers=2)
+        pending = _HELPER.submit(self._inverse, self._mult_lap, hat,
                                  self._spectra[0])
-        z2 = _inverse(self._mult_mixed, hat, self._spectra[1])
+        z2 = self._inverse(self._mult_mixed, hat, self._spectra[1])
         z1 = pending.result()
         out = np.empty(phi.shape)
         half = phi.shape[0] // 2
@@ -355,6 +350,11 @@ class ProductFlow4D:
         if not (pending.result() and inside):
             raise PositivityError("4D determinant left the Kahler cone")
         return out
+
+    def _inverse(self, mult, hat, out):
+        """ifftn(mult * hat), with the product written into out."""
+        return self._fft.ifftn(np.multiply(mult, hat, out=out), workers=1,
+                               overwrite_x=True)
 
     def _rows(self, z1, z2, phi, t, out, rows):
         """The pointwise part of rhs on the given fiber rows, one row

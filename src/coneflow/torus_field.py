@@ -5,7 +5,10 @@ s = x + iy and area element dA = dx dy.  A (1,1)-form is represented by
 its density against dA, and the dd-bar operator acts on potentials as
 u -> (1/2) Lap u with Lap = d^2/dx^2 + d^2/dy^2.  All differentiation is
 spectral (FFT), so band-limited identities hold to round-off and the
-Poisson inverse is diagonal in Fourier space.
+Poisson inverse is diagonal in Fourier space.  The transforms are
+numpy.fft's, taken one axis at a time in scipy.fft's pass order and with
+its scaling, so every value equals scipy's rfft2/irfft2/fft2/ifft2 bit for
+bit; they run on one thread.
 
 Point masses are band-limited (Dirichlet-kernel) deltas rather than
 single-cell spikes; this keeps the Green-potential identity
@@ -14,12 +17,10 @@ single-cell spikes; this keeps the Green-potential identity
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as _fft
 
 from .errors import ConfigurationError, SolvabilityError
 
@@ -32,13 +33,6 @@ __all__ = [
     "write_field_csv",
     "write_field_pgm",
 ]
-
-
-def _workers():
-    try:
-        return max(1, int(os.environ.get("CONEFLOW_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -91,12 +85,20 @@ def _lap_multiplier(n: int):
 
 
 def half_spectrum(values: np.ndarray) -> np.ndarray:
-    """rfft2 of a real N x N field: its (N, N//2+1) half spectrum."""
-    return _fft.rfft2(values, workers=_workers())
+    """rfft2 of a real N x N field: its (N, N//2+1) half spectrum, the
+    real transform along axis 1 and then the complex one along axis 0."""
+    hat = np.fft.rfft(values, axis=1)
+    return np.fft.fft(hat, axis=0, out=hat)
 
 
 def from_half_spectrum(hat: np.ndarray) -> np.ndarray:
-    """The real N x N field whose half spectrum is hat.
+    """The real N x N field whose half spectrum is hat; hat is overwritten
+    (every caller passes a spectrum of its own).
+
+    The unscaled complex inverse along axis 0 runs in place, then the
+    unscaled real inverse along axis 1, then one multiply by 1/N^2: the
+    bits of irfft2(hat, s=(N, N)), which numpy's per-axis 1/N would not
+    give when N is not a power of two.
 
     Callers apply only multipliers that are real and even in k between
     half_spectrum and this inverse; for those the result equals the real
@@ -104,7 +106,36 @@ def from_half_spectrum(hat: np.ndarray) -> np.ndarray:
     included.  (An odd multiplier would not: see ProductFlow4D.)
     """
     n = hat.shape[0]
-    return _fft.irfft2(hat, s=(n, n), workers=_workers())
+    np.fft.ifft(hat, axis=0, norm="forward", out=hat)
+    out = np.fft.irfft(hat, n=n, axis=1, norm="forward")
+    out *= 1.0 / (n * n)
+    return out
+
+
+def _full_spectrum(values: np.ndarray) -> np.ndarray:
+    """fft2 of a real N x N field, filled from its half spectrum by
+    conjugate symmetry exactly as pocketfft fills it: besides the columns
+    past N/2, rows 0 and N/2..N-1 of columns 0 and N/2 also get
+    conj(hat[-i, j])."""
+    n = values.shape[0]
+    m = n // 2
+    hat = half_spectrum(values)
+    mirror = np.conj(hat[(-np.arange(n)) % n])
+    full = np.empty((n, n), dtype=complex)
+    full[:, :m + 1] = hat
+    full[:, m + 1:] = mirror[:, m - 1:0:-1]
+    full[0, ::m] = mirror[0, ::m]
+    full[m:, ::m] = mirror[m:, ::m]
+    return full
+
+
+def _inverse(hat: np.ndarray) -> np.ndarray:
+    """ifft2 of a full N x N spectrum, computed in hat: the unscaled axis-0
+    pass, 1/N^2, then the unscaled axis-1 pass (scipy's scaling order)."""
+    n = hat.shape[0]
+    np.fft.ifft(hat, axis=0, norm="forward", out=hat)
+    hat *= 1.0 / (n * n)
+    return np.fft.ifft(hat, axis=1, norm="forward", out=hat)
 
 
 def make_grid(n: int) -> Grid:
@@ -131,9 +162,9 @@ def lap_values(values: np.ndarray) -> np.ndarray:
 
 def gradient_values(values: np.ndarray):
     k = np.fft.fftfreq(values.shape[0], d=1.0 / values.shape[0])
-    hat = _fft.fft2(values, workers=_workers())
-    gx = _fft.ifft2(2j * np.pi * k[:, None] * hat, workers=_workers()).real
-    gy = _fft.ifft2(2j * np.pi * k[None, :] * hat, workers=_workers()).real
+    hat = _full_spectrum(values)
+    gx = _inverse(2j * np.pi * k[:, None] * hat).real
+    gy = _inverse(2j * np.pi * k[None, :] * hat).real
     return gx, gy
 
 
@@ -167,7 +198,7 @@ def delta_values(grid: Grid, p) -> np.ndarray:
     plane-wave phases; real part taken for the asymmetric Nyquist mode)."""
     n = grid.n
     hat, _ = _phases(n, p)
-    return _fft.ifft2(hat, workers=_workers(), overwrite_x=True).real * n * n
+    return _inverse(hat).real * n * n
 
 
 def green_values(grid: Grid, p) -> np.ndarray:
@@ -184,7 +215,7 @@ def green_values(grid: Grid, p) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(hat, np.pi * (k[:, None]**2 + k[None, :]**2), out=hat)
     hat[0, 0] = 0.0
-    return _fft.ifft2(hat, workers=_workers(), overwrite_x=True).real * n * n
+    return _inverse(hat).real * n * n
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,9 @@ BAD_INPUTS = {
     "kx_fractional": "model.tau_model.g2_modes: must be an integer, got 1.5",
     "model_grid_n_fractional": "model.grid_n: must be an integer, got 64.5",
     "config_grid_n_fractional": "config.grid_n: must be an integer, got 64.5",
+    "delta_boolean": "model.delta: must be a number, got True",
+    "m_boolean": "model.fibers[0].m: must be an integer, got True",
+    "config_grid_n_boolean": "config.grid_n: must be an integer, got True",
 }
 
 # model keys merged into BAD_MODEL for the cases above; json.dumps writes
@@ -212,6 +215,8 @@ BAD_MODEL_KEYS = {
     "kx_fractional": {"tau_model": {"kind": "weierstrass",
                                     "g2_modes": [[1.5, 0, 0.2, 0.0]]}},
     "model_grid_n_fractional": {"grid_n": 64.5},
+    "delta_boolean": {"delta": True},
+    "m_boolean": {"fibers": [{"point": [0.25, 0.25], "m": True}]},
 }
 
 # flags that the run-config checks must reject, as for the same config keys
@@ -236,8 +241,9 @@ def test_bad_input_gives_one_error_line(case, tmp_path):
     # 1e400 overflows to inf as json.load reads it
     (tmp_path / "model.json").write_text(
         json.dumps(model).replace("1e+300", "1e400"))
+    config_grid_n = {"config_grid_n_boolean": True}.get(case, 64.5)
     (tmp_path / "config.json").write_text(
-        json.dumps({"model": "model.json", "grid_n": 64.5}))
+        json.dumps({"model": "model.json", "grid_n": config_grid_n}))
     cell = {"periods_non_numeric_cell": "abc,1",
             "periods_non_finite_cell": "nan,1"}.get(case, "3,1")
     (tmp_path / "curves.csv").write_text(f"# g2, g3\n4,0\n{cell}\n")
@@ -245,7 +251,7 @@ def test_bad_input_gives_one_error_line(case, tmp_path):
         args = ["periods", "--input", "curves.csv", "--out", "out"]
     elif case in BAD_FLAGS:
         args = BAD_FLAGS[case] + ["--model", "model.json"]
-    elif case == "config_grid_n_fractional":
+    elif case.startswith("config_grid_n"):
         args = ["model", "check", "--config", "config.json"]
     else:
         args = ["model", "check", "--model", "model.json", "--grid-n", "64"]
@@ -323,19 +329,15 @@ def test_flow_run_artifacts_and_gaps(model_file, tmp_path):
     assert -1.15 < fit["slope"] < -0.85
 
 
-def test_flow_run_byte_identical_across_reruns_and_threads(
-        model_file, tmp_path, monkeypatch):
+def test_flow_run_byte_identical_across_reruns(model_file, tmp_path):
     names = ("trajectory.csv", "final_phi.csv", "decay_report.json")
     runs = []
-    for label, threads in (("a", None), ("b", None), ("t1", "1"), ("t2", "2")):
-        if threads is not None:
-            monkeypatch.setenv("CONEFLOW_THREADS", threads)
+    for label in ("a", "b"):
         out = tmp_path / label
         assert main(["flow", "run", "--quick", "--model", model_file,
                      "--out", str(out)]) == 0
         runs.append({name: (out / name).read_bytes() for name in names})
-    for other in runs[1:]:
-        assert other == runs[0]
+    assert runs[1] == runs[0]
 
 
 def test_flow_run_quick_byte_identical_across_blas_threads(model_file,
@@ -358,20 +360,16 @@ def test_flow_run_quick_byte_identical_across_blas_threads(model_file,
     assert runs[1] == runs[0]
 
 
-def test_verify_all_byte_identical_across_reruns_and_threads(
-        model_file, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("CONEFLOW_THREADS", raising=False)
+def test_verify_all_byte_identical_across_reruns(model_file, tmp_path,
+                                                 capsys):
     runs = []
-    for label, threads in (("a", None), ("b", None), ("t1", "1"), ("t2", "2")):
-        if threads is not None:
-            monkeypatch.setenv("CONEFLOW_THREADS", threads)
+    for label in ("a", "b"):
         out = tmp_path / label
         rc = main(["verify", "all", "--quick", "--model", model_file,
                    "--out", str(out)])
         runs.append((rc, capsys.readouterr().out,
                      (out / "verification_report.json").read_bytes()))
-    for other in runs[1:]:
-        assert other == runs[0]
+    assert runs[1] == runs[0]
 
 
 def translation(seed):

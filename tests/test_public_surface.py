@@ -6,14 +6,17 @@ __all__ must exist, and every module-level import must be used, so a
 deleted function cannot leave a stale export or import behind.  No module
 writes an underscore attribute of another object, so no object carries
 private state that some other code sets behind its back.  No knob hides
-in the environment: CONEFLOW_THREADS, read by torus_field._workers, is
-the only variable the package reads, and preconditioned_cg keeps the
+in the environment: no module reads an environment variable.  Importing
+the package loads no scipy module (only the 4D oracle and the chi
+quadrature import it, when they run), and preconditioned_cg keeps the
 signature that the benchmark tracer and the tests' cg_tolerances wrap.
 """
 
 import ast
 import importlib
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -116,14 +119,24 @@ def environment_reads(tree):
     return found
 
 
-def test_environment_read_only_for_fft_workers():
+def test_no_module_reads_the_environment():
     reads = {}
     for module in MODULES:
         with open(os.path.join(SRC, f"{module}.py")) as fh:
             for where, line in environment_reads(ast.parse(fh.read())):
                 reads.setdefault((module, where), []).append(line)
-    assert set(reads) == {("torus_field", "_workers")}, \
-        f"the environment is read at {reads}"
+    assert not reads, f"the environment is read at {reads}"
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so no other test's scipy import is counted
+    code = ("import sys, coneflow.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_preconditioned_cg_signature():

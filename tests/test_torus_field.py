@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from coneflow.errors import ConfigurationError, SolvabilityError
 from coneflow.torus_field import (ScalarField, circle_samples, delta_values,
+                                  from_half_spectrum, gradient_values,
                                   green_values, half_spectrum, lap_values,
                                   make_grid, solve_poisson_values,
                                   write_field_csv, write_field_pgm,
-                                  _lap_multiplier)
+                                  _lap_multiplier, _phases)
 
 
 def test_make_grid_basic():
@@ -105,6 +107,35 @@ def test_in_place_real_multiply_keeps_complex_bits(n):
             np.multiply(inplace, m, out=inplace)
             assert product.tobytes() == inplace.tobytes(), \
                 "m * hat is no longer the in-place hat * m bit for bit"
+
+
+@pytest.mark.parametrize("n", [16, 18, 48, 64, 96, 128, 256])
+def test_transforms_match_scipy_bitwise(n):
+    # numpy.fft passes in scipy.fft's order and with its scaling give
+    # scipy's bits; at N = 18, 48 and 96 numpy's own per-axis 1/N would not
+    rng = np.random.default_rng(n)
+    vals = rng.normal(size=(n, n))
+    hat = sfft.rfft2(vals)
+    assert np.array_equal(half_spectrum(vals), hat)
+    hat *= rng.normal(size=hat.shape)
+    expected = sfft.irfft2(hat, s=(n, n))
+    assert np.array_equal(from_half_spectrum(hat.copy()), expected)
+
+    g = make_grid(n)
+    p = tuple(rng.uniform(size=2))
+    phases, k = _phases(n, p)
+    assert np.array_equal(delta_values(g, p),
+                          sfft.ifft2(phases).real * n * n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        green = -phases / (np.pi * (k[:, None]**2 + k[None, :]**2))
+    green[0, 0] = 0.0
+    assert np.array_equal(green_values(g, p),
+                          sfft.ifft2(green).real * n * n)
+
+    full = sfft.fft2(vals)
+    gx, gy = gradient_values(vals)
+    assert np.array_equal(gx, sfft.ifft2(2j * np.pi * k[:, None] * full).real)
+    assert np.array_equal(gy, sfft.ifft2(2j * np.pi * k[None, :] * full).real)
 
 
 @pytest.mark.slow
