@@ -32,7 +32,7 @@ from .fibration_model import (_integer, _known_keys, _read, _real,
 from .flow_engine import SCHEMES, _step_count, run_flow
 from .ke_solver import build_problem, continuation_solve, newton_solve
 from .torus_field import write_field_csv, write_field_pgm
-from .verify import run_verification_suite
+from .verify import SIGMA_LEVELS, run_verification_suite
 from . import elliptic_periods as periods_mod
 from .estimates import flow_masks
 
@@ -211,6 +211,10 @@ def _cmd_flow_run(cfg: RunConfig) -> int:
 
 
 def _cmd_verify_all(cfg: RunConfig) -> int:
+    if tuple(cfg.masks["sigma_levels"]) != SIGMA_LEVELS:
+        raise ConfigurationError(
+            f"config.masks.sigma_levels: verify all measures the fixed levels"
+            f" {list(SIGMA_LEVELS)}, got {cfg.masks['sigma_levels']}")
     model = load_model(cfg.model_path)
     reports = run_verification_suite(
         model, grid_n=cfg.grid_n, flow_T=cfg.flow["T"],

@@ -30,6 +30,7 @@ __all__ = [
     "periods_from_weierstrass",
     "normalize_tau",
     "tau_field",
+    "cap_blend",
 ]
 
 _AGM_MAX_ITER = 64
@@ -296,10 +297,12 @@ class WeierstrassFamilyTau(TauModel):
     kind = "weierstrass"
 
 
-def _smoothstep(u):
-    """Quintic smoothstep: 0 at u<=0, 1 at u>=1, C^2 at both ends."""
-    u = np.clip(u, 0.0, 1.0)
-    return u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
+def cap_blend(d, cap):
+    """1 - s((d - cap/2) / (cap/2)) for the quintic smoothstep s: a C^2
+    cutoff, 1 within cap/2 of a marked point and 0 beyond cap."""
+    lo = 0.5 * cap
+    u = np.clip((d - lo) / (cap - lo), 0.0, 1.0)
+    return 1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
 
 
 def local_log_im_tau(model: LocalLogTau, dists, b):
@@ -309,7 +312,7 @@ def local_log_im_tau(model: LocalLogTau, dists, b):
     d = np.maximum(np.asarray(dists, dtype=float), 1e-300)
     g_log = -np.log(d)
     g_cap = -np.log(cap)
-    w = 1.0 - _smoothstep((d - lo) / (cap - lo))
+    w = cap_blend(d, cap)
     g = np.where(d <= lo, g_log,
                  np.where(d >= cap, g_cap, g_cap + w * (g_log - g_cap)))
     return (b / (2.0 * np.pi)) * g

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConfigurationError, ModelError
 from . import cone_smoothing
 from .elliptic_periods import (ConstantTau, LocalLogTau, TauModel,
-                               WeierstrassFamilyTau, _smoothstep, tau_field)
+                               WeierstrassFamilyTau, cap_blend, tau_field)
 from .torus_field import (Grid, ScalarField, green_values, lap_values,
                           make_grid, pair_distance, periodic_distance,
                           solve_poisson_values)
@@ -153,13 +153,12 @@ def _wp_density_values(model: FibrationModel, grid: Grid, im_tau):
         return -0.5 * lap_values(np.log(im_tau))
     if kind == "ib_local":
         tm = model.tau_model
-        cap, lo = tm.cap_radius, 0.5 * tm.cap_radius
         out = np.zeros((n, n))
         for f in model.fibers:
             if f.ib_index == 0:
                 continue
             d = np.maximum(periodic_distance(grid, f.point), 0.5 * grid.spacing)
-            cutoff = 1.0 - _smoothstep((d - lo) / (cap - lo))
+            cutoff = cap_blend(d, tm.cap_radius)
             out += (0.5 * (f.ib_index / (2.0 * np.pi))**2
                     / (d * d * im_tau * im_tau)) * cutoff
         return out
@@ -336,7 +335,7 @@ def _known_keys(d, known, path):
 
 
 def _real(v):
-    if isinstance(v, bool):     # JSON true/false: not a number
+    if isinstance(v, (bool, str)):  # JSON true/false or "0.1": not a number
         raise TypeError(f"must be a number, got {v!r}")
     x = float(v)
     if not math.isfinite(x):

@@ -70,7 +70,7 @@ class Trajectory:
     energy: list = field(default_factory=list)      # integral of phi
     min_density: list = field(default_factory=list)
     monitors: dict = field(default_factory=dict)    # name -> [value]
-    snapshots: dict = field(default_factory=dict)   # time -> phi values
+    snapshots: dict = field(default_factory=dict)   # time -> FlowState
 
     def append(self, t, gaps, energy, min_density, monitors):
         if self.times and t <= self.times[-1]:
@@ -89,7 +89,7 @@ class FlowOps:
 
     def __init__(self, problem: KEProblem):
         self.bg = problem.bg
-        self.cone = problem.cone_field_values()           # delta chi field
+        self.cone = problem.cone                          # delta chi field
         self.half_lap_cone = 0.5 * lap_values(self.cone)
         self.log_prefactor = -problem.log_density_values(0.0)
 
@@ -251,7 +251,7 @@ def run_flow(problem: KEProblem, T: float, dt: float,
             traj.append(state.t, gaps, float(phi.mean()),
                         float(density.min()), monitors)
             if snapshot_times and abs(state.t - snapshot_times[0]) < 0.5 * dt:
-                traj.snapshots[snapshot_times.pop(0)] = phi.copy()
+                traj.snapshots[snapshot_times.pop(0)] = state
     except (DivergenceError, PositivityError) as exc:
         raise DivergenceError(
             f"flow aborted at t={state.t:.3f}: {exc}") from exc

@@ -11,8 +11,8 @@ fixing is needed: damped Newton steps with a conjugate-gradient inner solve
 continuation schedules used here.
 
 Continuation solves a decreasing epsilon ladder with warm starts, transfers
-phi between levels (the cone part is rebuilt per epsilon), and reports the
-Cauchy differences on a compact region.  The zero-epsilon solution is only
+phi between levels (each level's problem carries its cone part), and reports
+the Cauchy differences on a compact region.  The zero-epsilon solution is only
 ever produced by Richardson extrapolation of the ladder, never solved for
 directly.
 """
@@ -20,7 +20,7 @@ directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,6 +61,14 @@ class KEProblem:
     beta: float
     delta: float
     epsilon: float
+    # delta chi(eps^2 + q), read-only, formed when the problem is built
+    cone: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cone = self.delta * chi_values(self.epsilon, self.bg.q.values,
+                                       self.beta)
+        cone.setflags(write=False)
+        object.__setattr__(self, "cone", cone)
 
     def coefficient_values(self) -> np.ndarray:
         """M = F (q + eps^2)^(-(1-beta)) A, the nonlinearity's weight."""
@@ -74,10 +82,6 @@ class KEProblem:
         return (self.density.log_density.values + v
                 - (1.0 - self.beta) * np.log(self.bg.q.values + self.epsilon**2)
                 + math.log(self.bg.area))
-
-    def cone_field_values(self) -> np.ndarray:
-        return self.delta * chi_values(self.epsilon, self.bg.q.values,
-                                       self.beta)
 
 
 def build_problem(model: FibrationModel, grid_n: int,
@@ -94,8 +98,11 @@ def build_problem(model: FibrationModel, grid_n: int,
 class KESolution:
     problem: KEProblem
     v: ScalarField            # phi + delta chi(eps^2 + q)
-    phi: ScalarField
     residual_history: tuple     # sup|residual| at each Newton iterate
+
+    @property
+    def phi(self) -> ScalarField:
+        return ScalarField(self.v.grid, self.v.values - self.problem.cone)
 
     @property
     def residual_sup(self) -> float:
@@ -253,7 +260,6 @@ def newton_solve(problem: KEProblem, v0: ScalarField = None) -> KESolution:
                                   NEWTON_TOL, NEWTON_MAX_ITER,
                                   NEWTON_CG_FLOOR)
     return KESolution(problem=problem, v=ScalarField(bg.grid, v),
-                      phi=ScalarField(bg.grid, v - problem.cone_field_values()),
                       residual_history=tuple(history))
 
 
@@ -294,21 +300,18 @@ def continuation_solve(problem: KEProblem, schedule):
     _oscillation_radii(problem.bg.grid.n)   # raises before any rung is solved
     region = problem.bg.q.values >= 0.1
     sols = []
-    cone_prev = None
     for eps in schedule:
         p_eps = replace(problem, epsilon=eps)
-        cone_now = p_eps.cone_field_values()
         v0 = None
         if sols:
             v0 = ScalarField(problem.bg.grid,
-                             sols[-1].v.values - cone_prev + cone_now)
+                             sols[-1].phi.values + p_eps.cone)
         try:
             sol = newton_solve(p_eps, v0)
         except DivergenceError as exc:
             raise DivergenceError(f"continuation failed at eps={eps}: {exc}",
                                   exc.history)
         sols.append(sol)
-        cone_prev = cone_now
     cauchy = tuple(
         float(np.abs(b.v.values - a.v.values)[region].max())
         for a, b in zip(sols, sols[1:]))
@@ -368,14 +371,8 @@ def extrapolated_solution(problem: KEProblem):
     p0 = replace(problem, epsilon=0.0)
     v_field = ScalarField(problem.bg.grid, v_star)
     resid = ke_residual(p0, v_field)
-    cone0 = p0.cone_field_values()
-    sol = KESolution(
-        problem=p0,
-        v=v_field,
-        phi=ScalarField(problem.bg.grid, v_star - cone0),
-        residual_history=(float(np.abs(resid.values).max()),),
-    )
-    return sol, report
+    return KESolution(problem=p0, v=v_field, residual_history=(
+        float(np.abs(resid.values).max()),)), report
 
 
 def _oscillation_radii(n: int):

@@ -13,22 +13,17 @@ what is actually measured.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-
 import numpy as np
 
 from .estimates import (EstimateReport, cone_angle, flow_masks,
                         multiplicity_exponent, ricci_residual, trace_field,
                         verify_c0_convergence, verify_trace_bound)
 from .fibration_model import FibrationModel, _fiber_threshold, validate_lp
-from .flow_engine import FlowOps, run_flow
+from .flow_engine import run_flow
 from .ke_solver import build_problem, extrapolated_solution, newton_solve
 from .torus_field import ScalarField
 
-__all__ = ["run_verification_suite", "REPORT_KEYS"]
-
-REPORT_KEYS = ("lemma-3.2", "lemma-3.4", "eq-3.10", "thm-1.1-2",
-               "prop-2.1-holder", "prop-3.7", "F-Lp")
+__all__ = ["run_verification_suite"]
 
 SIGMA_LEVELS = (0.2, 0.4, 0.6)
 TRACE_TIMES = (1.0, 5.0, 10.0, 20.0)
@@ -64,13 +59,13 @@ def run_verification_suite(model: FibrationModel, grid_n: int = 128,
         snapshot_times=snapshot_times)
 
     # extrapolated stationary solution for the curvature identity
-    sol0, cont_report = extrapolated_solution(replace(problem, epsilon=0.0))
+    sol0, cont_report = extrapolated_solution(problem)
 
     reports = {}
     reports["lemma-3.2"] = _decay_rate_report(decay)
     reports["prop-3.7"] = _c0_report(traj)
     reports["lemma-3.4"], reports["eq-3.10"] = _trace_reports(
-        traj, bg, problem, barrier)
+        traj, bg, barrier)
     reports["thm-1.1-2"] = _limit_identity_report(sol0, bg, barrier)
     reports["prop-2.1-holder"] = _holder_report(cont_report)
     reports["F-Lp"] = _lp_report(model)
@@ -114,13 +109,12 @@ def _c0_report(traj) -> EstimateReport:
                           max_violation=base.max_violation, samples=samples)
 
 
-def _trace_reports(traj, bg, problem, barrier):
-    ops = FlowOps(problem)
+def _trace_reports(traj, bg, barrier):
     grid = bg.grid
     ref = ScalarField(grid, np.full((grid.n, grid.n), bg.area))
     forward, backward = [], []
-    for t, phi in sorted(traj.snapshots.items()):
-        density = ScalarField(grid, ops.density_values(phi))
+    for t, state in sorted(traj.snapshots.items()):
+        density = ScalarField(grid, state.density)
         forward.append(trace_field(ref, density))   # tr_{omega_psi} omega_t
         backward.append(trace_field(density, ref))  # tr_{omega_t} omega_psi
     r_34 = verify_trace_bound(forward, barrier, name="lemma-3.4")

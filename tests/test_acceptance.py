@@ -18,7 +18,7 @@ from coneflow.estimates import (cone_angle, fit_trace_constants,
                                 sigma_barrier, trace_field,
                                 verify_trace_bound)
 from coneflow.fibration_model import product_model, validate_lp
-from coneflow.flow_engine import FlowOps, ProductFlow4D, run_flow
+from coneflow.flow_engine import ProductFlow4D, run_flow
 from coneflow.ke_solver import (build_problem, extrapolated_solution,
                                 newton_solve)
 from coneflow.torus_field import ScalarField, lap_values
@@ -215,12 +215,11 @@ def test_criterion_07_reduction_oracle(oracle_4d):
 def test_criterion_08_trace_bounds(reference_run):
     problem = reference_run["problem"]
     barrier = reference_run["barrier"]
-    ops = FlowOps(problem)
     grid = problem.bg.grid
     ref = ScalarField(grid, np.full((grid.n, grid.n), problem.bg.area))
     traces = []
-    for t, phi in sorted(reference_run["traj"].snapshots.items()):
-        density = ScalarField(grid, ops.density_values(phi))
+    for t, state in sorted(reference_run["traj"].snapshots.items()):
+        density = ScalarField(grid, state.density)
         traces.append(trace_field(ref, density))
         traces.append(trace_field(density, ref))
     rep = verify_trace_bound(traces, barrier, c_cap=1e6,

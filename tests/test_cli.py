@@ -196,6 +196,9 @@ BAD_INPUTS = {
     "delta_boolean": "model.delta: must be a number, got True",
     "m_boolean": "model.fibers[0].m: must be an integer, got True",
     "config_grid_n_boolean": "config.grid_n: must be an integer, got True",
+    "delta_string": "model.delta: must be a number, got '0.1'",
+    "cone_point_string": "model.cone_point: must be a number, got '0.5'",
+    "config_flow_T_string": "config.flow.T: must be a number, got '8'",
 }
 
 # model keys merged into BAD_MODEL for the cases above; json.dumps writes
@@ -217,6 +220,16 @@ BAD_MODEL_KEYS = {
     "model_grid_n_fractional": {"grid_n": 64.5},
     "delta_boolean": {"delta": True},
     "m_boolean": {"fibers": [{"point": [0.25, 0.25], "m": True}]},
+    "delta_string": {"delta": "0.1"},
+    "cone_point_string": {"cone_point": ["0.5", 0.5]},
+}
+
+# config keys merged into BAD_CONFIG for the config_* cases above
+BAD_CONFIG = {"model": "model.json", "grid_n": 64}
+BAD_CONFIG_KEYS = {
+    "config_grid_n_fractional": {"grid_n": 64.5},
+    "config_grid_n_boolean": {"grid_n": True},
+    "config_flow_T_string": {"flow": {"T": "8"}},
 }
 
 # flags that the run-config checks must reject, as for the same config keys
@@ -241,9 +254,8 @@ def test_bad_input_gives_one_error_line(case, tmp_path):
     # 1e400 overflows to inf as json.load reads it
     (tmp_path / "model.json").write_text(
         json.dumps(model).replace("1e+300", "1e400"))
-    config_grid_n = {"config_grid_n_boolean": True}.get(case, 64.5)
     (tmp_path / "config.json").write_text(
-        json.dumps({"model": "model.json", "grid_n": config_grid_n}))
+        json.dumps(dict(BAD_CONFIG, **BAD_CONFIG_KEYS.get(case, {}))))
     cell = {"periods_non_numeric_cell": "abc,1",
             "periods_non_finite_cell": "nan,1"}.get(case, "3,1")
     (tmp_path / "curves.csv").write_text(f"# g2, g3\n4,0\n{cell}\n")
@@ -251,7 +263,7 @@ def test_bad_input_gives_one_error_line(case, tmp_path):
         args = ["periods", "--input", "curves.csv", "--out", "out"]
     elif case in BAD_FLAGS:
         args = BAD_FLAGS[case] + ["--model", "model.json"]
-    elif case.startswith("config_grid_n"):
+    elif case.startswith("config_"):
         args = ["model", "check", "--config", "config.json"]
     else:
         args = ["model", "check", "--model", "model.json", "--grid-n", "64"]
@@ -370,6 +382,25 @@ def test_verify_all_byte_identical_across_reruns(model_file, tmp_path,
         runs.append((rc, capsys.readouterr().out,
                      (out / "verification_report.json").read_bytes()))
     assert runs[1] == runs[0]
+
+
+def test_verify_all_rejects_sigma_levels_it_does_not_measure(
+        model_file, tmp_path, capsys):
+    # verify all measures its fixed levels, so other levels must stop the
+    # run rather than be dropped; flow run keeps honouring them
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, model_file, output_dir=str(out),
+                       masks={"sigma_levels": [0.3, 0.5]})
+    assert main(["verify", "all", "--quick", "--config", cfg]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config.masks.sigma_levels: verify all measures the fixed "
+        "levels [0.2, 0.4, 0.6], got [0.3, 0.5]"]
+    assert not out.exists()
+    assert main(["flow", "run", "--config", cfg, "--T", "0.1",
+                 "--dt", "0.05"]) == 0
+    header = (out / "trajectory.csv").read_text().splitlines()[0]
+    assert header == ("t,gap[qr>=0.1],gap[sigma>=0.3],gap[sigma>=0.5],"
+                      "energy,min_density")
 
 
 def translation(seed):

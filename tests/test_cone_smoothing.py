@@ -124,7 +124,7 @@ def test_chi_uniform_convergence_sweep():
 
 def test_cone_field_values(product_problem64, product):
     # the problem's cone potential delta * chi(eps^2 + q) at each epsilon
-    field = replace(product_problem64, epsilon=0.0).cone_field_values()
+    field = replace(product_problem64, epsilon=0.0).cone
     # at the maximum of q (q = 1) the eps = 0 potential equals delta
     assert field.max() == pytest.approx(product.delta, abs=1e-12)
     bg = product_problem64.bg
@@ -135,7 +135,7 @@ def test_cone_field_values(product_problem64, product):
     assert abs(field[i, j]) <= product.delta * q_at_p**product.beta + 1e-12
     assert abs(field[i, j]) < 5e-3
     for eps in (0.1, 0.5):
-        f = replace(product_problem64, epsilon=eps).cone_field_values()
+        f = replace(product_problem64, epsilon=eps).cone
         assert abs(f[i, j]) < 5e-3
 
 
@@ -143,7 +143,7 @@ def test_cone_field_eps_trend(product_problem64, product):
     q = product_problem64.bg.q.values
     sups = []
     for eps in (0.1, 0.05, 0.025):
-        f = replace(product_problem64, epsilon=eps).cone_field_values()
+        f = replace(product_problem64, epsilon=eps).cone
         sups.append(np.abs(f - product.delta * q**product.beta).max())
     assert sups[0] <= product.delta * 3.0 * 0.1
     assert sups[0] > sups[1] > sups[2]

@@ -128,8 +128,6 @@ def test_ricci_residual_negative_control(solved_product_128):
     v_flat = np.log(p.bg.area) - np.log(p.coefficient_values())
     fake = KESolution(problem=p,
                       v=ScalarField(p.bg.grid, v_flat),
-                      phi=ScalarField(p.bg.grid,
-                                      v_flat - p.cone_field_values()),
                       residual_history=(0.0,))
     b = sigma_barrier(p.bg.grid, [p.bg.model.cone_point])
     _, sup = ricci_residual(fake, b.level_mask(0.5))
@@ -166,7 +164,6 @@ def synthetic_power_solution(problem, exponent, center):
     p0 = replace(problem, epsilon=0.0)
     v = log_rho - np.log(p0.coefficient_values())
     return KESolution(problem=p0, v=ScalarField(grid, v),
-                      phi=ScalarField(grid, v - p0.cone_field_values()),
                       residual_history=(0.0,))
 
 

@@ -52,6 +52,19 @@ def test_rhs_shift_by_constant(problem64):
     assert np.abs((r0 - c) - r1).max() < 1e-12
 
 
+def test_snapshots_are_the_states_at_their_times(problem64):
+    state, traj, _ = run_flow(problem64, T=0.2, dt=0.05,
+                              snapshot_times=(0.1, 0.2))
+    assert sorted(traj.snapshots) == [0.1, 0.2]
+    assert traj.snapshots[0.2] is state
+    ops = FlowOps(problem64)
+    assert ops.cone is problem64.cone
+    for t, snap in traj.snapshots.items():
+        assert snap.t == pytest.approx(t)
+        assert np.array_equal(snap.density,
+                              ops.density_values(snap.phi.values))
+
+
 def test_rhs_identity_case_formula(problem64):
     # with F = (q + eps^2)^(1-beta) the rhs at phi = 0 has a closed form
     from coneflow.fibration_model import DensityData
@@ -62,7 +75,7 @@ def test_rhs_identity_case_formula(problem64):
                 density=DensityData(ScalarField(bg.grid, log_f)))
     ops = FlowOps(p)
     rhs = ops.rhs_values(np.zeros((bg.grid.n,) * 2))
-    cone = p.cone_field_values()      # already delta * chi
+    cone = p.cone      # already delta * chi
     expected = np.log(1.0 + 0.5 * lap_values(cone) / bg.area) - cone
     assert np.abs(rhs - expected).max() < 1e-12
 
@@ -84,7 +97,7 @@ def test_formulas_match_written_out_expressions(m2, eps):
     q, area, grid = bg.q.values, bg.area, bg.grid
     x, y = grid.mesh()
     phi = 0.02 * np.cos(2 * np.pi * x) * np.sin(4 * np.pi * y)
-    cone = p.cone_field_values()
+    cone = p.cone
     v = phi + cone
     ops = FlowOps(p)
     assert np.array_equal(
@@ -97,7 +110,7 @@ def test_formulas_match_written_out_expressions(m2, eps):
         ke_residual(p, ScalarField(grid, v)).values,
         area + 0.5 * lap_values(v) - p.coefficient_values() * np.exp(v))
     sol = KESolution(problem=p, v=ScalarField(grid, v),
-                     phi=ScalarField(grid, phi), residual_history=(0.0,))
+                     residual_history=(0.0,))
     log_rho = log_f + v - (1.0 - beta) * np.log(q + eps**2) + math.log(area)
     assert np.array_equal(sol.log_density_values(), log_rho)
     resid, _ = ricci_residual(sol, np.ones((64, 64), dtype=bool))

@@ -418,3 +418,51 @@ def test_preconditioned_cg_keeps_no_work_array(traced_peak_mib,
     op_symbol = -0.5 * _lap_multiplier(512)
     b = nyquist_field(512, seed=7)
     assert traced_peak_mib(lambda: preconditioned_cg(c, op_symbol, b)) <= 17.1
+
+
+@pytest.fixture()
+def chi_calls(monkeypatch):
+    """The arguments of each chi_values call that ke_solver makes."""
+    from coneflow import ke_solver
+    calls = []
+    real = ke_solver.chi_values
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ke_solver, "chi_values", counting)
+    return calls
+
+
+def test_continuation_forms_one_cone_per_rung(product, chi_calls):
+    # each rung's problem forms its cone once; the warm start and the
+    # solution's phi read it there
+    problem = build_problem(product, 64, 0.4)
+    chi_calls.clear()
+    sols, _ = continuation_solve(problem, [0.4, 0.2, 0.1, 0.05])
+    [sol.phi for sol in sols]
+    assert [args[0] for args in chi_calls] == [0.4, 0.2, 0.1, 0.05]
+
+
+def test_solve_and_flow_form_no_cone(product, chi_calls):
+    from coneflow.flow_engine import run_flow
+    problem = build_problem(product, 32, 0.1)
+    chi_calls.clear()
+    newton_solve(problem).phi
+    run_flow(problem, T=0.5, dt=0.05)
+    assert chi_calls == []
+
+
+def test_problem_cone_is_its_read_only_cone_field(product_problem64):
+    from coneflow.cone_smoothing import chi_values
+    p = product_problem64
+    q = p.bg.q.values
+    assert not p.cone.flags.writeable
+    assert np.array_equal(p.cone, p.delta * chi_values(p.epsilon, q, p.beta))
+    other = replace(p, epsilon=0.3)
+    assert np.array_equal(other.cone, p.delta * chi_values(0.3, q, p.beta))
+    assert not np.array_equal(other.cone, p.cone)
+    assert other == replace(other)      # cone takes no part in equality
+    sol = newton_solve(p)
+    assert np.array_equal(sol.phi.values, sol.v.values - p.cone)
