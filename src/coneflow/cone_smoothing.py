@@ -61,12 +61,30 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _PANEL_BATCH = 8192     # panels per batch: bounds the (batch, 24) node arrays
 
 
+def _panel_integrals(a, b, e2, beta):
+    """24-point Gauss-Legendre integrals of ((e2 + r)^beta - e2^beta) / r
+    over the panels [a, b] given as columns (M, 1), formed in two (M, 24)
+    arrays."""
+    half = 0.5 * (b - a)
+    r = half * _GL_NODES
+    r += 0.5 * (a + b)
+    f = e2 + r
+    f **= beta
+    f -= e2**beta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f /= r
+    f[r < 1e-14 * e2] = beta * e2**(beta - 1.0)   # removable at r = 0
+    return half[:, 0] * (f @ _GL_WEIGHTS)
+
+
 def chi_values(eps: float, x, beta: float) -> np.ndarray:
     """Vectorized kernel over an array of arguments.
 
-    Sorts the distinct values and accumulates Gauss-Legendre panels between
-    consecutive ones; the integrand is smooth for eps > 0, so 24-point
-    panels reach round-off.  Matches the scalar quadrature to ~1e-12.
+    Sorts the arguments once and accumulates Gauss-Legendre panels between
+    consecutive distinct values; the integrand is smooth for eps > 0, so
+    24-point panels reach round-off.  Matches the scalar quadrature to
+    ~1e-12.  Each sort-side array is dropped once spent, so the transients
+    stay at a few arrays of x's size.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
@@ -75,19 +93,28 @@ def chi_values(eps: float, x, beta: float) -> np.ndarray:
     if eps == 0.0:
         return x**beta
     e2 = eps * eps
-    xs, inverse = np.unique(x.ravel(), return_inverse=True)
-    lo = np.concatenate(([0.0], xs[:-1]))
+    flat = x.reshape(-1)
+    # the distinct values and their order are np.unique's (same quicksort)
+    order = np.argsort(flat)
+    ordered = np.take(flat, order)
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    xs = ordered[first]
+    del ordered
+    counts = np.diff(np.flatnonzero(first), append=flat.size)
+    del first
+    # each panel's lower end, overwritten by the panel once integrated
     panels = np.empty_like(xs)
+    panels[:1] = 0.0
+    panels[1:] = xs[:-1]
     for start in range(0, xs.size, _PANEL_BATCH):
-        a = lo[start:start + _PANEL_BATCH, None]
-        b = xs[start:start + _PANEL_BATCH, None]
-        half = 0.5 * (b - a)
-        r = 0.5 * (a + b) + half * _GL_NODES
-        f = np.empty_like(r)
-        small = r < 1e-14 * e2      # removable singularity at r = 0
-        f[small] = beta * e2**(beta - 1.0)
-        rr = r[~small]
-        f[~small] = ((e2 + rr)**beta - e2**beta) / rr
-        panels[start:start + _PANEL_BATCH] = half[:, 0] * (f @ _GL_WEIGHTS)
-    return (beta * np.cumsum(panels))[inverse].reshape(x.shape)
-
+        batch = slice(start, start + _PANEL_BATCH)
+        panels[batch] = _panel_integrals(panels[batch, None], xs[batch, None],
+                                         e2, beta)
+    del xs
+    np.cumsum(panels, out=panels)
+    panels *= beta
+    out = np.empty(x.shape)
+    out.reshape(-1)[order] = np.repeat(panels, counts)
+    return out

@@ -35,12 +35,12 @@ __all__ = [
 
 _AGM_MAX_ITER = 64
 # Points per block in the batched root and AGM loops: a 512 x 512 field
-# then needs a few small temporaries at a time, not dozens of full ones.
-# The size is part of the result's bits: 1 << 14 complex values fill
-# numpy's 256 KiB temporary-elision size, elision reverses the operands of
-# a complex product, and numpy's FMA complex multiply is not bitwise
-# commutative.  1 << 12 would trace 3.6 MiB less at N = 512 but moves
-# Im tau there by up to 8 ulps.
+# then runs in a few block-sized temporaries at a time, and no full-grid
+# complex array is formed.  The size is part of the result's bits:
+# 1 << 14 complex values fill numpy's 256 KiB temporary-elision size,
+# elision reverses the operands of a complex product, and numpy's FMA
+# complex multiply is not bitwise commutative.  1 << 12 would trace less
+# at N = 512 but moves Im tau there by up to 8 ulps.
 _BLOCK = 1 << 14
 
 
@@ -64,38 +64,72 @@ def discriminant(c: WeierstrassCurve) -> complex:
 
 def agm_array(a, b):
     """Elementwise complex AGM with the optimal square-root branch (see
-    _agm_in_place), on copies of a and b."""
-    a = np.asarray(a, dtype=complex).copy()
-    b = np.asarray(b, dtype=complex).copy()
-    _agm_in_place(a.reshape(-1), b.reshape(-1))
-    return a
+    _agm_steps); every point takes the same number of steps, as in
+    _streamed_agms."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    fa, fb = a.reshape(-1), b.reshape(-1)
+    out = np.empty(fa.size, dtype=complex)
+
+    def pairs(s):
+        return ((fa[s].copy(), fb[s].copy()),)
+
+    for s, (mean,) in _streamed_agms(_blocks(fa.size), pairs):
+        out[s] = mean
+    return out.reshape(a.shape)
 
 
-def _agm_in_place(a, b):
-    """Overwrite the 1-D complex array a with agm(a, b), using b as work space.
+def _agm_steps(a, b, k):
+    """Overwrite the 1-D complex arrays a, b with k AGM steps, then step on
+    until _agm_converged holds and overwrite a with (a + b) / 2.  Returns
+    the step count reached, k or more.
 
     The geometric mean takes the principal square root, flipped in sign
     whenever |a' - b'| > |a' + b'| (the branch that keeps the iteration
-    quadratically convergent).  Zero inputs are absorbing.  Every point
-    takes the same number of steps, the first at which all have converged;
-    the steps run block by block, so the temporaries stay small.
+    quadratically convergent).  Zero inputs are absorbing.
     """
     zero = (a == 0) | (b == 0)
     a[zero] = 0.0
     b[zero] = 0.0
-    blocks = _blocks(a.size)
-    for _ in range(_AGM_MAX_ITER):
-        if all(_agm_converged(a[s], b[s]) for s in blocks):
+    for step in range(_AGM_MAX_ITER):
+        if step >= k and _agm_converged(a, b):
             a += b
             a /= 2.0
-            return
-        for s in blocks:
-            an = (a[s] + b[s]) / 2.0
-            bn = np.sqrt(a[s] * b[s])
-            flip = np.abs(an - bn) > np.abs(an + bn)
-            a[s] = an
-            b[s] = np.where(flip, -bn, bn)
+            return step
+        an = (a + b) / 2.0
+        bn = np.sqrt(a * b)
+        flip = np.abs(an - bn) > np.abs(an + bn)
+        a[...] = an
+        b[...] = np.where(flip, -bn, bn)
     raise NumericalError("AGM did not converge within 64 iterations")
+
+
+def _streamed_agms(blocks, inputs):
+    """Run the AGMs of every block and yield (s, means) per block s.
+
+    inputs(s) returns the block's AGM input pairs ((a, b), ...) as fresh
+    1-D arrays, and means holds their AGMs, formed in place.  AGM j
+    steps every point exactly K[j] times, K[j] being the first step count
+    at which every block passes _agm_converged, so the result is that of
+    one AGM over the whole arrays, block by block.  Block 0 steps until it
+    converges, which sets K[j]; a later block runs K[j] steps and, if it
+    has not converged, steps on and raises K[j] to its own first
+    converged count.  A block finished under smaller counts is recomputed
+    from inputs(s) and yielded again (and may raise K once more), so every
+    count below the final K[j] has a block seen unconverged there.
+    """
+    ks = None
+    used = {}
+    todo = range(len(blocks))
+    while todo:
+        for i in todo:
+            pairs = inputs(blocks[i])
+            if ks is None:
+                ks = [0] * len(pairs)
+            ks = [_agm_steps(a, b, k) for (a, b), k in zip(pairs, ks)]
+            used[i] = ks
+            yield blocks[i], [a for a, _ in pairs]
+        todo = [i for i in range(len(blocks)) if used[i] != ks]
 
 
 def _agm_converged(a, b):
@@ -196,22 +230,16 @@ def normalize_tau(tau: complex) -> complex:
     return tau
 
 
-def _write_agm_inputs(e, out):
-    """Write the half-periods' AGM inputs for roots e (M, 3) into the rows
-    of out (4, M): sqrt(e1 - e2) and sqrt(e1 - e3) for w1, sqrt(e3 - e1)
-    and sqrt(e3 - e2) for w2."""
+def _agm_inputs(e):
+    """The half-periods' AGM inputs for roots e (M, 3), as the rows of a
+    (4, M) array: sqrt(e1 - e2) and sqrt(e1 - e3) for w1, sqrt(e3 - e1)
+    and sqrt(e3 - e2) for w2.  Once each pair of rows has run through
+    _agm_steps, w1 and w2 are pi / (2 rows[0]) and pi / (2 rows[2])."""
     e1, e2, e3 = e[:, 0], e[:, 1], e[:, 2]
-    for row, (x, y) in zip(out, ((e1, e2), (e1, e3), (e3, e1), (e3, e2))):
+    rows = np.empty((4, len(e)), dtype=complex)
+    for row, (x, y) in zip(rows, ((e1, e2), (e1, e3), (e3, e1), (e3, e2))):
         np.sqrt(x - y, out=row)
-
-
-def _half_period_agms(rows):
-    """Both AGMs, in place on rows filled by _write_agm_inputs: w1 and w2
-    are then pi / (2 rows[0]) and pi / (2 rows[2]).  Callers divide:
-    periods_from_weierstrass in Python complex arithmetic, which rounds
-    otherwise than numpy's."""
-    _agm_in_place(rows[0], rows[1])
-    _agm_in_place(rows[2], rows[3])
+    return rows
 
 
 def periods_from_weierstrass(c: WeierstrassCurve):
@@ -235,9 +263,10 @@ def periods_from_weierstrass(c: WeierstrassCurve):
         down, real, up = e[0, np.argsort(e[0].imag)]
         e[0] = ((real, up, down) if g3.real > 0 else
                 (up, down, real) if g3.real < 0 else (up, real, down))
-    rows = np.empty((4, 1), dtype=complex)
-    _write_agm_inputs(e, rows)
-    _half_period_agms(rows)
+    rows = _agm_inputs(e)
+    for a, b in zip(rows[::2], rows[1::2]):
+        _agm_steps(a, b, 0)
+    # Python complex division, which rounds otherwise than numpy's
     w1, w2 = (np.pi / complex(m) for m in 2.0 * rows[::2, 0])
     if (w2 / w1).imag < 0:
         w2 = -w2
@@ -326,28 +355,29 @@ def _evaluate_modes(x, y, const, modes):
 
 
 def _weierstrass_im_tau(model: WeierstrassFamilyTau, grid: Grid):
-    """Im(w2/w1) of the family at every grid point, in one pass over
-    blocks of _BLOCK points: the invariants, discriminant check, roots and
-    AGM inputs of a block, then both AGMs over the whole grid (every point
-    takes the same steps), then the period ratio block by block.  The AGM
-    inputs are the only full-grid complex arrays."""
+    """Im(w2/w1) of the family at every grid point, one block of _BLOCK
+    points at a time: a block's invariants, discriminant check, roots, AGM
+    inputs, both AGMs (_streamed_agms, which may recompute a block) and
+    period ratio.  No full-grid complex array is formed."""
     n = grid.n
     axis = grid.axis()
-    rows = np.empty((4, n * n), dtype=complex)
-    for s in _blocks(n * n):
+
+    def agm_pairs(s):
         i, j = np.divmod(np.arange(s.start, s.stop), n)
         x, y = axis[i], axis[j]
         g2 = _evaluate_modes(x, y, model.g2, model.g2_modes)
         g3 = _evaluate_modes(x, y, model.g3, model.g3_modes)
+        del i, j, x, y      # not held through the roots' temporaries
         disc = g2**3 - 27.0 * g3**2
         if np.any(np.abs(disc) < 1e-12):
             raise ModelError("Weierstrass family degenerates on the grid")
-        _write_agm_inputs(_block_roots(g2, g3, disc), rows[:, s])
-    _half_period_agms(rows)
+        rows = _agm_inputs(_block_roots(g2, g3, disc))
+        return tuple(zip(rows[::2], rows[1::2]))
+
     im = np.empty(n * n)
-    for s in _blocks(n * n):
-        w1 = np.pi / (2.0 * rows[0, s])
-        w2 = np.pi / (2.0 * rows[2, s])
+    for s, (m1, m2) in _streamed_agms(_blocks(n * n), agm_pairs):
+        w1 = np.pi / (2.0 * m1)
+        w2 = np.pi / (2.0 * m2)
         im[s] = np.abs((w2 / w1).imag)
     return im.reshape(n, n)
 

@@ -252,7 +252,8 @@ def assemble_density(model: FibrationModel, bg: BackgroundGeometry,
         raise ModelError(
             f"curvature source has nonzero mean {source.mean():.3e}; "
             "model areas are inconsistent")
-    log_f += solve_poisson_values(source - source.mean(), mean_tol=np.inf)
+    source -= source.mean()
+    log_f += solve_poisson_values(source, mean_tol=np.inf)
     log_f -= math.log(float(np.exp(log_f).mean()))
     return DensityData(log_density=ScalarField(grid, log_f))
 
@@ -288,8 +289,10 @@ def validate_lp(model: FibrationModel, grid_sizes=(128, 256, 512)) -> dict:
         bg = build_background(model, g)
         dens = assemble_density(model, bg, g)
         f_vals = dens.density_values()
+        del bg, dens        # no grid's fields outlive its own step
         low[n] = float((f_vals**p_low).mean())
         high[n] = float((f_vals**p_high).mean())
+        del f_vals
 
     ns = sorted(low)
     return {

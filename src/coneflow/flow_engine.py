@@ -120,16 +120,22 @@ class FlowOps:
                          density, self.rhs_values(phi_values, density))
 
 
+def _steps_to(t, dt):
+    """The number of dt steps that reach the time t, or None when t is not
+    a whole number of them (to 1e-9 relative)."""
+    ratio = t / dt
+    steps = round(ratio)
+    return None if abs(ratio - steps) > 1e-9 * ratio else int(steps)
+
+
 def _step_count(T, dt, where="flow"):
     """The number of dt steps in the horizon T, which must be a whole
-    number of them (to 1e-9 relative); ConfigurationError naming where
-    otherwise."""
-    ratio = T / dt
-    steps = round(ratio)
-    if abs(ratio - steps) > 1e-9 * ratio:
+    number of them; ConfigurationError naming where otherwise."""
+    steps = _steps_to(T, dt)
+    if steps is None:
         raise ConfigurationError(
             f"{where}: T={T} is not a whole number of steps of dt={dt}")
-    return int(steps)
+    return steps
 
 
 def _backward_euler(ops: FlowOps, state: FlowState):
@@ -213,7 +219,9 @@ def run_flow(problem: KEProblem, T: float, dt: float,
     masks maps names to boolean arrays; the trajectory records the sup gap
     to target_phi on each.  monitor_mask (default: the first mask) hosts
     the boundedness monitors sup|psi|, sup|d_t psi| and the trace of the
-    reference density against the evolving one.
+    reference density against the evolving one.  Each snapshot time must
+    be a step time k dt with 0 < k <= T/dt; the trajectory keeps the state
+    of that step under the requested time.
 
     Returns (final state, trajectory, decay report).
     """
@@ -222,6 +230,14 @@ def run_flow(problem: KEProblem, T: float, dt: float,
     if dt <= 0 or T <= 0:
         raise ConfigurationError("T and dt must be positive")
     n_steps = _step_count(T, dt)
+    snapshot_steps = {}
+    for t in sorted(snapshot_times):
+        k = _steps_to(t, dt)
+        if k is None or not 0 < k <= n_steps:
+            raise ConfigurationError(
+                f"snapshot time {t} is not a step time in (0, T={T}] "
+                f"of dt={dt}")
+        snapshot_steps.setdefault(k, t)
     ops = FlowOps(problem)
     n = problem.bg.grid.n
     masks = masks or {}
@@ -229,10 +245,9 @@ def run_flow(problem: KEProblem, T: float, dt: float,
         monitor_mask = next(iter(masks.values()))
     traj = Trajectory()
     state = ops.state(np.zeros((n, n)), 0.0, dt)
-    snapshot_times = sorted(snapshot_times)
     target = None if target_phi is None else target_phi.values
     try:
-        for _ in range(n_steps):
+        for k in range(1, n_steps + 1):
             state = flow_step(state, ops, scheme)
             phi, density = state.phi.values, state.density
             gaps = {}
@@ -250,8 +265,8 @@ def run_flow(problem: KEProblem, T: float, dt: float,
                     (ops.bg.area / density[monitor_mask]).max())
             traj.append(state.t, gaps, float(phi.mean()),
                         float(density.min()), monitors)
-            if snapshot_times and abs(state.t - snapshot_times[0]) < 0.5 * dt:
-                traj.snapshots[snapshot_times.pop(0)] = state
+            if k in snapshot_steps:
+                traj.snapshots[snapshot_steps[k]] = state
     except (DivergenceError, PositivityError) as exc:
         raise DivergenceError(
             f"flow aborted at t={state.t:.3f}: {exc}") from exc

@@ -178,9 +178,9 @@ def solve_poisson_values(rhs: np.ndarray, mean_tol: float = 1e-10) -> np.ndarray
     hat = half_spectrum(rhs)
     mult = 0.5 * _lap_multiplier(rhs.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        sol = hat / mult
-    sol[0, 0] = 0.0
-    return from_half_spectrum(sol)
+        np.divide(hat, mult, out=hat)
+    hat[0, 0] = 0.0
+    return from_half_spectrum(hat)
 
 
 def _phases(n: int, p):

@@ -15,11 +15,12 @@ from __future__ import annotations
 import math
 import numpy as np
 
+from .errors import ConfigurationError
 from .estimates import (EstimateReport, cone_angle, flow_masks,
                         multiplicity_exponent, ricci_residual, trace_field,
                         verify_c0_convergence, verify_trace_bound)
 from .fibration_model import FibrationModel, _fiber_threshold, validate_lp
-from .flow_engine import run_flow
+from .flow_engine import _steps_to, run_flow
 from .ke_solver import build_problem, extrapolated_solution, newton_solve
 from .torus_field import ScalarField
 
@@ -46,13 +47,13 @@ def run_verification_suite(model: FibrationModel, grid_n: int = 128,
                            flow_epsilon: float = 0.05,
                            qr_mask_level: float = 0.1) -> dict:
     """Run the full suite on one model; returns {key: EstimateReport}."""
+    snapshot_times = _trace_times(flow_T, flow_dt)
     problem = build_problem(model, grid_n, flow_epsilon)
     bg = problem.bg
     barrier, masks = flow_masks(bg, SIGMA_LEVELS, qr_mask_level)
 
     # stationary target at the flow's epsilon, then the flow itself
     target = newton_solve(problem)
-    snapshot_times = [t for t in TRACE_TIMES if t <= flow_T]
     state, traj, decay = run_flow(
         problem, flow_T, flow_dt, scheme, masks=masks,
         target_phi=target.phi, monitor_mask=masks["sigma>=0.2"],
@@ -70,6 +71,18 @@ def run_verification_suite(model: FibrationModel, grid_n: int = 128,
     reports["prop-2.1-holder"] = _holder_report(cont_report)
     reports["F-Lp"] = _lp_report(model)
     return reports
+
+
+def _trace_times(flow_T, flow_dt):
+    """The TRACE_TIMES that a flow of horizon flow_T and step flow_dt lands
+    on, where the trace bounds are sampled; ConfigurationError if none."""
+    times = [t for t in TRACE_TIMES
+             if t <= flow_T and _steps_to(t, flow_dt) is not None]
+    if not times:
+        raise ConfigurationError(
+            f"flow: T={flow_T} with dt={flow_dt} reaches none of the trace "
+            f"times {list(TRACE_TIMES)} that verify all samples")
+    return times
 
 
 def _decay_rate_report(decay) -> EstimateReport:

@@ -1,3 +1,5 @@
+import importlib.util
+import os
 import tracemalloc
 
 import numpy as np
@@ -116,6 +118,22 @@ def traced_peak_mib():
         finally:
             tracemalloc.stop()
     return measure
+
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "bench")
+
+
+@pytest.fixture(scope="session")
+def load_bench():
+    """load_bench(name): the module bench/<name>.py, loaded as it is."""
+    def load(name):
+        spec = importlib.util.spec_from_file_location(
+            f"bench_{name}", os.path.join(BENCH, f"{name}.py"))
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    return load
 
 
 @pytest.fixture()

@@ -6,27 +6,17 @@ deleting one of those entry points would break the benchmark without
 failing any other test.  These tests load the bench modules as they are.
 """
 
-import importlib.util
+import importlib
 import os
 
 import numpy as np
+import pytest
 
-from coneflow import ke_solver
+from coneflow import cli, ke_solver
 from coneflow.fibration_model import product_model
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "bench")
 
-
-def load_bench(name):
-    spec = importlib.util.spec_from_file_location(
-        f"bench_{name}", os.path.join(BENCH, f"{name}.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_tracer_installs_and_removes_every_layer():
+def test_tracer_installs_and_removes_every_layer(load_bench):
     tracing = load_bench("tracing")
     tracer = tracing.Tracer(tracing.LAYER_NAMES)
     originals = (ke_solver.build_background, ke_solver.assemble_density,
@@ -47,7 +37,7 @@ def test_tracer_installs_and_removes_every_layer():
         assert not hasattr(owner, "__wrapped__"), attr
 
 
-def test_tracer_reads_the_solver_counts():
+def test_tracer_reads_the_solver_counts(load_bench):
     # the tracer reads its counts from the solvers' return values: Newton
     # iterations from newton_solve, rungs from continuation_solve's report
     # and CG iterations from preconditioned_cg
@@ -62,7 +52,7 @@ def test_tracer_reads_the_solver_counts():
     assert totals["ke_solver.preconditioned_cg"]["iters"] > 0
 
 
-def test_flow_workload_setup_builds_its_problem(tmp_path):
+def test_flow_workload_setup_builds_its_problem(load_bench, tmp_path):
     workloads = load_bench("workloads")
     state = workloads.flow_setup(3001, str(tmp_path))
     problem = state["problem"]
@@ -70,3 +60,23 @@ def test_flow_workload_setup_builds_its_problem(tmp_path):
     assert np.abs(problem.density.log_density.values).max() == 0.0
     assert sorted(state["masks"]) == ["qr>=0.1", "sigma>=0.2", "sigma>=0.4",
                                       "sigma>=0.6"]
+
+
+@pytest.mark.parametrize("seed", [3001, 7])
+def test_verify_workload_setup_writes_a_loadable_model(load_bench, tmp_path,
+                                                       seed):
+    workloads = load_bench("workloads")
+    state = workloads.verify_setup(seed, str(tmp_path))
+    assert state["main"] is cli.main
+    assert state["out"] == os.path.join(str(tmp_path), "out")
+    model = cli.load_model(state["model"])
+    shift = workloads.translation(seed)
+    assert model.cone_point == pytest.approx(
+        ((0.5 + shift[0]) % 1.0, (0.5 + shift[1]) % 1.0))
+    assert [(f.multiplicity, f.ib_index) for f in model.fibers] == [(1, 0)]
+    tau = model.tau_model
+    assert tau.kind == "weierstrass" and (tau.g2, tau.g3) == (4.0, 0.0)
+    assert [m[:2] for m in tau.g2_modes] == [(1, 0)]
+    assert [m[:2] for m in tau.g3_modes] == [(0, 1)]
+    assert abs(tau.g2_modes[0][2]) == pytest.approx(0.2)
+    assert abs(tau.g3_modes[0][2]) == pytest.approx(0.15)

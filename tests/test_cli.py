@@ -403,6 +403,22 @@ def test_verify_all_rejects_sigma_levels_it_does_not_measure(
                       "energy,min_density")
 
 
+@pytest.mark.parametrize("flow, reach", [
+    ({"T": 9, "dt": 0.3}, "T=9.0 with dt=0.3"),
+    ({"T": 0.5, "dt": 0.01}, "T=0.5 with dt=0.01")])
+def test_verify_all_rejects_a_flow_that_misses_the_trace_times(
+        model_file, tmp_path, capsys, flow, reach):
+    # the trace bounds are sampled at verify.TRACE_TIMES; steps of 0.3 miss
+    # 1 and 5, and a flow to T = 0.5 reaches none of them
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, model_file, output_dir=str(out), flow=flow)
+    assert main(["verify", "all", "--config", cfg]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: flow: {reach} reaches none of the trace times "
+        "[1.0, 5.0, 10.0, 20.0] that verify all samples"]
+    assert not out.exists()
+
+
 def translation(seed):
     """The benchmark's lattice shift for a seed (bench/workloads.py)."""
     rng = random.Random(seed)

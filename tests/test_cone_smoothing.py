@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from coneflow import cone_smoothing
 from coneflow.cone_smoothing import chi, chi_values
 from coneflow.errors import ConfigurationError
+from coneflow.torus_field import green_values, make_grid
 
 
 def chi_half_closed_form(eps, x):
@@ -79,6 +81,63 @@ def test_chi_values_matches_scalar():
         vec = chi_values(eps, xs, beta)
         for xi, vi in zip(xs, vec):
             assert vi == pytest.approx(chi(eps, float(xi), beta), abs=1e-10)
+
+
+def chi_values_by_unique(eps, x, beta):
+    """chi_values as formed with np.unique(..., return_inverse=True): the
+    distinct values, their panels, and the cumulative sums gathered back
+    through the inverse index."""
+    x = np.asarray(x, dtype=float)
+    e2 = eps * eps
+    xs, inverse = np.unique(x.ravel(), return_inverse=True)
+    lo = np.concatenate(([0.0], xs[:-1]))
+    panels = np.empty_like(xs)
+    batch = cone_smoothing._PANEL_BATCH
+    for start in range(0, xs.size, batch):
+        a = lo[start:start + batch, None]
+        b = xs[start:start + batch, None]
+        half = 0.5 * (b - a)
+        r = 0.5 * (a + b) + half * cone_smoothing._GL_NODES
+        f = np.empty_like(r)
+        small = r < 1e-14 * e2
+        f[small] = beta * e2**(beta - 1.0)
+        rr = r[~small]
+        f[~small] = ((e2 + rr)**beta - e2**beta) / rr
+        panels[start:start + batch] = \
+            half[:, 0] * (f @ cone_smoothing._GL_WEIGHTS)
+    return (beta * np.cumsum(panels))[inverse].reshape(x.shape)
+
+
+def q_field(n, p):
+    """q as build_background forms it, for a cone point p."""
+    q = green_values(make_grid(n), p)
+    q -= q.max()
+    return np.exp(q, out=q)
+
+
+@pytest.mark.parametrize("n", [64, 128, 256,
+                               pytest.param(512, marks=pytest.mark.slow)])
+def test_chi_values_bits_match_the_unique_formulation(n):
+    for p in ((0.5, 0.5), (0.3, 0.7)):
+        q = q_field(n, p)
+        for eps in (0.4, 0.05, 0.02):
+            for beta in (0.5, 0.3):
+                assert chi_values(eps, q, beta).tobytes() == \
+                    chi_values_by_unique(eps, q, beta).tobytes()
+
+
+def test_chi_values_on_repeated_values_and_zeros():
+    rng = np.random.default_rng(4)
+    for x in (np.array([0.0, -0.0, 0.5, 0.0, 0.5, 1.0, -0.0]),
+              np.zeros((3, 5)),
+              np.round(rng.uniform(0.0, 1.0, (37, 41)), 2),
+              rng.uniform(0.0, 1.0, (6, 10))[:, ::3],
+              np.array(0.3), np.array([])):
+        for eps, beta in ((0.4, 0.5), (0.05, 0.3)):
+            got = chi_values(eps, x, beta)
+            assert got.shape == x.shape
+            want = chi_values_by_unique(eps, x, beta)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_chi_envelope_and_monotonicity():

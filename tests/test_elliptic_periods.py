@@ -417,10 +417,78 @@ MULTI_MODE_FAMILY = WeierstrassFamilyTau(
     g3_modes=((0, 1, 0.15 + 0.05j), (1, 1, 0.08), (3, -2, 0.02)))
 
 
+# g3 = 0.999 exp(2 pi i x) over g2 = 3: on a 16 x 16 grid in blocks of 32
+# points the blocks' two AGMs first converge after (4, 5), (4, 4),
+# (4, 6), (4, 6), (5, 7), (4, 6), (4, 6) and (4, 4) steps, and stopping
+# a block at its own count moves the last bits of 16 points
+STEP_FAMILY = WeierstrassFamilyTau(g2=3.0, g3=0.0, g3_modes=((1, 0, 0.999),))
+
+
+def whole_grid_agm_im_tau(model, grid):
+    """Im tau as tau_field formed it with whole-grid AGMs: every block's
+    AGM inputs in four full-grid rows, each AGM stepping all points until
+    every block passes _agm_converged, then the period ratio block by
+    block."""
+    n = grid.n
+    axis = grid.axis()
+    blocks = elliptic_periods._blocks(n * n)
+    rows = np.empty((4, n * n), dtype=complex)
+    for s in blocks:
+        i, j = np.divmod(np.arange(s.start, s.stop), n)
+        x, y = axis[i], axis[j]
+        g2 = elliptic_periods._evaluate_modes(x, y, model.g2, model.g2_modes)
+        g3 = elliptic_periods._evaluate_modes(x, y, model.g3, model.g3_modes)
+        rows[:, s] = elliptic_periods._agm_inputs(
+            elliptic_periods._block_roots(g2, g3, g2**3 - 27.0 * g3**2))
+    for a, b in (rows[:2], rows[2:]):
+        zero = (a == 0) | (b == 0)
+        a[zero] = 0.0
+        b[zero] = 0.0
+        for _ in range(64):
+            if all(elliptic_periods._agm_converged(a[s], b[s])
+                   for s in blocks):
+                break
+            for s in blocks:
+                an = (a[s] + b[s]) / 2.0
+                bn = np.sqrt(a[s] * b[s])
+                flip = np.abs(an - bn) > np.abs(an + bn)
+                a[s] = an
+                b[s] = np.where(flip, -bn, bn)
+        a += b
+        a /= 2.0
+    im = np.empty(n * n)
+    for s in blocks:
+        w1 = np.pi / (2.0 * rows[0, s])
+        w2 = np.pi / (2.0 * rows[2, s])
+        im[s] = np.abs((w2 / w1).imag)
+    return im.reshape(n, n)
+
+
 @pytest.mark.parametrize("model", [BENCH_FAMILY, MULTI_MODE_FAMILY])
 def test_tau_field_streams_the_full_grid_formula(grid256, model):
     im = tau_field(model, grid256)[0].values
     assert np.array_equal(im, full_grid_im_tau(model, grid256))
+    assert im.tobytes() == whole_grid_agm_im_tau(model, grid256).tobytes()
+
+
+def test_streamed_agms_recompute_blocks_under_the_final_step_count(
+        monkeypatch):
+    # later blocks of STEP_FAMILY need more AGM steps than block 0, so the
+    # blocks finished under a smaller count are recomputed: the roots of
+    # more than 8 blocks are formed, and the bits are the whole-grid AGMs'
+    grid = make_grid(16)
+    monkeypatch.setattr(elliptic_periods, "_BLOCK", 32)
+    calls = []
+    block_roots = elliptic_periods._block_roots
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return block_roots(*args)
+
+    monkeypatch.setattr(elliptic_periods, "_block_roots", counted)
+    im = tau_field(STEP_FAMILY, grid)[0].values
+    assert len(calls) > 8 and set(calls) == {32}
+    assert im.tobytes() == whole_grid_agm_im_tau(STEP_FAMILY, grid).tobytes()
 
 
 def test_tau_field_rejects_a_family_degenerate_past_the_first_block(grid256):
@@ -448,10 +516,11 @@ def test_cubic_roots_independent_of_block_size(monkeypatch):
 
 @pytest.mark.slow
 def test_tau_field_memory_at_512(traced_peak_mib):
-    # the four AGM input rows (16 MiB) and one block's root temporaries;
-    # the full-grid formula (full_grid_im_tau) needs 32 MiB
+    # the 2 MiB result and one block's root temporaries; whole-grid AGM
+    # rows would add 16 MiB, the full-grid formula (full_grid_im_tau)
+    # needs 32 MiB
     grid = make_grid(512)
-    assert traced_peak_mib(lambda: tau_field(BENCH_FAMILY, grid)) <= 28.0
+    assert traced_peak_mib(lambda: tau_field(BENCH_FAMILY, grid)) <= 10.0
 
 
 def test_constant_tau_requires_upper_half_plane():

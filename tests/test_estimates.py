@@ -302,6 +302,15 @@ def test_lp_report_growth_rule_unchanged(monkeypatch):
     assert rep.max_violation == pytest.approx(0.01)
 
 
+def test_trace_times_are_the_step_times_of_the_flow():
+    from coneflow import verify
+    assert verify._trace_times(20.0, 0.05) == [1.0, 5.0, 10.0, 20.0]
+    assert verify._trace_times(8.0, 0.2) == [1.0, 5.0]
+    assert verify._trace_times(12.5, 2.5) == [5.0, 10.0]
+    with pytest.raises(ConfigurationError, match="reaches none"):
+        verify._trace_times(9.0, 0.3)
+
+
 def test_report_json_deterministic(grid64):
     b = sigma_barrier(grid64, [(0.5, 0.5)])
     f = constant(grid64, 1.0)

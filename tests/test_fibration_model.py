@@ -158,6 +158,17 @@ def test_validate_lp_product():
 
 
 @pytest.mark.slow
+def test_validate_lp_memory_on_the_benchmark_family(load_bench, tmp_path,
+                                                    traced_peak_mib):
+    # the verify_wp_quick model: each N = 512 stage runs in a few N^2
+    # words, with no full-grid AGM rows and no earlier grid's fields
+    from coneflow.cli import load_model
+    state = load_bench("workloads").verify_setup(3001, str(tmp_path))
+    model = load_model(state["model"])
+    assert traced_peak_mib(lambda: validate_lp(model)) <= 15.0
+
+
+@pytest.mark.slow
 def test_validate_lp_m2_trends(m2):
     rep = validate_lp(m2, grid_sizes=(128, 256, 512))
     assert rep["p_star"] == pytest.approx(2.0)

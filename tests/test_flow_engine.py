@@ -54,8 +54,8 @@ def test_rhs_shift_by_constant(problem64):
 
 def test_snapshots_are_the_states_at_their_times(problem64):
     state, traj, _ = run_flow(problem64, T=0.2, dt=0.05,
-                              snapshot_times=(0.1, 0.2))
-    assert sorted(traj.snapshots) == [0.1, 0.2]
+                              snapshot_times=(0.2, 0.1))
+    assert list(traj.snapshots) == [0.1, 0.2]
     assert traj.snapshots[0.2] is state
     ops = FlowOps(problem64)
     assert ops.cone is problem64.cone
@@ -63,6 +63,19 @@ def test_snapshots_are_the_states_at_their_times(problem64):
         assert snap.t == pytest.approx(t)
         assert np.array_equal(snap.density,
                               ops.density_values(snap.phi.values))
+
+
+@pytest.fixture(scope="module")
+def problem32():
+    return make_problem(32)
+
+
+@pytest.mark.parametrize("times", [(0.0, 0.2), (0.07, 0.2), (0.2, 0.35)])
+def test_snapshot_times_must_be_step_times(problem32, times):
+    # t = 0 is no step, 0.07 falls between the steps 0.05 and 0.1, and
+    # 0.35 lies past T; none may block or relabel the other snapshots
+    with pytest.raises(ConfigurationError, match="not a step time"):
+        run_flow(problem32, T=0.3, dt=0.05, snapshot_times=times)
 
 
 def test_rhs_identity_case_formula(problem64):
