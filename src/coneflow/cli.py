@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from .errors import ConeflowError, ConfigurationError, ModelError
 from .fibration_model import (_integer, _known_keys, _read, _real,
                               lp_threshold, model_from_json_dict)
-from .flow_engine import SCHEMES, _step_count, run_flow
+from .flow_engine import SCHEMES, _step_count, _steps_to, run_flow
 from .ke_solver import build_problem, continuation_solve, newton_solve
 from .torus_field import write_field_csv, write_field_pgm
 from .verify import SIGMA_LEVELS, run_verification_suite
@@ -40,6 +40,7 @@ DEFAULT_GRID_N = 128
 DEFAULT_EPSILON_SCHEDULE = (0.4, 0.2, 0.1, 0.05)
 DEFAULT_FLOW = {"T": 20.0, "dt": 0.05, "scheme": "backward-euler-newton"}
 DEFAULT_MASKS = {"qr_min": 0.1, "sigma_levels": [0.2, 0.4, 0.6]}
+QUICK_T = 8.0       # --quick's cap on the flow horizon
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,7 @@ def _build_parser():
         sp.add_argument("--grid-n", type=int, default=None)
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--quick", action="store_true",
-                        help="smoke-test scale: N=64, T=8")
+                        help="smoke-test scale: N=64, T at most 8")
 
     model_p = sub.add_parser("model", help="model-file operations")
     model_sub = model_p.add_subparsers(dest="action", required=True)
@@ -318,6 +319,22 @@ def _build_parser():
     return p
 
 
+def _quick_horizon(flow) -> float:
+    """The flow's T under --quick: at most QUICK_T, and the most whole steps
+    of its dt that fit there when T is longer."""
+    T = _read(flow, "T", "config.flow", _real, DEFAULT_FLOW["T"])
+    dt = _read(flow, "dt", "config.flow", _real, DEFAULT_FLOW["dt"])
+    if T <= QUICK_T or dt <= 0.0:
+        return T
+    if _steps_to(QUICK_T, dt) is not None:
+        return QUICK_T
+    steps = math.floor(QUICK_T / dt)
+    if steps == 0:
+        raise ConfigurationError(
+            f"config.flow: --quick caps T at {QUICK_T}, below dt={dt}")
+    return steps * dt
+
+
 def _config_from_args(args) -> RunConfig:
     """The run config of the flags over the --config file, checked once by
     parse_config_dict; --model is relative to the working directory."""
@@ -340,8 +357,7 @@ def _config_from_args(args) -> RunConfig:
             flow[key] = getattr(args, key)
     if args.quick:
         d["grid_n"] = 64
-        flow["T"] = min(_read(flow, "T", "config.flow", _real,
-                              DEFAULT_FLOW["T"]), 8.0)
+        flow["T"] = _quick_horizon(flow)
     d["flow"] = flow
     return parse_config_dict(d, base_dir)
 

@@ -13,13 +13,17 @@ RK4 with a conservative stability guard is kept as a cross-check.
 The 4D oracle evolves the same flow on a coarse product of a fiber torus
 and the base, computing the full 2x2 Hermitian determinant spectrally.
 For fiber-constant data its right-hand side agrees with the reduced one
-to round-off, which is the reduction's correctness certificate.
+to round-off, which is the reduction's correctness certificate.  Its step
+is linearly implicit: the frozen-coefficient linearization
+L = (1/2) (e^t / fiber_area) Lap_w + (1/2) Lap_s / q_min - 1, with symbol
+-(1/2) (e^t / fiber_area) |2 pi k_w|^2 - (1/2) |2 pi k_s|^2 / q_min - 1,
+is inverted exactly in Fourier space, so the fiber modes, which stiffen
+like e^t as the fibers shrink, set no step bound.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,7 +31,8 @@ import numpy as np
 from .errors import (ConfigurationError, DivergenceError, PositivityError,
                      StabilityGuardError)
 from .ke_solver import KEProblem, build_problem, damped_newton
-from .torus_field import ScalarField, lap_values, _lap_multiplier
+from .torus_field import (ScalarField, from_half_spectrum, half_spectrum,
+                          lap_values, _lap_multiplier)
 
 __all__ = [
     "FlowState",
@@ -43,9 +48,6 @@ SCHEMES = ("backward-euler-newton", "rk4-explicit")
 STEP_TOL = 1e-12
 STEP_MAX_NEWTON = 30
 STEP_CG_FLOOR = 1e-13
-
-# the second of ProductFlow4D.rhs's two threads (started on first use)
-_HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="coneflow-4d")
 
 
 @dataclass(frozen=True)
@@ -297,12 +299,15 @@ def fit_decay_slope(times, gaps):
 # ---------------------------------------------------------------------------
 
 class ProductFlow4D:
-    """Full product-space flow on fiber nf^2 x base nb^2, explicit Euler.
+    """Full product-space flow on fiber nf^2 x base nb^2, linearly implicit.
 
     Valid for product models only (constant tau, no singular fibers,
     density F identically one).  The fiber carries a flat form of constant
-    density fiber_area; larger fiber area softens the fiber stiffness and
-    is what admits the documented dt at horizon T = 2.
+    density fiber_area, which the flow shrinks like e^-t, so the fiber
+    Laplacian stiffens like e^t.  run steps linearly implicitly,
+    phi <- phi + dt (I - dt L)^-1 rhs(phi), where L's Fourier symbol
+    -(1/2) (e^t / fiber_area) |2 pi k_w|^2 - (1/2) |2 pi k_s|^2 / q_min - 1
+    takes the stiffness, so a fixed dt stays stable all the same.
     """
 
     def __init__(self, problem: KEProblem, nf: int = 16, nb: int = 32,
@@ -312,14 +317,15 @@ class ProductFlow4D:
             raise ConfigurationError("the 4D oracle supports product models only")
         if np.abs(problem.density.log_density.values).max() > 1e-10:
             raise ConfigurationError("the 4D oracle requires F identically 1")
-        import scipy.fft    # deferred: slow to import, used only here
-        self._fft = scipy.fft
         self.nf = nf
         self.nb = nb
         self.fiber_area = float(fiber_area)
         self.base_problem = replace(build_problem(model, nb, problem.epsilon),
                                     beta=problem.beta, delta=problem.delta)
         self.base_ops = FlowOps(self.base_problem)
+        # the least base density at phi = 0 scales run's implicit base part
+        self._q_min = float(self.base_ops.density_values(
+            np.zeros((nb, nb))).min())
 
         kf = np.fft.fftfreq(nf, d=1.0 / nf)
         kb = np.fft.fftfreq(nb, d=1.0 / nb)
@@ -334,7 +340,6 @@ class ProductFlow4D:
         self._mult_mixed = m_re + 1j * m_im
         self._base_log_prefactor = self.base_ops.log_prefactor \
             - math.log(self.fiber_area)
-        self._spectra = np.empty((2, nf, nf, nb, nb), dtype=complex)
 
     def initial_state(self, fiber_mode_amplitude: float = 0.0):
         phi = np.zeros((self.nf, self.nf, self.nb, self.nb))
@@ -345,100 +350,68 @@ class ProductFlow4D:
         return phi
 
     def rhs(self, phi, t):
-        # p = e^-t A + lap_w/2, q = area + lap_s/2 + half_lap_cone,
-        # det = p q - m_re^2 - m_im^2 with m = z2/2; the result is
-        # t + log_prefactor + log(det) - phi - cone.  Same operations in
-        # the same order as that plain formula (bitwise the same values),
-        # on two threads: the two multiplier products and inverse transforms
-        # run side by side, then each thread takes half the fiber rows of
-        # the pointwise part.
-        hat = self._fft.fftn(phi, workers=2)
-        pending = _HELPER.submit(self._inverse, self._mult_lap, hat,
-                                 self._spectra[0])
-        z2 = self._inverse(self._mult_mixed, hat, self._spectra[1])
-        z1 = pending.result()
-        out = np.empty(phi.shape)
-        half = phi.shape[0] // 2
-        pending = _HELPER.submit(self._rows, z1, z2, phi, t, out,
-                                 range(half, phi.shape[0]))
-        inside = self._rows(z1, z2, phi, t, out, range(half))
-        if not (pending.result() and inside):
+        """t + log_prefactor + log(p q - |m|^2) - phi - cone at time t, with
+        p = e^-t fiber_area + (1/2) Lap_w phi the fiber density,
+        q = area + (1/2) Lap_s phi + (1/2) Lap cone the base density and m
+        half the mixed derivative z2 of phi."""
+        hat = np.fft.fftn(phi)
+        z1 = np.fft.ifftn(self._mult_lap * hat)
+        z2 = np.fft.ifftn(self._mult_mixed * hat)
+        ops = self.base_ops
+        p = math.exp(-t) * self.fiber_area + 0.5 * z1.real
+        q = ops.bg.area + 0.5 * z1.imag + ops.half_lap_cone
+        det = p * q - (0.5 * z2.real)**2 - (0.5 * z2.imag)**2
+        if p.min() <= 0.0 or det.min() <= 0.0:
             raise PositivityError("4D determinant left the Kahler cone")
-        return out
-
-    def _inverse(self, mult, hat, out):
-        """ifftn(mult * hat), with the product written into out."""
-        return self._fft.ifftn(np.multiply(mult, hat, out=out), workers=1,
-                               overwrite_x=True)
-
-    def _rows(self, z1, z2, phi, t, out, rows):
-        """The pointwise part of rhs on the given fiber rows, one row
-        (nf x nb x nb, in cache) at a time; False as soon as p or det is
-        not positive."""
-        fiber = math.exp(-t) * self.fiber_area
-        shift = t + self._base_log_prefactor
-        p = np.empty(phi.shape[1:])
-        m = np.empty_like(p)
-        for i in rows:
-            det = out[i]
-            np.multiply(z1[i].real, 0.5, out=p)
-            p += fiber
-            np.multiply(z1[i].imag, 0.5, out=det)
-            np.add(self.base_ops.bg.area, det, out=det)
-            det += self.base_ops.half_lap_cone
-            det *= p
-            np.multiply(z2[i].real, 0.5, out=m)
-            det -= np.square(m, out=m)
-            np.multiply(z2[i].imag, 0.5, out=m)
-            det -= np.square(m, out=m)
-            if p.min() <= 0.0 or det.min() <= 0.0:
-                return False
-            np.add(shift, np.log(det, out=det), out=det)
-            det -= phi[i]
-            det -= self.base_ops.cone
-        return True
-
-    def stability_limit(self, horizon_t: float) -> float:
-        """Euler step bound 2/lambda for the stiffest linear mode."""
-        lam_fiber = (math.exp(horizon_t) * 2.0 * np.pi**2
-                     * 2.0 * (self.nf / 2)**2 / self.fiber_area)
-        q_min = float(self.base_ops.density_values(
-            np.zeros((self.nb, self.nb))).min())
-        lam_base = 2.0 * np.pi**2 * 2.0 * (self.nb / 2)**2 / q_min
-        return 2.0 / (lam_fiber + lam_base + 1.0)
+        return t + self._base_log_prefactor + np.log(det) - phi - ops.cone
 
     def fiber_gap(self, phi) -> float:
         """sup |psi - fiber-average psi| (the cone part is fiber-constant)."""
         return float(np.abs(phi - phi.mean(axis=(0, 1))[None, None]).max())
 
-    def run(self, T: float, dt: float, phi=None, sample_every: int = 50,
+    def run(self, T: float, dt: float, phi=None,
             reduced_reference: bool = False):
-        """Explicit Euler to time T, a whole number of steps dt; returns
-        (phi, samples dict).
+        """Linearly implicit Euler to time T, a whole number of steps dt,
+        sampling every step; returns (phi, samples dict).
 
-        With reduced_reference=True a reduced-flow Euler trajectory on the
-        base grid is advanced in lockstep and the sup difference recorded.
+        A step from time t is phi <- phi + dt (I - dt L)^-1 rhs(phi, t), with
+        L = (1/2) (e^t / fiber_area) Lap_w + (1/2) Lap_s / q_min - 1 the
+        linearized rhs with frozen density coefficients: the fiber density
+        e^-t fiber_area of a fiber-constant state, and q_min, the least
+        base density at phi = 0, which over-damps the base part.  L is
+        diagonal in the Fourier basis with every mode damped, so the fiber
+        modes, which stiffen like e^t, set no step bound; a stationary phi
+        stays one.
+
+        With reduced_reference=True the reduced flow on the base grid takes
+        the same step in lockstep, with L's base part (1/2) Lap / q_min - 1,
+        which is L on fiber-constant modes, and the sup difference is
+        recorded.
         """
-        limit = self.stability_limit(T)
-        if dt > limit:
-            raise StabilityGuardError(
-                f"4D explicit step dt={dt} exceeds the Euler bound "
-                f"{limit:.3e} at horizon T={T}")
         phi = self.initial_state() if phi is None else np.array(phi, dtype=float)
         phi_red = np.zeros((self.nb, self.nb)) if reduced_reference else None
         n_steps = _step_count(T, dt, "ProductFlow4D.run")
+        # I/dt - L is real and even in k, so it acts on half spectra: the
+        # 4D one (its last axis halved, as rfftn leaves it; the symbols
+        # depend on k^2 only) and the base one
+        lap = self._mult_lap[..., :self.nb // 2 + 1]
+        base_symbol = (1.0 / dt + 1.0) - (0.5 / self._q_min) * lap.imag
+        reduced_symbol = (1.0 / dt + 1.0) - (0.5 / self._q_min) \
+            * _lap_multiplier(self.nb)
         samples = {"t": [], "fiber_gap": [], "reduced_diff": []}
         for s in range(n_steps):
             t = s * dt
-            step = self.rhs(phi, t)
-            step *= dt
-            phi += step         # phi is this run's own copy
+            hat = np.fft.rfftn(self.rhs(phi, t))
+            hat /= base_symbol - (0.5 * math.exp(t) / self.fiber_area) \
+                * lap.real
+            # in place: phi is this run's own copy
+            phi += np.fft.irfftn(hat, phi.shape, axes=range(4))
+            samples["t"].append((s + 1) * dt)
+            samples["fiber_gap"].append(self.fiber_gap(phi))
             if reduced_reference:
-                phi_red = phi_red + dt * self.base_ops.rhs_values(phi_red)
-            if (s + 1) % sample_every == 0 or s + 1 == n_steps:
-                samples["t"].append((s + 1) * dt)
-                samples["fiber_gap"].append(self.fiber_gap(phi))
-                if reduced_reference:
-                    samples["reduced_diff"].append(float(
-                        np.abs(phi - phi_red[None, None]).max()))
+                hat = half_spectrum(self.base_ops.rhs_values(phi_red))
+                hat /= reduced_symbol
+                phi_red = phi_red + from_half_spectrum(hat)
+                samples["reduced_diff"].append(float(
+                    np.abs(phi - phi_red[None, None]).max()))
         return phi, samples

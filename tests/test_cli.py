@@ -131,6 +131,18 @@ def test_flags_override_config_flow(tmp_path, model_file):
     assert parse_config(short, "--quick").flow["T"] == 3.0
 
 
+def test_quick_clamps_to_whole_steps(tmp_path, model_file):
+    # 8 is not a whole number of steps of 0.3: --quick keeps 26 of them
+    path = write_config(tmp_path, model_file, flow={"T": 9.0, "dt": 0.3})
+    quick = parse_config(path, "--quick", command=("flow", "run"))
+    assert quick.flow["T"] == pytest.approx(7.8, rel=1e-15)
+    assert parse_config(path, "--quick", "--dt", "0.25",
+                        command=("flow", "run")).flow["T"] == 8.0
+    with pytest.raises(ConfigurationError,
+                       match=r"--quick caps T at 8.0, below dt=8.5"):
+        parse_config(path, "--quick", "--dt", "8.5", command=("flow", "run"))
+
+
 def test_model_beta_range_error(tmp_path):
     path = tmp_path / "bad_model.json"
     path.write_text(json.dumps({"beta": 1.2, "delta": 0.1,

@@ -406,14 +406,13 @@ def test_oracle_preserves_fiber_constancy(oracle):
 
 
 def test_oracle_rhs_matches_direct_formula_bitwise(oracle):
-    # rhs is evaluated in place; it must give exactly the values of the
-    # plain formula, on a field with content in every mode
-    import scipy.fft as sfft
+    # the formula transcribed here on its own, with numpy.fft, on a field
+    # with content in every mode
     phi = 1e-4 * np.random.default_rng(7).normal(size=(16, 16, 32, 32))
     t = 0.3
-    hat = sfft.fftn(phi, workers=2)
-    z1 = sfft.ifftn(oracle._mult_lap * hat, workers=2)
-    z2 = sfft.ifftn(oracle._mult_mixed * hat, workers=2)
+    hat = np.fft.fftn(phi)
+    z1 = np.fft.ifftn(oracle._mult_lap * hat)
+    z2 = np.fft.ifftn(oracle._mult_mixed * hat)
     p = math.exp(-t) * oracle.fiber_area + 0.5 * z1.real
     ops = oracle.base_ops
     q = ops.bg.area + 0.5 * z1.imag + ops.half_lap_cone
@@ -423,9 +422,19 @@ def test_oracle_rhs_matches_direct_formula_bitwise(oracle):
     assert np.array_equal(oracle.rhs(phi, t), expected)
 
 
-def test_oracle_stability_guard(oracle):
-    with pytest.raises(StabilityGuardError):
-        oracle.run(T=2.0, dt=5e-3)
+def test_oracle_large_step_stays_reduced(oracle):
+    # dt = 1e-2 is 26 times the explicit Euler bound 2 / (lambda_fiber +
+    # lambda_base + 1) = 3.8e-4 at T = 0.05: fiber-constant data stays
+    # fiber-constant and in lockstep with the reduced flow, and a fiber
+    # mode decays at every step
+    _, samples = oracle.run(T=0.05, dt=1e-2, reduced_reference=True)
+    assert samples["t"] == pytest.approx([0.01, 0.02, 0.03, 0.04, 0.05])
+    assert max(samples["fiber_gap"]) <= 1e-10
+    assert max(samples["reduced_diff"]) <= 1e-10
+    phi0 = oracle.initial_state(fiber_mode_amplitude=0.01)
+    _, pert = oracle.run(T=0.05, dt=1e-2, phi=phi0)
+    gaps = [oracle.fiber_gap(phi0)] + pert["fiber_gap"]
+    assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 
 def test_oracle_rejects_horizon_off_the_step_lattice(oracle):
@@ -439,12 +448,6 @@ def test_oracle_positivity_error(oracle):
         :, None, None, None]
     with pytest.raises(PositivityError):
         oracle.rhs(bad, 0.0)
-
-
-def test_oracle_short_reduction_match(oracle):
-    # brief lockstep window; the acceptance suite runs the full [0, 2]
-    _, samples = oracle.run(T=0.05, dt=1e-4, reduced_reference=True)
-    assert samples["reduced_diff"][-1] <= 1e-10
 
 
 def test_fit_decay_slope_window():

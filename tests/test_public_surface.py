@@ -7,9 +7,10 @@ deleted function cannot leave a stale export or import behind.  No module
 writes an underscore attribute of another object, so no object carries
 private state that some other code sets behind its back.  No knob hides
 in the environment: no module reads an environment variable.  Importing
-the package loads no scipy module (only the 4D oracle and the chi
-quadrature import it, when they run), and preconditioned_cg keeps the
-signature that the benchmark tracer and the tests' cg_tolerances wrap.
+the package loads no scipy module, nor does building and stepping the 4D
+oracle (only the chi quadrature imports it, when it runs), and
+preconditioned_cg keeps the signature that the benchmark tracer and the
+tests' cg_tolerances wrap.
 """
 
 import ast
@@ -128,15 +129,28 @@ def test_no_module_reads_the_environment():
     assert not reads, f"the environment is read at {reads}"
 
 
-def test_import_loads_no_scipy():
-    # a fresh interpreter, so no other test's scipy import is counted
-    code = ("import sys, coneflow.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+def scipy_modules_after(code):
+    """The scipy modules loaded once code has run in a fresh interpreter,
+    so that no other test's scipy import is counted."""
+    code += "\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", "import sys\n" + code],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert scipy_modules_after("import coneflow.cli") == "[]"
+
+
+def test_oracle_step_loads_no_scipy():
+    assert scipy_modules_after(
+        "from coneflow import ProductFlow4D, build_problem, product_model\n"
+        "oracle = ProductFlow4D(build_problem(product_model(), 16, 0.2),\n"
+        "                       nf=8, nb=16)\n"
+        "oracle.run(T=0.01, dt=0.01, reduced_reference=True)") == "[]"
 
 
 def test_preconditioned_cg_signature():
