@@ -8,7 +8,7 @@ scale.  See the README for the module map and the CLI surface.
 
 from .errors import (ConeflowError, ConfigurationError, DivergenceError,
                      ModelError, NumericalError, PositivityError,
-                     SolvabilityError, StabilityGuardError)
+                     StabilityGuardError)
 from .torus_field import Grid, ScalarField, make_grid
 from .elliptic_periods import (ConstantTau, LocalLogTau, TauModel,
                                WeierstrassCurve, WeierstrassFamilyTau,

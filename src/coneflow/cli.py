@@ -10,10 +10,10 @@ Subcommands
   periods       batch Weierstrass periods: CSV of (g2, g3) rows in,
                 CSV of (w1, w2, tau, discriminant) out
 
-Exit codes: 0 success (all checks pass), 1 solver/configuration error,
-2 verification failure.  All artifacts are written atomically (temp file
-plus rename) inside the configured output directory, with no timestamps,
-so reruns are byte-identical.
+Exit codes: 0 success (all checks pass), 1 solver/configuration error
+(bad flags included), 2 verification failure.  All artifacts are written
+atomically (temp file plus rename) inside the configured output directory,
+with no timestamps, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -27,19 +27,17 @@ import tempfile
 from dataclasses import dataclass, field
 
 from .errors import ConeflowError, ConfigurationError, ModelError
-from .fibration_model import (_integer, _known_keys, _read, _real,
+from .fibration_model import (_integer, _known_keys, _read, _real, _string,
                               lp_threshold, model_from_json_dict)
-from .flow_engine import SCHEMES, _step_count, _steps_to, run_flow
-from .ke_solver import build_problem, continuation_solve, newton_solve
+from .flow_engine import _step_count, _steps_to
+from .ke_solver import build_problem, continuation_solve
 from .torus_field import write_field_csv, write_field_pgm
-from .verify import SIGMA_LEVELS, run_verification_suite
+from .verify import run_verification_suite, target_flow
 from . import elliptic_periods as periods_mod
-from .estimates import flow_masks
 
 DEFAULT_GRID_N = 128
 DEFAULT_EPSILON_SCHEDULE = (0.4, 0.2, 0.1, 0.05)
-DEFAULT_FLOW = {"T": 20.0, "dt": 0.05, "scheme": "backward-euler-newton"}
-DEFAULT_MASKS = {"qr_min": 0.1, "sigma_levels": [0.2, 0.4, 0.6]}
+DEFAULT_FLOW = {"T": 20.0, "dt": 0.05}
 QUICK_T = 8.0       # --quick's cap on the flow horizon
 
 
@@ -49,14 +47,11 @@ class RunConfig:
     grid_n: int = DEFAULT_GRID_N
     epsilon_schedule: tuple = DEFAULT_EPSILON_SCHEDULE
     flow: dict = field(default_factory=lambda: dict(DEFAULT_FLOW))
-    masks: dict = field(default_factory=lambda: dict(DEFAULT_MASKS))
     output_dir: str = "out"
 
 
-_CONFIG_KEYS = {"model", "grid_n", "epsilon_schedule", "flow", "masks",
-                "output_dir"}
-_FLOW_KEYS = {"T", "dt", "scheme"}
-_MASK_KEYS = {"qr_min", "sigma_levels"}
+_CONFIG_KEYS = {"model", "grid_n", "epsilon_schedule", "flow", "output_dir"}
+_FLOW_KEYS = {"T", "dt"}
 
 
 def parse_config_dict(d: dict, base_dir=".") -> RunConfig:
@@ -65,7 +60,7 @@ def parse_config_dict(d: dict, base_dir=".") -> RunConfig:
     _known_keys(d, _CONFIG_KEYS, "config")
     if "model" not in d:
         raise ConfigurationError("config.model: required (path to a model JSON)")
-    model = _read(d, "model", "config", str)
+    model = _read(d, "model", "config", _string)
     model_path = model if os.path.isabs(model) \
         else os.path.join(base_dir, model)
     if not os.path.exists(model_path):
@@ -83,20 +78,13 @@ def parse_config_dict(d: dict, base_dir=".") -> RunConfig:
     _known_keys(flow, _FLOW_KEYS, "config.flow")
     flow["T"] = _read(flow, "T", "config.flow", _real)
     flow["dt"] = _read(flow, "dt", "config.flow", _real)
-    if flow["scheme"] not in SCHEMES:
-        raise ConfigurationError(
-            f"config.flow.scheme: unknown scheme {flow['scheme']!r}")
     if not (0.0 < flow["dt"] <= flow["T"] <= 50.0):
         raise ConfigurationError("config.flow: need 0 < dt <= T <= 50")
     _step_count(flow["T"], flow["dt"], "config.flow")
-    masks = {**DEFAULT_MASKS, **_read(d, "masks", "config", dict, {})}
-    _known_keys(masks, _MASK_KEYS, "config.masks")
-    masks["qr_min"] = _read(masks, "qr_min", "config.masks", _real)
-    masks["sigma_levels"] = _read(masks, "sigma_levels", "config.masks",
-                                  lambda v: list(map(_real, v)))
     return RunConfig(model_path=model_path, grid_n=grid_n,
-                     epsilon_schedule=schedule, flow=flow, masks=masks,
-                     output_dir=str(d.get("output_dir", "out")))
+                     epsilon_schedule=schedule, flow=flow,
+                     output_dir=_read(d, "output_dir", "config", _string,
+                                      "out"))
 
 
 def _load_json(path, what):
@@ -181,13 +169,7 @@ def _cmd_solve_ke(cfg: RunConfig) -> int:
 def _cmd_flow_run(cfg: RunConfig) -> int:
     model = load_model(cfg.model_path)
     problem = build_problem(model, cfg.grid_n, cfg.epsilon_schedule[-1])
-    target = newton_solve(problem)
-    _, masks = flow_masks(problem.bg, cfg.masks["sigma_levels"],
-                          cfg.masks["qr_min"])
-    state, traj, decay = run_flow(
-        problem, cfg.flow["T"], cfg.flow["dt"], cfg.flow["scheme"],
-        masks=masks, target_phi=target.phi,
-        monitor_mask=masks.get("sigma>=0.2"))
+    _, state, traj, decay = target_flow(problem, cfg.flow["T"], cfg.flow["dt"])
     out = cfg.output_dir
 
     def _write_traj(tmp):
@@ -212,16 +194,10 @@ def _cmd_flow_run(cfg: RunConfig) -> int:
 
 
 def _cmd_verify_all(cfg: RunConfig) -> int:
-    if tuple(cfg.masks["sigma_levels"]) != SIGMA_LEVELS:
-        raise ConfigurationError(
-            f"config.masks.sigma_levels: verify all measures the fixed levels"
-            f" {list(SIGMA_LEVELS)}, got {cfg.masks['sigma_levels']}")
     model = load_model(cfg.model_path)
     reports = run_verification_suite(
         model, grid_n=cfg.grid_n, flow_T=cfg.flow["T"],
-        flow_dt=cfg.flow["dt"], scheme=cfg.flow["scheme"],
-        flow_epsilon=cfg.epsilon_schedule[-1],
-        qr_mask_level=cfg.masks["qr_min"])
+        flow_dt=cfg.flow["dt"], flow_epsilon=cfg.epsilon_schedule[-1])
     payload = {k: r.to_json_dict() for k, r in sorted(reports.items())}
     write_json(os.path.join(cfg.output_dir, "verification_report.json"),
                payload)
@@ -281,9 +257,18 @@ def _cmd_periods(input_path, output_dir) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are ConfigurationErrors, so a
+    bad flag ends in exit 1 with one error line like every other bad
+    input; subparsers are built from the same class."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(prog="coneflow",
-                                description="Conical-flow numerical laboratory")
+    p = _Parser(prog="coneflow",
+                description="Conical-flow numerical laboratory")
     sub = p.add_subparsers(dest="group", required=True)
 
     def add_common(sp):
@@ -306,7 +291,6 @@ def _build_parser():
     add_common(flow_run)
     flow_run.add_argument("--T", type=float, default=None)
     flow_run.add_argument("--dt", type=float, default=None)
-    flow_run.add_argument("--scheme", choices=SCHEMES, default=None)
     flow_run.add_argument("--epsilon", type=float, default=None)
 
     verify_p = sub.add_parser("verify", help="verification suites")
@@ -352,7 +336,7 @@ def _config_from_args(args) -> RunConfig:
     if getattr(args, "epsilon", None) is not None:
         d["epsilon_schedule"] = [args.epsilon]
     flow = _read(d, "flow", "config", dict, {})
-    for key in ("T", "dt", "scheme"):
+    for key in ("T", "dt"):
         if getattr(args, key, None) is not None:
             flow[key] = getattr(args, key)
     if args.quick:
@@ -363,8 +347,8 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.group == "periods":
             return _cmd_periods(args.input, args.out)
         cfg = _config_from_args(args)

@@ -25,7 +25,6 @@ __all__ = [
     "ConstantTau",
     "LocalLogTau",
     "WeierstrassFamilyTau",
-    "agm_array",
     "discriminant",
     "periods_from_weierstrass",
     "normalize_tau",
@@ -60,23 +59,6 @@ def discriminant(c: WeierstrassCurve) -> complex:
     g2 = complex(c.g2)
     g3 = complex(c.g3)
     return g2**3 - 27.0 * g3**2
-
-
-def agm_array(a, b):
-    """Elementwise complex AGM with the optimal square-root branch (see
-    _agm_steps); every point takes the same number of steps, as in
-    _streamed_agms."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    fa, fb = a.reshape(-1), b.reshape(-1)
-    out = np.empty(fa.size, dtype=complex)
-
-    def pairs(s):
-        return ((fa[s].copy(), fb[s].copy()),)
-
-    for s, (mean,) in _streamed_agms(_blocks(fa.size), pairs):
-        out[s] = mean
-    return out.reshape(a.shape)
 
 
 def _agm_steps(a, b, k):

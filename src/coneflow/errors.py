@@ -14,10 +14,6 @@ class ModelError(ConeflowError, ValueError):
     """A synthetic geometry model is internally inconsistent."""
 
 
-class SolvabilityError(ConeflowError, ValueError):
-    """A linear problem has no solution under the stated constraints."""
-
-
 class NumericalError(ConeflowError, RuntimeError):
     """An iteration failed to converge or produced invalid values."""
 

@@ -105,15 +105,22 @@ def sigma_barrier(grid: Grid, points,
                         bound_constant=bound)
 
 
-def flow_masks(bg, sigma_levels, qr_min):
+# The sets the paper's convergence statements are made on: barrier levels
+# away from the divisor and the singular fibers, and the compact region.
+SIGMA_LEVELS = (0.2, 0.4, 0.6)
+QR_MIN = 0.1
+
+
+def flow_masks(bg):
     """(barrier, masks) for a background: the sigma barrier around the cone
-    point and the singular fibers, its level masks "sigma>=<level>" and the
-    compact-region mask "qr>=<qr_min>" on which flow gaps are measured."""
+    point and the singular fibers, its level masks "sigma>=<level>" for
+    the SIGMA_LEVELS and the compact-region mask "qr>=<QR_MIN>" on which
+    flow gaps are measured."""
     points = [bg.model.cone_point] + [f.point for f in bg.model.fibers]
     barrier = sigma_barrier(bg.grid, points, reference_area=bg.area)
     masks = {f"sigma>={level}": barrier.level_mask(level)
-             for level in sigma_levels}
-    masks[f"qr>={qr_min}"] = bg.q.values >= qr_min
+             for level in SIGMA_LEVELS}
+    masks[f"qr>={QR_MIN}"] = bg.q.values >= QR_MIN
     return barrier, masks
 
 
@@ -291,21 +298,20 @@ C0_FINAL_GAP_CAP = 1e-3
 C0_FINAL_GAP_LEVEL = 0.4
 
 
-def verify_c0_convergence(trajectory, sigma_levels=(0.2, 0.4, 0.6),
-                          name="c0-convergence"):
+def verify_c0_convergence(trajectory, name="c0-convergence"):
     """Fit per-mask decay constants on nested barrier masks.
 
     Expects the trajectory to carry gap series named 'sigma>=L' for each
-    level L.  Passes when every fitted slope is at or below C0_SLOPE_CAP
-    and the final gap on the C0_FINAL_GAP_LEVEL mask is at or below
-    C0_FINAL_GAP_CAP.
+    level L of SIGMA_LEVELS.  Passes when every fitted slope is at or below
+    C0_SLOPE_CAP and the final gap on the C0_FINAL_GAP_LEVEL mask is at or
+    below C0_FINAL_GAP_CAP.
     """
     from .flow_engine import fit_decay_slope
     if len(trajectory.times) < 20:
         raise ConfigurationError("need at least 20 trajectory samples")
     constants = {}
     violations = []
-    for level in sigma_levels:
+    for level in SIGMA_LEVELS:
         key = f"sigma>={level}"
         if key not in trajectory.gaps:
             raise ConfigurationError(f"trajectory lacks the gap series {key!r}")

@@ -253,7 +253,7 @@ def assemble_density(model: FibrationModel, bg: BackgroundGeometry,
             f"curvature source has nonzero mean {source.mean():.3e}; "
             "model areas are inconsistent")
     source -= source.mean()
-    log_f += solve_poisson_values(source, mean_tol=np.inf)
+    log_f += solve_poisson_values(source)
     log_f -= math.log(float(np.exp(log_f).mean()))
     return DensityData(log_density=ScalarField(grid, log_f))
 
@@ -353,6 +353,12 @@ def _integer(v):
     if k != v:
         raise ValueError(f"must be an integer, got {v!r}")
     return k
+
+
+def _string(v):
+    if not isinstance(v, str):
+        raise TypeError(f"must be a string, got {v!r}")
+    return v
 
 
 def _pair(v):

@@ -7,8 +7,10 @@ The reduced flow evolves the potential phi on the base:
 
 whose stationary points are exactly the solutions of the regularized
 limiting equation handled by ke_solver.  Backward Euler with the same
-Newton/CG machinery (shifted by 1/dt) is the default scheme; an explicit
-RK4 with a conservative stability guard is kept as a cross-check.
+Newton/CG machinery (shifted by 1/dt) is the default scheme, and the only
+one the CLI runs; an explicit RK4 with a conservative stability guard is
+kept as the reference the backward-Euler tests compare against, reached
+from the library only (the scheme argument of flow_step and run_flow).
 
 The 4D oracle evolves the same flow on a coarse product of a fiber torus
 and the base, computing the full 2x2 Hermitian determinant spectrally.

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, SolvabilityError
+from .errors import ConfigurationError
 
 __all__ = [
     "Grid",
@@ -44,10 +44,6 @@ class Grid:
 
     def axis(self):
         return np.arange(self.n) / self.n
-
-    def mesh(self):
-        x = self.axis()
-        return np.meshgrid(x, x, indexing="ij")
 
     def point_index(self, p):
         """Index of the grid point nearest to p (coordinates wrapped)."""
@@ -168,13 +164,8 @@ def gradient_values(values: np.ndarray):
     return gx, gy
 
 
-def solve_poisson_values(rhs: np.ndarray, mean_tol: float = 1e-10) -> np.ndarray:
-    """Unique mean-zero u with (1/2) Lap u = rhs; rhs must be mean-zero."""
-    m = rhs.mean()
-    if abs(m) > mean_tol:
-        raise SolvabilityError(
-            f"Poisson right-hand side must have zero mean; got mean={m:.3e} "
-            f"(tolerance {mean_tol:.1e})")
+def solve_poisson_values(rhs: np.ndarray) -> np.ndarray:
+    """Unique mean-zero u with (1/2) Lap u = rhs - mean(rhs)."""
     hat = half_spectrum(rhs)
     mult = 0.5 * _lap_multiplier(rhs.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -191,14 +182,6 @@ def _phases(n: int, p):
     np.add(k[:, None] * (p[0] % 1.0), k[None, :] * (p[1] % 1.0), out=hat)
     hat *= -2j * np.pi
     return np.exp(hat, out=hat), k
-
-
-def delta_values(grid: Grid, p) -> np.ndarray:
-    """Band-limited unit-mass delta at p (all Fourier coefficients are the
-    plane-wave phases; real part taken for the asymmetric Nyquist mode)."""
-    n = grid.n
-    hat, _ = _phases(n, p)
-    return _inverse(hat).real * n * n
 
 
 def green_values(grid: Grid, p) -> np.ndarray:

@@ -16,17 +16,17 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimates import (EstimateReport, cone_angle, flow_masks,
-                        multiplicity_exponent, ricci_residual, trace_field,
-                        verify_c0_convergence, verify_trace_bound)
+from .estimates import (SIGMA_LEVELS, EstimateReport, cone_angle,
+                        flow_masks, multiplicity_exponent, ricci_residual,
+                        trace_field, verify_c0_convergence,
+                        verify_trace_bound)
 from .fibration_model import FibrationModel, _fiber_threshold, validate_lp
 from .flow_engine import _steps_to, run_flow
 from .ke_solver import build_problem, extrapolated_solution, newton_solve
 from .torus_field import ScalarField
 
-__all__ = ["run_verification_suite"]
+__all__ = ["run_verification_suite", "target_flow"]
 
-SIGMA_LEVELS = (0.2, 0.4, 0.6)
 TRACE_TIMES = (1.0, 5.0, 10.0, 20.0)
 DECAY_BAND = (-1.15, -0.85)
 CONE_SLOPE_RTOL = 0.02
@@ -41,23 +41,25 @@ def _ricci_cap(model: FibrationModel) -> float:
     return 5e-3 if not model.fibers else 2e-2
 
 
+def target_flow(problem, T: float, dt: float, snapshot_times=()) -> tuple:
+    """(barrier, state, trajectory, decay) of the flow toward the problem's
+    stationary target, gaps on flow_masks and monitors on sigma>=0.2."""
+    barrier, masks = flow_masks(problem.bg)
+    target = newton_solve(problem)
+    return (barrier, *run_flow(
+        problem, T, dt, masks=masks, target_phi=target.phi,
+        monitor_mask=masks["sigma>=0.2"], snapshot_times=snapshot_times))
+
+
 def run_verification_suite(model: FibrationModel, grid_n: int = 128,
                            flow_T: float = 20.0, flow_dt: float = 0.05,
-                           scheme: str = "backward-euler-newton",
-                           flow_epsilon: float = 0.05,
-                           qr_mask_level: float = 0.1) -> dict:
+                           flow_epsilon: float = 0.05) -> dict:
     """Run the full suite on one model; returns {key: EstimateReport}."""
     snapshot_times = _trace_times(flow_T, flow_dt)
     problem = build_problem(model, grid_n, flow_epsilon)
     bg = problem.bg
-    barrier, masks = flow_masks(bg, SIGMA_LEVELS, qr_mask_level)
-
-    # stationary target at the flow's epsilon, then the flow itself
-    target = newton_solve(problem)
-    state, traj, decay = run_flow(
-        problem, flow_T, flow_dt, scheme, masks=masks,
-        target_phi=target.phi, monitor_mask=masks["sigma>=0.2"],
-        snapshot_times=snapshot_times)
+    barrier, _, traj, decay = target_flow(problem, flow_T, flow_dt,
+                                          snapshot_times)
 
     # extrapolated stationary solution for the curvature identity
     sol0, cont_report = extrapolated_solution(problem)
@@ -106,7 +108,7 @@ def _decay_rate_report(decay) -> EstimateReport:
 
 
 def _c0_report(traj) -> EstimateReport:
-    base = verify_c0_convergence(traj, SIGMA_LEVELS, name="prop-3.7")
+    base = verify_c0_convergence(traj, name="prop-3.7")
     monitors = {k: float(np.max(v)) for k, v in traj.monitors.items()}
     samples = dict(base.samples)
     samples["monitor_maxima"] = monitors

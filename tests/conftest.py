@@ -57,6 +57,12 @@ def product_bg128(product_problem128):
     return product_problem128.bg
 
 
+def mesh(grid):
+    """The grid's coordinates x, y as N x N arrays, x varying along axis 0."""
+    x = grid.axis()
+    return np.meshgrid(x, x, indexing="ij")
+
+
 def m2_model():
     return FibrationModel(beta=0.5, delta=0.1, cone_point=(0.5, 0.5),
                           fibers=(SingularFiber((0.25, 0.25), 2),),

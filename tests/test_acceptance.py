@@ -23,7 +23,7 @@ from coneflow.ke_solver import (build_problem, extrapolated_solution,
                                 newton_solve)
 from coneflow.torus_field import ScalarField, lap_values
 
-from tests.conftest import i1_model, m2_model
+from tests.conftest import i1_model, m2_model, mesh
 
 
 def report(criterion, passed, detail):
@@ -255,7 +255,7 @@ def test_criterion_09_lp_membership():
 def test_criterion_10_solver_quality(product_problem128):
     sol_a = newton_solve(product_problem128)
     grid = product_problem128.bg.grid
-    x, y = grid.mesh()
+    x, y = mesh(grid)
     bump = 0.1 * (0.6 * np.cos(2 * np.pi * x) + 0.8 * np.sin(2 * np.pi * y))
     sol_b = newton_solve(product_problem128,
                          v0=ScalarField(grid, bump))

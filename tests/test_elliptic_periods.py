@@ -4,13 +4,31 @@ from scipy.integrate import quad
 
 from coneflow.elliptic_periods import (ConstantTau, LocalLogTau,
                                        WeierstrassCurve,
-                                       WeierstrassFamilyTau, agm_array,
+                                       WeierstrassFamilyTau,
                                        discriminant, local_log_im_tau,
                                        normalize_tau,
                                        periods_from_weierstrass, tau_field)
 from coneflow import elliptic_periods
 from coneflow.errors import ModelError
 from coneflow.torus_field import make_grid
+from tests.conftest import mesh
+
+
+def agm_array(a, b):
+    """Elementwise complex AGM through the package's _streamed_agms and
+    _agm_steps, so every point takes the same number of steps."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    fa, fb = a.reshape(-1), b.reshape(-1)
+    out = np.empty(fa.size, dtype=complex)
+
+    def pairs(s):
+        return ((fa[s].copy(), fb[s].copy()),)
+
+    for s, (mean,) in elliptic_periods._streamed_agms(
+            elliptic_periods._blocks(fa.size), pairs):
+        out[s] = mean
+    return out.reshape(a.shape)
 
 
 def quad_period_oracle(a, b):
@@ -340,7 +358,7 @@ def test_tau_field_near_degenerate_family_falls_back(grid64, monkeypatch):
     # np.roots oracle, with the bounds of the near-degenerate test: both
     # sit at the same conditioning limit.  Where disc < 0 the conjugate
     # pair's order is a round-off tie, which Im tau does not see.
-    x, _ = grid64.mesh()
+    x, _ = mesh(grid64)
     g2 = (3.0 + 1e-10
           + 1e-4 * (np.exp(2j * np.pi * x) + np.exp(-2j * np.pi * x))).ravel()
     g3 = np.ones_like(g2)
@@ -390,8 +408,8 @@ def test_tau_field_weierstrass_independent_of_block_size(grid64, monkeypatch):
 
 def full_grid_im_tau(model, grid):
     """The formula tau_field streams, on whole-grid arrays: the invariants
-    on grid.mesh(), every root, both AGMs, then pi / (2 agm)."""
-    x, y = grid.mesh()
+    on mesh(grid), every root, both AGMs, then pi / (2 agm)."""
+    x, y = mesh(grid)
 
     def invariant(const, modes):
         out = np.full(x.shape, complex(const))

@@ -15,6 +15,7 @@ from coneflow.flow_engine import (FlowOps, ProductFlow4D, fit_decay_slope,
 from coneflow.ke_solver import (KESolution, build_problem, ke_residual,
                                 newton_solve)
 from coneflow.torus_field import ScalarField, lap_values
+from tests.conftest import mesh
 
 
 def make_problem(n=64, eps=0.1, beta=0.5, delta=0.1):
@@ -43,7 +44,7 @@ def test_rhs_vanishes_at_solution(problem64, solved64):
 def test_rhs_shift_by_constant(problem64):
     n = problem64.bg.grid.n
     rng = np.random.default_rng(2)
-    x, y = problem64.bg.grid.mesh()
+    x, y = mesh(problem64.bg.grid)
     phi = 0.02 * np.cos(2 * np.pi * x)
     ops = FlowOps(problem64)
     r0 = ops.rhs_values(phi)
@@ -94,7 +95,7 @@ def test_rhs_identity_case_formula(problem64):
 
 
 def test_rhs_reuses_given_density_bitwise(problem64):
-    x, y = problem64.bg.grid.mesh()
+    x, y = mesh(problem64.bg.grid)
     phi = 0.02 * np.cos(2 * np.pi * x) * np.sin(4 * np.pi * y)
     ops = FlowOps(problem64)
     assert np.array_equal(ops.rhs_values(phi, ops.density_values(phi)),
@@ -108,7 +109,7 @@ def test_formulas_match_written_out_expressions(m2, eps):
     p = build_problem(m2, 64, eps)
     bg, log_f, beta = p.bg, p.density.log_density.values, p.beta
     q, area, grid = bg.q.values, bg.area, bg.grid
-    x, y = grid.mesh()
+    x, y = mesh(grid)
     phi = 0.02 * np.cos(2 * np.pi * x) * np.sin(4 * np.pi * y)
     cone = p.cone
     v = phi + cone
@@ -135,7 +136,7 @@ def test_formulas_match_written_out_expressions(m2, eps):
                                         ("backward-euler-newton", 0.05)])
 def test_step_state_carries_its_density(scheme, dt):
     p = make_problem(16, eps=0.4)
-    x, y = p.bg.grid.mesh()
+    x, y = mesh(p.bg.grid)
     ops = FlowOps(p)
     st = ops.state(0.02 * np.cos(2 * np.pi * x), 0.0, dt)
     for _ in range(2):      # the second step starts from the carried state
@@ -183,7 +184,7 @@ def test_step_rejects_unknown_scheme(problem64):
 def test_backward_euler_vs_rk4_cross_check():
     # N = 16 so the rk4 guard admits dt = 1e-4
     p = make_problem(16, eps=0.4)
-    x, y = p.bg.grid.mesh()
+    x, y = mesh(p.bg.grid)
     phi = 0.02 * np.cos(2 * np.pi * x)
     dt = 1e-4
     st = state_of(p, phi, dt=dt)
@@ -196,7 +197,7 @@ def test_backward_euler_vs_rk4_cross_check():
 def test_backward_euler_first_order():
     # Richardson: halving dt halves the one-step defect against rk4
     p = make_problem(16, eps=0.4)
-    x, y = p.bg.grid.mesh()
+    x, y = mesh(p.bg.grid)
     phi = 0.02 * np.cos(2 * np.pi * x)
     ops = FlowOps(p)
     errs = []
@@ -211,7 +212,7 @@ def test_backward_euler_first_order():
 def test_backward_euler_global_first_order():
     # reaching a fixed time with halved dt halves the defect against rk4
     p = make_problem(16, eps=0.4)
-    x, y = p.bg.grid.mesh()
+    x, y = mesh(p.bg.grid)
     phi0 = 0.02 * np.cos(2 * np.pi * x)
     t_final = 8e-3
     ops = FlowOps(p)
@@ -235,7 +236,7 @@ def test_rk4_stability_guard(problem64):
 
 
 def test_positivity_error_surfaces(problem64):
-    x, y = problem64.bg.grid.mesh()
+    x, y = mesh(problem64.bg.grid)
     bad = 0.2 * np.cos(2 * np.pi * 4 * x)   # curvature kills the density
     with pytest.raises(PositivityError):
         FlowOps(problem64).rhs_values(bad)

@@ -12,6 +12,7 @@ from coneflow.ke_solver import (CG_MAX_ITER, KEProblem, build_problem,
                                 newton_solve, preconditioned_cg)
 from coneflow.torus_field import (ScalarField, from_half_spectrum,
                                   half_spectrum, lap_values, _lap_multiplier)
+from tests.conftest import mesh
 
 
 def raw_density(grid, log_values):
@@ -40,7 +41,7 @@ def test_residual_of_manufactured_solution(product_bg64, product):
     eps = 0.1
     # amplitude capped at 0.05: the density A + (1/2) Lap v* must stay
     # positive, and the cos*cos mode carries Laplacian swing 8 pi^2 amp
-    x, y = grid.mesh()
+    x, y = mesh(grid)
     v_star = ScalarField(
         grid, 0.05 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y))
     log_f = (np.log(product_bg64.area + 0.5 * lap_values(v_star.values))
@@ -58,7 +59,7 @@ def test_manufactured_solution_recovery(product, product_bg128):
     eps = 0.1
     # amplitude capped at 0.05: the density A + (1/2) Lap v* must stay
     # positive, and the cos*cos mode carries Laplacian swing 8 pi^2 amp
-    x, y = grid.mesh()
+    x, y = mesh(grid)
     v_star = ScalarField(
         grid, 0.05 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y))
     log_f = (np.log(product_bg128.area + 0.5 * lap_values(v_star.values))
@@ -99,7 +100,7 @@ def test_uniqueness_two_initializations(product_problem64):
     sol_a = newton_solve(product_problem64)
     rng = np.random.default_rng(21)
     c1, c2 = rng.uniform(0.3, 1.0, size=2)
-    x, y = grid.mesh()
+    x, y = mesh(grid)
     bump = c1 * np.cos(2 * np.pi * x) + c2 * np.sin(2 * np.pi * y)
     bump *= 0.1 / np.abs(bump).max()    # low modes keep the density positive
     sol_b = newton_solve(product_problem64,
@@ -262,7 +263,7 @@ def test_holder_exponent_power_law(grid256):
 
 
 def test_holder_exponent_smooth_field(grid128):
-    x, _ = grid128.mesh()
+    x, _ = mesh(grid128)
     f = ScalarField(grid128, np.sin(2 * np.pi * x))
     est = holder_exponent_estimate(f, (0.3, 0.3))
     assert est == pytest.approx(1.0, abs=1e-9)   # Lipschitz cap
@@ -343,7 +344,7 @@ def test_kernels_match_plain_formulas_bitwise(product_problem128,
                                               nyquist_field):
     from coneflow.flow_engine import FlowOps
     bg = product_problem128.bg
-    x, y = bg.grid.mesh()
+    x, y = mesh(bg.grid)
     phi = 0.02 * np.cos(2 * np.pi * x) * np.sin(4 * np.pi * y) \
         + 1e-7 * nyquist_field(128, seed=5)
     ops = FlowOps(product_problem128)
@@ -396,7 +397,7 @@ def test_flow_steps_match_plain_formulas_bitwise(product_problem128,
                 STEP_TOL, STEP_MAX_NEWTON, STEP_CG_FLOOR)
         return u, density, predicted
 
-    x, y = p.bg.grid.mesh()
+    x, y = mesh(p.bg.grid)
     phi = 0.005 * np.cos(2 * np.pi * x) * np.sin(4 * np.pi * y)
     state = ops.state(phi, 0.0, dt)
     used_predictor = []

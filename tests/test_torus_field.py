@@ -2,13 +2,22 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from coneflow.errors import ConfigurationError, SolvabilityError
-from coneflow.torus_field import (ScalarField, circle_samples, delta_values,
+from coneflow.errors import ConfigurationError
+from coneflow.torus_field import (ScalarField, circle_samples,
                                   from_half_spectrum, gradient_values,
                                   green_values, half_spectrum, lap_values,
                                   make_grid, solve_poisson_values,
                                   write_field_csv, write_field_pgm,
-                                  _lap_multiplier, _phases)
+                                  _inverse, _lap_multiplier, _phases)
+from tests.conftest import mesh
+
+
+def delta_values(grid, p):
+    """Band-limited unit-mass delta at p: every Fourier coefficient is the
+    plane-wave phase (real part taken for the asymmetric Nyquist mode)."""
+    n = grid.n
+    hat, _ = _phases(n, p)
+    return _inverse(hat).real * n * n
 
 
 def test_make_grid_basic():
@@ -33,7 +42,7 @@ def test_laplacian_of_constant():
 
 
 def test_laplacian_fourier_eigenfunction(grid64):
-    x, _ = grid64.mesh()
+    x, _ = mesh(grid64)
     vals = np.cos(2 * np.pi * x)
     expected = -4 * np.pi**2 * vals
     assert np.abs(lap_values(vals) - expected).max() < 1e-9
@@ -50,7 +59,7 @@ def test_solve_poisson_zero():
 
 
 def test_solve_poisson_fourier_mode(grid64):
-    x, _ = grid64.mesh()
+    x, _ = mesh(grid64)
     rhs = np.cos(2 * np.pi * x)
     expected = -rhs / (2 * np.pi**2)
     assert np.abs(solve_poisson_values(rhs) - expected).max() < 1e-12
@@ -146,11 +155,6 @@ def test_lap_values_memory_at_128(traced_peak_mib):
     assert traced_peak_mib(lambda: lap_values(vals)) <= 0.30
 
 
-def test_solve_poisson_rejects_nonzero_mean():
-    with pytest.raises(SolvabilityError, match="mean"):
-        solve_poisson_values(np.ones((64, 64)))
-
-
 def test_green_potential_mean_zero(grid64):
     assert abs(green_values(grid64, (0.3, 0.7)).mean()) < 1e-12
 
@@ -223,7 +227,7 @@ def test_radial_profile_constant(grid64):
 
 def test_radial_profile_quadratic(grid128):
     c = (0.5, 0.5)
-    x, y = grid128.mesh()
+    x, y = mesh(grid128)
     f = ScalarField(grid128, (x - c[0])**2 + (y - c[1])**2)
     for r in (0.05, 0.1, 0.2):
         m = circle_samples(f, c, r).mean()
@@ -258,7 +262,7 @@ def test_csv_header(tmp_path, grid64):
 
 
 def test_pgm_output(tmp_path, grid64):
-    x, _ = grid64.mesh()
+    x, _ = mesh(grid64)
     f = ScalarField(grid64, np.sin(2 * np.pi * x))
     path = tmp_path / "field.pgm"
     write_field_pgm(f, path)
