@@ -27,8 +27,8 @@ import tempfile
 from dataclasses import dataclass, field
 
 from .errors import ConeflowError, ConfigurationError, ModelError
-from .fibration_model import (_integer, _known_keys, _read, _real, _string,
-                              lp_threshold, model_from_json_dict)
+from .fibration_model import (_integer, _known_keys, _mapping, _read, _real,
+                              _string, lp_threshold, model_from_json_dict)
 from .flow_engine import _step_count, _steps_to
 from .ke_solver import build_problem, continuation_solve
 from .torus_field import write_field_csv, write_field_pgm
@@ -71,10 +71,12 @@ def parse_config_dict(d: dict, base_dir=".") -> RunConfig:
     schedule = _read(d, "epsilon_schedule", "config",
                      lambda v: tuple(map(_real, v)),
                      DEFAULT_EPSILON_SCHEDULE)
+    if not schedule:
+        raise ConfigurationError("config.epsilon_schedule: must not be empty")
     for e in schedule:
         if not (0.0 < e <= 1.0):
             raise ConfigurationError(f"config.epsilon_schedule: value {e} out of (0, 1]")
-    flow = {**DEFAULT_FLOW, **_read(d, "flow", "config", dict, {})}
+    flow = {**DEFAULT_FLOW, **_read(d, "flow", "config", _mapping, {})}
     _known_keys(flow, _FLOW_KEYS, "config.flow")
     flow["T"] = _read(flow, "T", "config.flow", _real)
     flow["dt"] = _read(flow, "dt", "config.flow", _real)
@@ -129,9 +131,7 @@ def write_json(path, obj):
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
-def _cmd_model_check(cfg: RunConfig) -> int:
-    model = load_model(cfg.model_path)
-    problem = build_problem(model, cfg.grid_n, cfg.epsilon_schedule[-1])
+def _cmd_model_check(model, problem) -> int:
     print(f"A = {problem.bg.area:.12g}")
     print(f"W = {problem.bg.wp_mass:.12g}")
     print(f"p_star = {lp_threshold(model):.12g}")
@@ -153,9 +153,7 @@ def _ke_report(report, sols):
     }
 
 
-def _cmd_solve_ke(cfg: RunConfig) -> int:
-    model = load_model(cfg.model_path)
-    problem = build_problem(model, cfg.grid_n, cfg.epsilon_schedule[-1])
+def _cmd_solve_ke(cfg: RunConfig, problem) -> int:
     sols, report = continuation_solve(problem, list(cfg.epsilon_schedule))
     sol = sols[-1]
     out = cfg.output_dir
@@ -166,9 +164,7 @@ def _cmd_solve_ke(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_flow_run(cfg: RunConfig) -> int:
-    model = load_model(cfg.model_path)
-    problem = build_problem(model, cfg.grid_n, cfg.epsilon_schedule[-1])
+def _cmd_flow_run(cfg: RunConfig, problem) -> int:
     _, state, traj, decay = target_flow(problem, cfg.flow["T"], cfg.flow["dt"])
     out = cfg.output_dir
 
@@ -193,11 +189,9 @@ def _cmd_flow_run(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify_all(cfg: RunConfig) -> int:
-    model = load_model(cfg.model_path)
-    reports = run_verification_suite(
-        model, grid_n=cfg.grid_n, flow_T=cfg.flow["T"],
-        flow_dt=cfg.flow["dt"], flow_epsilon=cfg.epsilon_schedule[-1])
+def _cmd_verify_all(cfg: RunConfig, model, problem) -> int:
+    reports = run_verification_suite(model, problem, cfg.flow["T"],
+                                     cfg.flow["dt"])
     payload = {k: r.to_json_dict() for k, r in sorted(reports.items())}
     write_json(os.path.join(cfg.output_dir, "verification_report.json"),
                payload)
@@ -335,7 +329,7 @@ def _config_from_args(args) -> RunConfig:
             d[key] = value
     if getattr(args, "epsilon", None) is not None:
         d["epsilon_schedule"] = [args.epsilon]
-    flow = _read(d, "flow", "config", dict, {})
+    flow = _read(d, "flow", "config", _mapping, {})
     for key in ("T", "dt"):
         if getattr(args, key, None) is not None:
             flow[key] = getattr(args, key)
@@ -352,14 +346,16 @@ def main(argv=None) -> int:
         if args.group == "periods":
             return _cmd_periods(args.input, args.out)
         cfg = _config_from_args(args)
+        model = load_model(cfg.model_path)
+        problem = build_problem(model, cfg.grid_n, cfg.epsilon_schedule[-1])
         if args.group == "model" and args.action == "check":
-            return _cmd_model_check(cfg)
+            return _cmd_model_check(model, problem)
         if args.group == "solve-ke":
-            return _cmd_solve_ke(cfg)
+            return _cmd_solve_ke(cfg, problem)
         if args.group == "flow" and args.action == "run":
-            return _cmd_flow_run(cfg)
+            return _cmd_flow_run(cfg, problem)
         if args.group == "verify" and args.action == "all":
-            return _cmd_verify_all(cfg)
+            return _cmd_verify_all(cfg, model, problem)
         raise ConfigurationError(f"unhandled command {args.group}")
     except (ConeflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

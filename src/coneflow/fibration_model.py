@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, ModelError
-from . import cone_smoothing
 from .elliptic_periods import (ConstantTau, LocalLogTau, TauModel,
                                WeierstrassFamilyTau, cap_blend, tau_field)
 from .torus_field import (Grid, ScalarField, green_values, lap_values,
@@ -191,15 +190,10 @@ def required_area(model: FibrationModel, grid: Grid) -> float:
     return a
 
 
-POSITIVITY_EPSILONS = (0.4, 0.05)   # smoothing levels build_background checks
-
-
 def build_background(model: FibrationModel, grid: Grid) -> BackgroundGeometry:
     """Construct the background geometry on a grid.
 
     Marked points snap to the lattice; their separations must exceed 8/N.
-    The build verifies that delta keeps the initial regularized density
-    positive at the smoothing levels POSITIVITY_EPSILONS.
     """
     model, wp, tau_mask, wp_mass, area = _moduli(model, grid)
     q = green_values(grid, model.cone_point)
@@ -213,18 +207,9 @@ def build_background(model: FibrationModel, grid: Grid) -> BackgroundGeometry:
     if not varying_family and \
             np.any(wp[tau_mask] < -1e-8):
         raise ModelError("moduli density dips below -1e-8 on the valid mask")
-    bg = BackgroundGeometry(grid=grid, model=model, area=area,
-                            q=ScalarField(grid, q), wp=ScalarField(grid, wp),
-                            wp_mass=wp_mass, tau_mask=tau_mask)
-
-    for eps in POSITIVITY_EPSILONS:
-        low = bg.metric_density(
-            model.delta * cone_smoothing.chi_values(eps, q, model.beta)).min()
-        if low <= 0.0:
-            raise ModelError(
-                f"delta={model.delta} breaks positivity of the initial density "
-                f"at eps={eps} (min {low:.3e})")
-    return bg
+    return BackgroundGeometry(grid=grid, model=model, area=area,
+                              q=ScalarField(grid, q), wp=ScalarField(grid, wp),
+                              wp_mass=wp_mass, tau_mask=tau_mask)
 
 
 def assemble_density(model: FibrationModel, bg: BackgroundGeometry,
@@ -359,6 +344,12 @@ def _string(v):
     if not isinstance(v, str):
         raise TypeError(f"must be a string, got {v!r}")
     return v
+
+
+def _mapping(v):
+    if not isinstance(v, dict):     # dict(v) would take a list of pairs too
+        raise TypeError(f"must be an object, got {v!r}")
+    return dict(v)
 
 
 def _pair(v):

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cone_smoothing import chi_values
-from .errors import ConfigurationError, DivergenceError, PositivityError
+from .errors import (ConfigurationError, DivergenceError, ModelError,
+                     PositivityError)
 from .fibration_model import (BackgroundGeometry, DensityData, FibrationModel,
                               assemble_density, build_background)
 from .torus_field import (ScalarField, circle_samples, from_half_spectrum,
@@ -84,14 +85,26 @@ class KEProblem:
                 + math.log(self.bg.area))
 
 
+POSITIVITY_EPSILONS = (0.4, 0.05)   # smoothing levels build_problem checks
+
+
 def build_problem(model: FibrationModel, grid_n: int,
                   epsilon: float) -> KEProblem:
     """The model's problem at epsilon on the grid_n x grid_n grid: its
-    background, its density F, and beta and delta from the model."""
+    background, its density F, and beta and delta from the model; ModelError
+    unless the reference density A + (1/2) Lap cone is positive at each of
+    POSITIVITY_EPSILONS."""
     grid = make_grid(grid_n)
     bg = build_background(model, grid)
-    return KEProblem(bg=bg, density=assemble_density(model, bg, grid),
-                     beta=model.beta, delta=model.delta, epsilon=epsilon)
+    problem = KEProblem(bg=bg, density=assemble_density(model, bg, grid),
+                        beta=model.beta, delta=model.delta, epsilon=epsilon)
+    for eps in POSITIVITY_EPSILONS:
+        low = bg.metric_density(replace(problem, epsilon=eps).cone).min()
+        if low <= 0.0:
+            raise ModelError(
+                f"delta={model.delta} breaks positivity of the initial density "
+                f"at eps={eps} (min {low:.3e})")
+    return problem
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .estimates import (SIGMA_LEVELS, EstimateReport, cone_angle,
                         verify_trace_bound)
 from .fibration_model import FibrationModel, _fiber_threshold, validate_lp
 from .flow_engine import _steps_to, run_flow
-from .ke_solver import build_problem, extrapolated_solution, newton_solve
+from .ke_solver import KEProblem, extrapolated_solution, newton_solve
 from .torus_field import ScalarField
 
 __all__ = ["run_verification_suite", "target_flow"]
@@ -51,12 +51,11 @@ def target_flow(problem, T: float, dt: float, snapshot_times=()) -> tuple:
         monitor_mask=masks["sigma>=0.2"], snapshot_times=snapshot_times))
 
 
-def run_verification_suite(model: FibrationModel, grid_n: int = 128,
-                           flow_T: float = 20.0, flow_dt: float = 0.05,
-                           flow_epsilon: float = 0.05) -> dict:
-    """Run the full suite on one model; returns {key: EstimateReport}."""
+def run_verification_suite(model: FibrationModel, problem: KEProblem,
+                           flow_T: float, flow_dt: float) -> dict:
+    """Run the full suite on the model's problem (F-Lp rebuilds F from the
+    model on its own grids); returns {key: EstimateReport}."""
     snapshot_times = _trace_times(flow_T, flow_dt)
-    problem = build_problem(model, grid_n, flow_epsilon)
     bg = problem.bg
     barrier, _, traj, decay = target_flow(problem, flow_T, flow_dt,
                                           snapshot_times)

@@ -214,6 +214,10 @@ BAD_INPUTS = {
         "config.output_dir: must be a string, got ['a']",
     "config_masks": "config.masks: unknown key",
     "config_flow_scheme": "config.flow.scheme: unknown key",
+    "config_epsilon_schedule_empty":
+        "config.epsilon_schedule: must not be empty",
+    "config_flow_pairs":
+        "config.flow: must be an object, got [['T', 4.0], ['dt', 0.5]]",
 }
 
 # model keys merged into BAD_MODEL for the cases above; json.dumps writes
@@ -253,7 +257,12 @@ BAD_CONFIG_KEYS = {
     "config_masks": {"masks": {"qr_min": 0.1,
                                "sigma_levels": [0.2, 0.4, 0.6]}},
     "config_flow_scheme": {"flow": {"scheme": "backward-euler-newton"}},
+    "config_epsilon_schedule_empty": {"epsilon_schedule": []},
+    # dict() would read a list of pairs as the mapping {"T": 4, "dt": 0.5}
+    "config_flow_pairs": {"flow": [["T", 4.0], ["dt", 0.5]]},
 }
+# the command of a config_* case when it is not model check
+BAD_CONFIG_COMMANDS = {"config_flow_pairs": ["flow", "run", "--quick"]}
 
 # flags that the run-config checks must reject, as for the same config keys
 BAD_FLAGS = {
@@ -287,7 +296,8 @@ def test_bad_input_gives_one_error_line(case, tmp_path):
     elif case in BAD_FLAGS:
         args = BAD_FLAGS[case] + ["--model", "model.json"]
     elif case.startswith("config_"):
-        args = ["model", "check", "--config", "config.json"]
+        args = BAD_CONFIG_COMMANDS.get(case, ["model", "check"]) \
+            + ["--config", "config.json"]
     else:
         args = ["model", "check", "--model", "model.json", "--grid-n", "64"]
     src = os.path.dirname(os.path.dirname(coneflow.__file__))

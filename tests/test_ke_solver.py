@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from coneflow.errors import ConfigurationError
-from coneflow.fibration_model import DensityData
-from coneflow.ke_solver import (CG_MAX_ITER, KEProblem, build_problem,
+from coneflow.errors import ConfigurationError, ModelError
+from coneflow.fibration_model import (DensityData, build_background,
+                                      validate_lp)
+from coneflow.ke_solver import (CG_MAX_ITER, POSITIVITY_EPSILONS, KEProblem,
+                                build_problem,
                                 continuation_solve,
                                 default_extrapolation_schedule,
                                 extrapolated_solution,
                                 holder_exponent_estimate, ke_residual,
                                 newton_solve, preconditioned_cg)
 from coneflow.torus_field import (ScalarField, from_half_spectrum,
-                                  half_spectrum, lap_values, _lap_multiplier)
+                                  half_spectrum, lap_values, make_grid,
+                                  _lap_multiplier)
 from tests.conftest import mesh
 
 
@@ -423,8 +426,9 @@ def test_preconditioned_cg_keeps_no_work_array(traced_peak_mib,
 
 @pytest.fixture()
 def chi_calls(monkeypatch):
-    """The arguments of each chi_values call that ke_solver makes."""
-    from coneflow import ke_solver
+    """The arguments of each chi_values call made through ke_solver's name
+    or through the cone_smoothing module."""
+    from coneflow import cone_smoothing, ke_solver
     calls = []
     real = ke_solver.chi_values
 
@@ -433,7 +437,27 @@ def chi_calls(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(ke_solver, "chi_values", counting)
+    monkeypatch.setattr(cone_smoothing, "chi_values", counting)
     return calls
+
+
+def test_problem_build_forms_the_only_cones(product, chi_calls):
+    # build_problem forms the problem's cone and one per positivity level;
+    # a bare background and F-Lp's backgrounds form none
+    build_problem(product, 64, 0.1)
+    assert [args[0] for args in chi_calls] == [0.1, *POSITIVITY_EPSILONS]
+    chi_calls.clear()
+    build_background(product, make_grid(64))
+    validate_lp(product, grid_sizes=(64, 128))
+    assert chi_calls == []
+
+
+def test_build_problem_rejects_delta_that_breaks_positivity(product):
+    with pytest.raises(ModelError, match=r"delta=50.0 breaks positivity .* "
+                       r"at eps=0.4 \(min -"):
+        build_problem(replace(product, delta=50.0), 64, 0.05)
+    # the check belongs to the problem, not to its background
+    build_background(replace(product, delta=50.0), make_grid(64))
 
 
 def test_continuation_forms_one_cone_per_rung(product, chi_calls):

@@ -6,7 +6,9 @@ __all__ must exist, and every module-level import must be used, so a
 deleted function cannot leave a stale export or import behind.  No module
 writes an underscore attribute of another object, so no object carries
 private state that some other code sets behind its back.  No knob hides
-in the environment: no module reads an environment variable.  Importing
+in the environment: no module reads an environment variable.  The cone
+field delta chi(eps^2 + q) has one formula: only ke_solver (KEProblem)
+calls chi_values, besides cone_smoothing, which defines it.  Importing
 the package loads no scipy module, nor does building and stepping the 4D
 oracle (only the chi quadrature imports it, when it runs), and
 preconditioned_cg keeps the signature that the benchmark tracer and the
@@ -127,6 +129,26 @@ def test_no_module_reads_the_environment():
             for where, line in environment_reads(ast.parse(fh.read())):
                 reads.setdefault((module, where), []).append(line)
     assert not reads, f"the environment is read at {reads}"
+
+
+def chi_values_calls(tree):
+    """Lines of the calls to chi_values, by bare name or as an attribute."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and "chi_values" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None))]
+
+
+def test_only_ke_solver_forms_cone_fields():
+    calls = {}
+    for module in MODULES:
+        if module in ("ke_solver", "cone_smoothing"):
+            continue
+        with open(os.path.join(SRC, f"{module}.py")) as fh:
+            lines = chi_values_calls(ast.parse(fh.read()))
+        if lines:
+            calls[module] = lines
+    assert not calls, f"chi_values is called at {calls}"
 
 
 def scipy_modules_after(code):
