@@ -80,11 +80,17 @@ def _panel_integrals(a, b, e2, beta):
 def chi_values(eps: float, x, beta: float) -> np.ndarray:
     """Vectorized kernel over an array of arguments.
 
-    Sorts the arguments once and accumulates Gauss-Legendre panels between
-    consecutive distinct values; the integrand is smooth for eps > 0, so
-    24-point panels reach round-off.  Matches the scalar quadrature to
-    ~1e-12.  Each sort-side array is dropped once spent, so the transients
-    stay at a few arrays of x's size.
+    Sorts the arguments once and accumulates 24-point Gauss-Legendre
+    panels between consecutive distinct values, the first from 0.  A panel
+    reaches round-off only while it is short against eps^2 plus its lower
+    end, the scale on which the integrand varies, so the result matches
+    the scalar quadrature to about 1e-12 only when the sorted arguments
+    are that dense.  The q fields of the grid are: against the beta = 1/2
+    closed form the error is at most 2e-12 for N = 64 to 512 and eps down
+    to 2/N.  Sparse arguments are not: a lone x = 1 is off by 4.5e-3 at
+    eps = 0.01 and by 6.6e-5 at eps = 0.05; chi evaluates those.  Each
+    sort-side array is dropped once spent, so the transients stay at a few
+    arrays of x's size.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):

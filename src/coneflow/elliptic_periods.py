@@ -35,11 +35,12 @@ __all__ = [
 _AGM_MAX_ITER = 64
 # Points per block in the batched root and AGM loops: a 512 x 512 field
 # then runs in a few block-sized temporaries at a time, and no full-grid
-# complex array is formed.  The size is part of the result's bits:
+# complex array is formed.  The size is part of the result's bits
+# through the roots (the AGM's bits are each point's own):
 # 1 << 14 complex values fill numpy's 256 KiB temporary-elision size,
 # elision reverses the operands of a complex product, and numpy's FMA
 # complex multiply is not bitwise commutative.  1 << 12 would trace less
-# at N = 512 but moves Im tau there by up to 8 ulps.
+# at N = 512 but moves 1,835 of its Im tau values there by up to 8 ulps.
 _BLOCK = 1 << 14
 
 
@@ -61,62 +62,39 @@ def discriminant(c: WeierstrassCurve) -> complex:
     return g2**3 - 27.0 * g3**2
 
 
-def _agm_steps(a, b, k):
-    """Overwrite the 1-D complex arrays a, b with k AGM steps, then step on
-    until _agm_converged holds and overwrite a with (a + b) / 2.  Returns
-    the step count reached, k or more.
+def _agm(a, b):
+    """Overwrite the 1-D complex arrays a, b with their AGM steps and return
+    a, which then holds the means.
 
-    The geometric mean takes the principal square root, flipped in sign
-    whenever |a' - b'| > |a' + b'| (the branch that keeps the iteration
-    quadratically convergent).  Zero inputs are absorbing.
+    Each point steps until its own pair passes |a - b| <= 1e-15 max(|a|,
+    |b|, 1e-300) and keeps (a + b) / 2, so a point's bits depend only on
+    its own inputs.  The geometric mean takes the principal square root,
+    flipped in sign whenever |a' - b'| > |a' + b'| (the branch that keeps
+    the iteration quadratically convergent); the smaller of the two is the
+    next step's |a - b|.  Zero inputs are absorbing.
     """
     zero = (a == 0) | (b == 0)
     a[zero] = 0.0
     b[zero] = 0.0
-    for step in range(_AGM_MAX_ITER):
-        if step >= k and _agm_converged(a, b):
+    gap = np.abs(a - b)
+    scale = np.maximum(np.abs(a), np.abs(b))
+    live = np.ones(a.shape, dtype=bool)
+    for _ in range(_AGM_MAX_ITER):
+        live &= ~(gap <= 1e-15 * np.maximum(scale, 1e-300))
+        if not live.any():
             a += b
             a /= 2.0
-            return step
+            return a
         an = (a + b) / 2.0
         bn = np.sqrt(a * b)
-        flip = np.abs(an - bn) > np.abs(an + bn)
-        a[...] = an
-        b[...] = np.where(flip, -bn, bn)
+        minus = np.abs(an - bn)
+        plus = np.abs(an + bn)
+        np.negative(bn, out=bn, where=minus > plus)
+        np.copyto(a, an, where=live)
+        np.copyto(b, bn, where=live)
+        gap = np.minimum(minus, plus)
+        scale = np.maximum(np.abs(an), np.abs(bn))
     raise NumericalError("AGM did not converge within 64 iterations")
-
-
-def _streamed_agms(blocks, inputs):
-    """Run the AGMs of every block and yield (s, means) per block s.
-
-    inputs(s) returns the block's AGM input pairs ((a, b), ...) as fresh
-    1-D arrays, and means holds their AGMs, formed in place.  AGM j
-    steps every point exactly K[j] times, K[j] being the first step count
-    at which every block passes _agm_converged, so the result is that of
-    one AGM over the whole arrays, block by block.  Block 0 steps until it
-    converges, which sets K[j]; a later block runs K[j] steps and, if it
-    has not converged, steps on and raises K[j] to its own first
-    converged count.  A block finished under smaller counts is recomputed
-    from inputs(s) and yielded again (and may raise K once more), so every
-    count below the final K[j] has a block seen unconverged there.
-    """
-    ks = None
-    used = {}
-    todo = range(len(blocks))
-    while todo:
-        for i in todo:
-            pairs = inputs(blocks[i])
-            if ks is None:
-                ks = [0] * len(pairs)
-            ks = [_agm_steps(a, b, k) for (a, b), k in zip(pairs, ks)]
-            used[i] = ks
-            yield blocks[i], [a for a, _ in pairs]
-        todo = [i for i in range(len(blocks)) if used[i] != ks]
-
-
-def _agm_converged(a, b):
-    scale = np.maximum(np.abs(a), np.abs(b))
-    return bool((np.abs(a - b) <= 1e-15 * np.maximum(scale, 1e-300)).all())
 
 
 # Cube roots of unity for the three Cardano branches u w^k + v w^-k.
@@ -135,22 +113,6 @@ def _companion_roots(g2, g3):
     m[:, 0, 2] = g3 / 4.0
     m[:, 1, 2] = g2 / 4.0
     return np.linalg.eigvals(m)
-
-
-def _cubic_roots_batched(g2, g3):
-    """Roots of 4x^3 - g2 x - g3 for arrays of invariants, in closed form,
-    with shape g2.shape + (3,).  The work runs in blocks of _BLOCK points
-    through _block_roots; every step is pointwise, so the result does not
-    depend on the block size while the blocks' temporaries stay on one
-    side of numpy's elision size (see _BLOCK)."""
-    g2 = np.asarray(g2, dtype=complex)
-    g3 = np.broadcast_to(np.asarray(g3, dtype=complex), g2.shape)
-    f2, f3 = g2.reshape(-1), g3.reshape(-1)
-    roots = np.empty((f2.size, 3), dtype=complex)
-    for s in _blocks(f2.size):
-        a, b = f2[s], f3[s]
-        roots[s] = _block_roots(a, b, a**3 - 27.0 * b**2)
-    return roots.reshape(g2.shape + (3,))
 
 
 def _block_roots(a, b, disc):
@@ -216,7 +178,7 @@ def _agm_inputs(e):
     """The half-periods' AGM inputs for roots e (M, 3), as the rows of a
     (4, M) array: sqrt(e1 - e2) and sqrt(e1 - e3) for w1, sqrt(e3 - e1)
     and sqrt(e3 - e2) for w2.  Once each pair of rows has run through
-    _agm_steps, w1 and w2 are pi / (2 rows[0]) and pi / (2 rows[2])."""
+    _agm, w1 and w2 are pi / (2 rows[0]) and pi / (2 rows[2])."""
     e1, e2, e3 = e[:, 0], e[:, 1], e[:, 2]
     rows = np.empty((4, len(e)), dtype=complex)
     for row, (x, y) in zip(rows, ((e1, e2), (e1, e3), (e3, e1), (e3, e2))):
@@ -228,8 +190,8 @@ def periods_from_weierstrass(c: WeierstrassCurve):
     """Half-period basis (w1, w2) with Im(w2/w1) > 0 and the normalized tau.
 
     Returns (w1, w2, tau) where tau is w2/w1 reduced to the fundamental
-    domain.  The roots come from the closed form of _cubic_roots_batched
-    on a one-point array (companion-matrix eigenvalues when two roots
+    domain.  The roots come from the closed form of _block_roots on
+    one-point arrays (companion-matrix eigenvalues when two roots
     nearly coincide), ordered by (Re, Im) descending.  Real invariants
     with disc < 0 give a real root r, of the sign of g3, and a conjugate
     pair of real part -r/2; these ties are ordered as the exact roots
@@ -240,16 +202,16 @@ def periods_from_weierstrass(c: WeierstrassCurve):
     if disc == 0:
         raise ModelError("degenerate fiber: discriminant vanishes")
     g2, g3 = complex(c.g2), complex(c.g3)
-    e = _cubic_roots_batched(np.array([g2]), np.array([g3]))
+    a, b = np.array([g2]), np.array([g3])
+    e = _block_roots(a, b, a**3 - 27.0 * b**2)
     if g2.imag == g3.imag == 0 and disc.real < 0:
         down, real, up = e[0, np.argsort(e[0].imag)]
         e[0] = ((real, up, down) if g3.real > 0 else
                 (up, down, real) if g3.real < 0 else (up, real, down))
     rows = _agm_inputs(e)
-    for a, b in zip(rows[::2], rows[1::2]):
-        _agm_steps(a, b, 0)
     # Python complex division, which rounds otherwise than numpy's
-    w1, w2 = (np.pi / complex(m) for m in 2.0 * rows[::2, 0])
+    w1, w2 = (np.pi / complex(2.0 * _agm(*pair)[0])
+              for pair in (rows[:2], rows[2:]))
     if (w2 / w1).imag < 0:
         w2 = -w2
     return w1, w2, normalize_tau(w2 / w1)
@@ -339,12 +301,12 @@ def _evaluate_modes(x, y, const, modes):
 def _weierstrass_im_tau(model: WeierstrassFamilyTau, grid: Grid):
     """Im(w2/w1) of the family at every grid point, one block of _BLOCK
     points at a time: a block's invariants, discriminant check, roots, AGM
-    inputs, both AGMs (_streamed_agms, which may recompute a block) and
-    period ratio.  No full-grid complex array is formed."""
+    inputs, both AGMs and period ratio.  No full-grid complex array is
+    formed."""
     n = grid.n
     axis = grid.axis()
-
-    def agm_pairs(s):
+    im = np.empty(n * n)
+    for s in _blocks(n * n):
         i, j = np.divmod(np.arange(s.start, s.stop), n)
         x, y = axis[i], axis[j]
         g2 = _evaluate_modes(x, y, model.g2, model.g2_modes)
@@ -354,12 +316,9 @@ def _weierstrass_im_tau(model: WeierstrassFamilyTau, grid: Grid):
         if np.any(np.abs(disc) < 1e-12):
             raise ModelError("Weierstrass family degenerates on the grid")
         rows = _agm_inputs(_block_roots(g2, g3, disc))
-        return tuple(zip(rows[::2], rows[1::2]))
-
-    im = np.empty(n * n)
-    for s, (m1, m2) in _streamed_agms(_blocks(n * n), agm_pairs):
-        w1 = np.pi / (2.0 * m1)
-        w2 = np.pi / (2.0 * m2)
+        del g2, g3, disc
+        w1 = np.pi / (2.0 * _agm(rows[0], rows[1]))
+        w2 = np.pi / (2.0 * _agm(rows[2], rows[3]))
         im[s] = np.abs((w2 / w1).imag)
     return im.reshape(n, n)
 

@@ -7,8 +7,8 @@ u -> (1/2) Lap u with Lap = d^2/dx^2 + d^2/dy^2.  All differentiation is
 spectral (FFT), so band-limited identities hold to round-off and the
 Poisson inverse is diagonal in Fourier space.  The transforms are
 numpy.fft's, taken one axis at a time in scipy.fft's pass order and with
-its scaling, so every value equals scipy's rfft2/irfft2/fft2/ifft2 bit for
-bit; they run on one thread.
+its scaling, so every value equals scipy's rfft2/irfft2/ifft2 (for the
+gradient, its 1-D rfft/irfft) bit for bit; they run on one thread.
 
 Point masses are band-limited (Dirichlet-kernel) deltas rather than
 single-cell spikes; this keeps the Green-potential identity
@@ -108,23 +108,6 @@ def from_half_spectrum(hat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _full_spectrum(values: np.ndarray) -> np.ndarray:
-    """fft2 of a real N x N field, filled from its half spectrum by
-    conjugate symmetry exactly as pocketfft fills it: besides the columns
-    past N/2, rows 0 and N/2..N-1 of columns 0 and N/2 also get
-    conj(hat[-i, j])."""
-    n = values.shape[0]
-    m = n // 2
-    hat = half_spectrum(values)
-    mirror = np.conj(hat[(-np.arange(n)) % n])
-    full = np.empty((n, n), dtype=complex)
-    full[:, :m + 1] = hat
-    full[:, m + 1:] = mirror[:, m - 1:0:-1]
-    full[0, ::m] = mirror[0, ::m]
-    full[m:, ::m] = mirror[m:, ::m]
-    return full
-
-
 def _inverse(hat: np.ndarray) -> np.ndarray:
     """ifft2 of a full N x N spectrum, computed in hat: the unscaled axis-0
     pass, 1/N^2, then the unscaled axis-1 pass (scipy's scaling order)."""
@@ -157,10 +140,12 @@ def lap_values(values: np.ndarray) -> np.ndarray:
 
 
 def gradient_values(values: np.ndarray):
-    k = np.fft.fftfreq(values.shape[0], d=1.0 / values.shape[0])
-    hat = _full_spectrum(values)
-    gx = _inverse(2j * np.pi * k[:, None] * hat).real
-    gy = _inverse(2j * np.pi * k[None, :] * hat).real
+    """(d/dx, d/dy) of a real N x N field, each through one real transform
+    pair along its own axis: irfft(2 pi i k rfft(values))."""
+    n = values.shape[0]
+    ik = 2j * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
+    gx = np.fft.irfft(ik[:, None] * np.fft.rfft(values, axis=0), n, axis=0)
+    gy = np.fft.irfft(ik[None, :] * np.fft.rfft(values, axis=1), n, axis=1)
     return gx, gy
 
 

@@ -126,6 +126,16 @@ def test_chi_values_bits_match_the_unique_formulation(n):
                     chi_values_by_unique(eps, q, beta).tobytes()
 
 
+def test_chi_values_accurate_on_a_grid_field():
+    # the sorted q of a grid field is dense enough for one panel between
+    # neighbours down to eps = 2/N (a lone argument is not: at eps = 0.01
+    # chi_values(eps, [1.0], 0.5) is off by 4.5e-3)
+    q = q_field(128, (0.5, 0.5))
+    for eps in (0.4, 0.1, 0.05, 0.025, 2.0 / 128):
+        err = np.abs(chi_values(eps, q, 0.5) - chi_half_closed_form(eps, q))
+        assert err.max() <= 1e-11
+
+
 def test_chi_values_on_repeated_values_and_zeros():
     rng = np.random.default_rng(4)
     for x in (np.array([0.0, -0.0, 0.5, 0.0, 0.5, 1.0, -0.0]),

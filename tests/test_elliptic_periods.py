@@ -15,20 +15,25 @@ from tests.conftest import mesh
 
 
 def agm_array(a, b):
-    """Elementwise complex AGM through the package's _streamed_agms and
-    _agm_steps, so every point takes the same number of steps."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    fa, fb = a.reshape(-1), b.reshape(-1)
-    out = np.empty(fa.size, dtype=complex)
+    """Elementwise complex AGM through the package's _agm, on copies of
+    a and b."""
+    a = np.array(a, dtype=complex)
+    b = np.array(b, dtype=complex)
+    return elliptic_periods._agm(a.reshape(-1), b.reshape(-1)).reshape(a.shape)
 
-    def pairs(s):
-        return ((fa[s].copy(), fb[s].copy()),)
 
-    for s, (mean,) in elliptic_periods._streamed_agms(
-            elliptic_periods._blocks(fa.size), pairs):
-        out[s] = mean
-    return out.reshape(a.shape)
+def cubic_roots(g2, g3):
+    """Roots of 4x^3 - g2 x - g3 for arrays of invariants, with shape
+    g2.shape + (3,), through the package's _block_roots one block of
+    _BLOCK points at a time, as tau_field forms them."""
+    g2 = np.asarray(g2, dtype=complex)
+    g3 = np.broadcast_to(np.asarray(g3, dtype=complex), g2.shape)
+    f2, f3 = g2.reshape(-1), g3.reshape(-1)
+    roots = np.empty((f2.size, 3), dtype=complex)
+    for s in elliptic_periods._blocks(f2.size):
+        a, b = f2[s], f3[s]
+        roots[s] = elliptic_periods._block_roots(a, b, a**3 - 27.0 * b**2)
+    return roots.reshape(g2.shape + (3,))
 
 
 def quad_period_oracle(a, b):
@@ -64,15 +69,17 @@ def test_agm_symmetry_and_homogeneity():
             k * agm_array(a, b), rel=1e-13)
 
 
-def test_agm_array_independent_of_block_size(monkeypatch):
-    # the blocks converge after different numbers of steps here; every point
-    # must still take the same steps, so the bits do not depend on the blocks
+def test_agm_array_independent_of_block_size():
+    # the points converge after different numbers of steps here; each
+    # point must stop at its own count, so the bits of any block of the
+    # points are those of the whole array
     rng = np.random.default_rng(5)
     a = np.ones(1000, dtype=complex)
     b = np.logspace(-8, 0, 1000) * np.exp(1j * rng.uniform(-1.0, 1.0, 1000))
     whole = agm_array(a, b)
-    monkeypatch.setattr(elliptic_periods, "_BLOCK", 64)
-    assert agm_array(a, b).tobytes() == whole.tobytes()
+    blocked = np.concatenate([agm_array(a[i:i + 64], b[i:i + 64])
+                              for i in range(0, 1000, 64)])
+    assert blocked.tobytes() == whole.tobytes()
 
 
 def test_discriminant_values():
@@ -191,7 +198,7 @@ def sorted_like_routine(e):
 def assert_roots_match_oracle(g2, g3, root_tol, tau_tol):
     """Closed-form roots against np.roots, both as root sets and through
     normalize_tau(w2/w1)."""
-    got = elliptic_periods._cubic_roots_batched(g2, g3)
+    got = cubic_roots(g2, g3)
     want = sorted_like_routine(np_roots(g2, g3))
     assert (root_set_error(got, want) <= root_tol).all()
     tau_got = [normalize_tau(t) for t in period_ratio(got)]
@@ -223,7 +230,7 @@ def test_closed_form_small_root_to_its_own_round_off():
     rng = np.random.default_rng(23)
     g2 = 4.0 * np.exp(2j * np.pi * rng.uniform(size=1000))
     g3 = 1e-10 * (rng.normal(size=1000) + 1j * rng.normal(size=1000))
-    roots = elliptic_periods._cubic_roots_batched(g2, g3)
+    roots = cubic_roots(g2, g3)
     small = roots[np.arange(1000), np.abs(roots).argmin(axis=1)]
     assert (np.abs(small + g3 / g2) <= 1e-14 * np.abs(g3 / g2)).all()
 
@@ -363,7 +370,7 @@ def test_tau_field_near_degenerate_family_falls_back(grid64, monkeypatch):
           + 1e-4 * (np.exp(2j * np.pi * x) + np.exp(-2j * np.pi * x))).ravel()
     g3 = np.ones_like(g2)
     want = sorted_like_routine(np_roots(g2, g3))
-    got = elliptic_periods._cubic_roots_batched(g2, g3)
+    got = cubic_roots(g2, g3)
     level = relative_discriminant(g2, g3)
     assert level.min() < 1e-8 < level.max()
     assert (root_set_error(got, want)
@@ -417,8 +424,8 @@ def full_grid_im_tau(model, grid):
             out += complex(amp) * np.exp(2j * np.pi * (kx * x + ky * y))
         return out
 
-    e = elliptic_periods._cubic_roots_batched(
-        invariant(model.g2, model.g2_modes), invariant(model.g3, model.g3_modes))
+    e = cubic_roots(invariant(model.g2, model.g2_modes),
+                    invariant(model.g3, model.g3_modes))
     e1, e2, e3 = e[..., 0], e[..., 1], e[..., 2]
     w1 = np.pi / (2.0 * agm_array(np.sqrt(e1 - e2), np.sqrt(e1 - e3)))
     w2 = np.pi / (2.0 * agm_array(np.sqrt(e3 - e1), np.sqrt(e3 - e2)))
@@ -435,78 +442,42 @@ MULTI_MODE_FAMILY = WeierstrassFamilyTau(
     g3_modes=((0, 1, 0.15 + 0.05j), (1, 1, 0.08), (3, -2, 0.02)))
 
 
-# g3 = 0.999 exp(2 pi i x) over g2 = 3: on a 16 x 16 grid in blocks of 32
-# points the blocks' two AGMs first converge after (4, 5), (4, 4),
-# (4, 6), (4, 6), (5, 7), (4, 6), (4, 6) and (4, 4) steps, and stopping
-# a block at its own count moves the last bits of 16 points
+# g3 = 0.999 exp(2 pi i x) over g2 = 3: on a 16 x 16 grid the points'
+# first AGM converges after 3 to 5 steps and their second after 4 to 7,
+# and a step past a point's own count can move the last bits of its mean
 STEP_FAMILY = WeierstrassFamilyTau(g2=3.0, g3=0.0, g3_modes=((1, 0, 0.999),))
-
-
-def whole_grid_agm_im_tau(model, grid):
-    """Im tau as tau_field formed it with whole-grid AGMs: every block's
-    AGM inputs in four full-grid rows, each AGM stepping all points until
-    every block passes _agm_converged, then the period ratio block by
-    block."""
-    n = grid.n
-    axis = grid.axis()
-    blocks = elliptic_periods._blocks(n * n)
-    rows = np.empty((4, n * n), dtype=complex)
-    for s in blocks:
-        i, j = np.divmod(np.arange(s.start, s.stop), n)
-        x, y = axis[i], axis[j]
-        g2 = elliptic_periods._evaluate_modes(x, y, model.g2, model.g2_modes)
-        g3 = elliptic_periods._evaluate_modes(x, y, model.g3, model.g3_modes)
-        rows[:, s] = elliptic_periods._agm_inputs(
-            elliptic_periods._block_roots(g2, g3, g2**3 - 27.0 * g3**2))
-    for a, b in (rows[:2], rows[2:]):
-        zero = (a == 0) | (b == 0)
-        a[zero] = 0.0
-        b[zero] = 0.0
-        for _ in range(64):
-            if all(elliptic_periods._agm_converged(a[s], b[s])
-                   for s in blocks):
-                break
-            for s in blocks:
-                an = (a[s] + b[s]) / 2.0
-                bn = np.sqrt(a[s] * b[s])
-                flip = np.abs(an - bn) > np.abs(an + bn)
-                a[s] = an
-                b[s] = np.where(flip, -bn, bn)
-        a += b
-        a /= 2.0
-    im = np.empty(n * n)
-    for s in blocks:
-        w1 = np.pi / (2.0 * rows[0, s])
-        w2 = np.pi / (2.0 * rows[2, s])
-        im[s] = np.abs((w2 / w1).imag)
-    return im.reshape(n, n)
 
 
 @pytest.mark.parametrize("model", [BENCH_FAMILY, MULTI_MODE_FAMILY])
 def test_tau_field_streams_the_full_grid_formula(grid256, model):
     im = tau_field(model, grid256)[0].values
     assert np.array_equal(im, full_grid_im_tau(model, grid256))
-    assert im.tobytes() == whole_grid_agm_im_tau(model, grid256).tobytes()
 
 
-def test_streamed_agms_recompute_blocks_under_the_final_step_count(
-        monkeypatch):
-    # later blocks of STEP_FAMILY need more AGM steps than block 0, so the
-    # blocks finished under a smaller count are recomputed: the roots of
-    # more than 8 blocks are formed, and the bits are the whole-grid AGMs'
+def test_tau_field_step_family_independent_of_block_size(monkeypatch):
+    # the blocks of 32 points converge after different numbers of AGM
+    # steps; each point stops at its own count, so the field's bytes are
+    # those of one block
     grid = make_grid(16)
+    whole = tau_field(STEP_FAMILY, grid)[0].values
     monkeypatch.setattr(elliptic_periods, "_BLOCK", 32)
-    calls = []
-    block_roots = elliptic_periods._block_roots
+    assert tau_field(STEP_FAMILY, grid)[0].values.tobytes() == whole.tobytes()
 
-    def counted(*args):
-        calls.append(len(args[0]))
-        return block_roots(*args)
 
-    monkeypatch.setattr(elliptic_periods, "_block_roots", counted)
-    im = tau_field(STEP_FAMILY, grid)[0].values
-    assert len(calls) > 8 and set(calls) == {32}
-    assert im.tobytes() == whole_grid_agm_im_tau(STEP_FAMILY, grid).tobytes()
+def test_agm_steps_each_point_until_it_converges():
+    # STEP_FAMILY's first AGM converges after 4 steps at x = 6/16 and
+    # after 5 at x = 8/16, and a fifth step moves the last bits of the
+    # first point's mean: the pair's AGM is each point's own only if each
+    # point stops at its own count, not at the array's
+    x = np.array([6.0, 8.0]) / 16.0
+    g2 = elliptic_periods._evaluate_modes(x, 0.0 * x, STEP_FAMILY.g2,
+                                          STEP_FAMILY.g2_modes)
+    g3 = elliptic_periods._evaluate_modes(x, 0.0 * x, STEP_FAMILY.g3,
+                                          STEP_FAMILY.g3_modes)
+    a, b, _, _ = elliptic_periods._agm_inputs(
+        elliptic_periods._block_roots(g2, g3, g2**3 - 27.0 * g3**2))
+    own = [agm_array(a[i], b[i]) for i in range(2)]
+    assert agm_array(a, b).tobytes() == np.array(own).tobytes()
 
 
 def test_tau_field_rejects_a_family_degenerate_past_the_first_block(grid256):
@@ -526,10 +497,9 @@ def test_cubic_roots_independent_of_block_size(monkeypatch):
     rng = np.random.default_rng(11)
     g2 = rng.normal(size=5000) + 1j * rng.normal(size=5000)
     g3 = rng.normal(size=5000) + 1j * rng.normal(size=5000)
-    whole = elliptic_periods._cubic_roots_batched(g2, g3)
+    whole = cubic_roots(g2, g3)
     monkeypatch.setattr(elliptic_periods, "_BLOCK", 1 << 10)
-    assert elliptic_periods._cubic_roots_batched(g2, g3).tobytes() == \
-        whole.tobytes()
+    assert cubic_roots(g2, g3).tobytes() == whole.tobytes()
 
 
 @pytest.mark.slow

@@ -12,7 +12,8 @@ calls chi_values, besides cone_smoothing, which defines it.  Importing
 the package loads no scipy module, nor does building and stepping the 4D
 oracle (only the chi quadrature imports it, when it runs), and
 preconditioned_cg keeps the signature that the benchmark tracer and the
-tests' cg_tolerances wrap.
+tests' cg_tolerances wrap.  No test-only code hides in the package: every
+top-level function and class is used by the package or the benchmark.
 """
 
 import ast
@@ -26,6 +27,7 @@ import pytest
 import coneflow
 
 SRC = os.path.dirname(coneflow.__file__)
+BENCH = os.path.join(os.path.dirname(os.path.dirname(SRC)), "bench")
 MODULES = sorted(name[:-3] for name in os.listdir(SRC) if name.endswith(".py"))
 
 
@@ -181,3 +183,62 @@ def test_preconditioned_cg_signature():
     (cg,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
              and node.name == "preconditioned_cg"]
     assert ast.unparse(cg.args) == "coeff, op_symbol, b, rel_tol=1e-12"
+
+
+def used_names(tree):
+    """The names that tree uses, as bare names or attributes, each with
+    the top-level definition it is used in (None at module level), so a
+    function's call of itself can be told apart from a use."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.Name):
+            found.add((node.id, owner))
+        elif isinstance(node, ast.Attribute):
+            found.add((node.attr, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for node in tree.body:
+        visit(node, getattr(node, "name", None))
+    return found
+
+
+def layer_names(tree):
+    """Every dotted part of the strings in bench/tracing.py's LAYERS, the
+    names the tracer looks up by string."""
+    (layers,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and ast.unparse(node.targets[0]) == "LAYERS"]
+    return {part for node in ast.walk(layers) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) for part in node.value.split(".")}
+
+
+# Definitions that only the tests call, each an independent oracle.
+TEST_ORACLES = {
+    "chi": "the adaptive-quadrature kernel that checks chi_values",
+    "ProductFlow4D": "the 4D flow that checks the reduced flow (criterion 7)",
+}
+
+
+def test_every_definition_is_used_by_the_package_or_the_benchmark():
+    defined, used = {}, set()
+    for module in MODULES:
+        if module == "__init__":    # its re-exports are not uses
+            continue
+        with open(os.path.join(SRC, f"{module}.py")) as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = module
+        used |= used_names(tree)
+    for name in sorted(os.listdir(BENCH)):
+        if name.endswith(".py"):
+            with open(os.path.join(BENCH, name)) as fh:
+                tree = ast.parse(fh.read())
+            used |= used_names(tree)
+            if name == "tracing.py":
+                used |= {(part, None) for part in layer_names(tree)}
+    unused = {name: module for name, module in defined.items()
+              if not any(n == name and owner != name for n, owner in used)}
+    assert unused.keys() == TEST_ORACLES.keys(), \
+        f"defined in src/ but used only by the tests: {unused}"
