@@ -19,11 +19,7 @@ class NumericalError(ConeflowError, RuntimeError):
 
 
 class DivergenceError(NumericalError):
-    """Newton or continuation diverged; carries the residual history."""
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = list(history) if history is not None else []
+    """Newton, continuation or the flow diverged."""
 
 
 class PositivityError(NumericalError):

@@ -29,6 +29,7 @@ __all__ = [
     "ricci_residual",
     "cone_angle",
     "multiplicity_exponent",
+    "verify_decay_rate",
     "verify_c0_convergence",
 ]
 
@@ -105,10 +106,12 @@ def sigma_barrier(grid: Grid, points,
                         bound_constant=bound)
 
 
-# The sets the paper's convergence statements are made on: barrier levels
-# away from the divisor and the singular fibers, and the compact region.
+# The sets the paper's convergence statements are made on (barrier levels
+# away from the divisor and the singular fibers, the compact region) and
+# the band the flow's fitted gap decay slopes must lie in on each level.
 SIGMA_LEVELS = (0.2, 0.4, 0.6)
 QR_MIN = 0.1
+DECAY_BAND = (-1.15, -0.85)
 
 
 def flow_masks(bg):
@@ -179,24 +182,21 @@ def fit_trace_constants(trace_values, sigma_values, lambda_grid=(1, 2, 4, 8),
     return {"C": best[0], "lambda": best[1], "n_samples": int(keep.sum())}
 
 
-def verify_trace_bound(traces, sigma: BarrierSigma, name="trace-bound",
-                       c_cap=1e6, lambda_grid=(1, 2, 4, 8)) -> EstimateReport:
-    """Fit one (C, lambda) pair dominating all given trace fields.
+TRACE_C_CAP = 1e6
 
-    traces may be a single ScalarField or a list (e.g. several flow times);
-    all samples are pooled before fitting.  Passes when the fitted C stays
-    at or below c_cap with lambda from the grid.
-    """
-    if isinstance(traces, ScalarField):
-        traces = [traces]
+
+def verify_trace_bound(traces, sigma: BarrierSigma, name) -> EstimateReport:
+    """Fit one (C, lambda) pair dominating all the trace fields in the list
+    traces, their samples pooled; passes when C <= TRACE_C_CAP."""
     pooled_t = np.concatenate([t.values.ravel() for t in traces])
     pooled_s = np.concatenate([sigma.sigma.values.ravel() for _ in traces])
-    fit = fit_trace_constants(pooled_t, pooled_s, lambda_grid)
-    violation = (math.log(fit["C"] / c_cap) if math.isfinite(fit["C"])
+    fit = fit_trace_constants(pooled_t, pooled_s)
+    violation = (math.log(fit["C"] / TRACE_C_CAP) if math.isfinite(fit["C"])
                  else math.inf)
     return EstimateReport(
         name=name,
-        constants={"C": fit["C"], "lambda": fit["lambda"], "C_cap": float(c_cap)},
+        constants={"C": fit["C"], "lambda": fit["lambda"],
+                   "C_cap": TRACE_C_CAP},
         max_violation=float(violation),
         samples={"n": fit["n_samples"], "n_fields": len(traces)},
     )
@@ -293,20 +293,39 @@ def multiplicity_exponent(sol, point) -> float:
     return float(coef[0])
 
 
-C0_SLOPE_CAP = -0.85
+def verify_decay_rate(decay) -> EstimateReport:
+    """The lemma-3.2 report: run_flow's fitted decay slope on each
+    'sigma>=L' mask must lie in DECAY_BAND; a mask without a fit fails."""
+    lo, hi = DECAY_BAND
+    constants = {}
+    violations = []
+    for level in SIGMA_LEVELS:
+        fit = decay.get(f"sigma>={level}")
+        if fit is None:
+            violations.append(math.inf)
+            constants[f"sigma>={level}"] = None
+            continue
+        slope = fit["slope"]
+        constants[f"sigma>={level}"] = {"slope": slope,
+                                        "C": fit["intercept_constant"]}
+        violations.append(max(lo - slope, slope - hi))
+    return EstimateReport(name="lemma-3.2", constants=constants,
+                          max_violation=float(max(violations)),
+                          samples={"band": list(DECAY_BAND)})
+
+
 C0_FINAL_GAP_CAP = 1e-3
 C0_FINAL_GAP_LEVEL = 0.4
 
 
-def verify_c0_convergence(trajectory, name="c0-convergence"):
-    """Fit per-mask decay constants on nested barrier masks.
-
-    Expects the trajectory to carry gap series named 'sigma>=L' for each
-    level L of SIGMA_LEVELS.  Passes when every fitted slope is at or below
-    C0_SLOPE_CAP and the final gap on the C0_FINAL_GAP_LEVEL mask is at or
-    below C0_FINAL_GAP_CAP.
+def verify_c0_convergence(trajectory, decay) -> EstimateReport:
+    """The prop-3.7 report from run_flow's decay fits of the trajectory's
+    gap series 'sigma>=L', one per level L of SIGMA_LEVELS.  Passes when
+    every fitted slope is at or below DECAY_BAND[1] (a gap already below
+    the fit window must end at or below C0_FINAL_GAP_CAP) and the final gap
+    on the C0_FINAL_GAP_LEVEL mask is at or below C0_FINAL_GAP_CAP.  The
+    samples add each monitor's maximum and its growth over its t <= 1 max.
     """
-    from .flow_engine import fit_decay_slope
     if len(trajectory.times) < 20:
         raise ConfigurationError("need at least 20 trajectory samples")
     constants = {}
@@ -315,24 +334,29 @@ def verify_c0_convergence(trajectory, name="c0-convergence"):
         key = f"sigma>={level}"
         if key not in trajectory.gaps:
             raise ConfigurationError(f"trajectory lacks the gap series {key!r}")
-        series = trajectory.gaps[key]
-        fit = fit_decay_slope(trajectory.times, series)
+        final = trajectory.gaps[key][-1]
+        fit = decay[key]
         if fit is None:
-            # already converged below the window: trivially passing mask
-            constants[key] = {"slope": None, "C": None,
-                              "final_gap": series[-1]}
-            violations.append(series[-1] - C0_FINAL_GAP_CAP)
+            constants[key] = {"slope": None, "C": None, "final_gap": final}
+            violations.append(final - C0_FINAL_GAP_CAP)
             continue
         constants[key] = {"slope": fit["slope"],
-                          "C": fit["intercept_constant"],
-                          "final_gap": series[-1]}
-        violations.append(fit["slope"] - C0_SLOPE_CAP)
+                          "C": fit["intercept_constant"], "final_gap": final}
+        violations.append(fit["slope"] - DECAY_BAND[1])
     final_gap = trajectory.gaps[f"sigma>={C0_FINAL_GAP_LEVEL}"][-1]
     violations.append(final_gap - C0_FINAL_GAP_CAP)
-    max_violation = float(max(violations))
+    early = np.asarray(trajectory.times) <= 1.0
+    growth = {}
+    for k, v in trajectory.monitors.items():
+        v = np.asarray(v)
+        early_max = float(np.abs(v[early]).max())
+        growth[k] = float(np.abs(v).max() / max(early_max, 1e-300))
     return EstimateReport(
-        name=name,
+        name="prop-3.7",
         constants=constants,
-        max_violation=max_violation,
-        samples={"n_times": len(trajectory.times), "final_gap": final_gap},
+        max_violation=float(max(violations)),
+        samples={"n_times": len(trajectory.times), "final_gap": final_gap,
+                 "monitor_maxima": {k: float(np.max(v)) for k, v
+                                    in trajectory.monitors.items()},
+                 "monitor_growth_vs_t1": growth},
     )

@@ -213,7 +213,7 @@ def build_background(model: FibrationModel, grid: Grid) -> BackgroundGeometry:
 
 
 def assemble_density(model: FibrationModel, bg: BackgroundGeometry,
-                     grid: Grid = None) -> DensityData:
+                     grid: Grid) -> DensityData:
     """Build F from the curvature constraint.
 
     log F = sum_i -( (m_i-1)/m_i ) psi_{s_i} + u_F + c_F where u_F solves
@@ -222,7 +222,6 @@ def assemble_density(model: FibrationModel, bg: BackgroundGeometry,
     mass bookkeeping; the residual mean is asserted below 1e-9.  bg must
     be the background of this model on this grid.
     """
-    grid = grid or bg.grid
     if grid != bg.grid or _snap_model(model, grid) != bg.model:
         raise ModelError("background was not built from this model and grid")
     n = grid.n

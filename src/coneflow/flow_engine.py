@@ -221,8 +221,8 @@ def run_flow(problem: KEProblem, T: float, dt: float,
     sampling every step.
 
     masks maps names to boolean arrays; the trajectory records the sup gap
-    to target_phi on each.  monitor_mask (default: the first mask) hosts
-    the boundedness monitors sup|psi|, sup|d_t psi| and the trace of the
+    to target_phi on each.  monitor_mask, when given, hosts the
+    boundedness monitors sup|psi|, sup|d_t psi| and the trace of the
     reference density against the evolving one.  Each snapshot time must
     be a step time k dt with 0 < k <= T/dt; the trajectory keeps the state
     of that step under the requested time.
@@ -245,8 +245,6 @@ def run_flow(problem: KEProblem, T: float, dt: float,
     ops = FlowOps(problem)
     n = problem.bg.grid.n
     masks = masks or {}
-    if monitor_mask is None and masks:
-        monitor_mask = next(iter(masks.values()))
     traj = Trajectory()
     state = ops.state(np.zeros((n, n)), 0.0, dt)
     target = None if target_phi is None else target_phi.values

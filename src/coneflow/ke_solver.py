@@ -27,6 +27,7 @@ import numpy as np
 from .cone_smoothing import chi_values
 from .errors import (ConfigurationError, DivergenceError, ModelError,
                      PositivityError)
+from .estimates import QR_MIN
 from .fibration_model import (BackgroundGeometry, DensityData, FibrationModel,
                               assemble_density, build_background)
 from .torus_field import (ScalarField, circle_samples, from_half_spectrum,
@@ -224,8 +225,7 @@ def damped_newton(x, start, evaluate, linearize, tol, max_iter, cg_floor):
             return x, state, history
         if len(history) > max_iter:
             raise DivergenceError(
-                f"Newton did not reach tol={tol} in {max_iter} iterations",
-                history)
+                f"Newton did not reach tol={tol} in {max_iter} iterations")
         w, _ = preconditioned_cg(*linearize(x, state, g),
                                  rel_tol=max(cg_floor, 0.1 * tol / sup))
         step = 1.0
@@ -238,7 +238,7 @@ def damped_newton(x, start, evaluate, linearize, tol, max_iter, cg_floor):
         else:
             raise DivergenceError(
                 f"Newton line search stalled at iteration {len(history) - 1}"
-                f" (residual {sup:.3e})", history)
+                f" (residual {sup:.3e})")
         x, (g, state) = xn, trial
 
 
@@ -279,7 +279,7 @@ def newton_solve(problem: KEProblem, v0: ScalarField = None) -> KESolution:
 @dataclass(frozen=True)
 class ContinuationReport:
     epsilons: tuple
-    cauchy_sups: tuple          # sup over {q >= 0.1} of |v_{j+1} - v_j|
+    cauchy_sups: tuple          # sup over {q >= QR_MIN} of |v_{j+1} - v_j|
     holder_exponent: float
 
 
@@ -305,13 +305,13 @@ def continuation_solve(problem: KEProblem, schedule):
     """Warm-started Newton ladder over a decreasing epsilon schedule.
 
     Returns (the solutions, one per epsilon, report).  The report's Cauchy
-    differences are sups over the compact region q >= 0.1 and are expected
+    differences are sups over the compact region q >= QR_MIN and are expected
     to decrease down the ladder.  A grid too coarse for the Holder fit's
     radii is rejected before the first rung.
     """
     schedule = _check_schedule(schedule, problem.bg.grid.n)
     _oscillation_radii(problem.bg.grid.n)   # raises before any rung is solved
-    region = problem.bg.q.values >= 0.1
+    region = problem.bg.q.values >= QR_MIN
     sols = []
     for eps in schedule:
         p_eps = replace(problem, epsilon=eps)
@@ -322,8 +322,8 @@ def continuation_solve(problem: KEProblem, schedule):
         try:
             sol = newton_solve(p_eps, v0)
         except DivergenceError as exc:
-            raise DivergenceError(f"continuation failed at eps={eps}: {exc}",
-                                  exc.history)
+            raise DivergenceError(
+                f"continuation failed at eps={eps}: {exc}") from exc
         sols.append(sol)
     cauchy = tuple(
         float(np.abs(b.v.values - a.v.values)[region].max())

@@ -16,9 +16,9 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimates import (SIGMA_LEVELS, EstimateReport, cone_angle,
-                        flow_masks, multiplicity_exponent, ricci_residual,
-                        trace_field, verify_c0_convergence,
+from .estimates import (EstimateReport, cone_angle, flow_masks,
+                        multiplicity_exponent, ricci_residual, trace_field,
+                        verify_c0_convergence, verify_decay_rate,
                         verify_trace_bound)
 from .fibration_model import FibrationModel, _fiber_threshold, validate_lp
 from .flow_engine import _steps_to, run_flow
@@ -28,7 +28,6 @@ from .torus_field import ScalarField
 __all__ = ["run_verification_suite", "target_flow"]
 
 TRACE_TIMES = (1.0, 5.0, 10.0, 20.0)
-DECAY_BAND = (-1.15, -0.85)
 CONE_SLOPE_RTOL = 0.02
 MULTIPLICITY_ATOL = 0.05
 # A relative change of two F^p means of n terms each carries a round-off
@@ -64,8 +63,8 @@ def run_verification_suite(model: FibrationModel, problem: KEProblem,
     sol0, cont_report = extrapolated_solution(problem)
 
     reports = {}
-    reports["lemma-3.2"] = _decay_rate_report(decay)
-    reports["prop-3.7"] = _c0_report(traj)
+    reports["lemma-3.2"] = verify_decay_rate(decay)
+    reports["prop-3.7"] = verify_c0_convergence(traj, decay)
     reports["lemma-3.4"], reports["eq-3.10"] = _trace_reports(
         traj, bg, barrier)
     reports["thm-1.1-2"] = _limit_identity_report(sol0, bg, barrier)
@@ -84,43 +83,6 @@ def _trace_times(flow_T, flow_dt):
             f"flow: T={flow_T} with dt={flow_dt} reaches none of the trace "
             f"times {list(TRACE_TIMES)} that verify all samples")
     return times
-
-
-def _decay_rate_report(decay) -> EstimateReport:
-    lo, hi = DECAY_BAND
-    constants = {}
-    violations = []
-    for level in SIGMA_LEVELS:
-        fit = decay.get(f"sigma>={level}")
-        if fit is None:
-            violations.append(math.inf)
-            constants[f"sigma>={level}"] = None
-            continue
-        slope = fit["slope"]
-        constants[f"sigma>={level}"] = {"slope": slope,
-                                        "C": fit["intercept_constant"]}
-        violations.append(max(lo - slope, slope - hi))
-    worst = float(max(violations))
-    return EstimateReport(
-        name="lemma-3.2", constants=constants, max_violation=worst,
-        samples={"band": list(DECAY_BAND)})
-
-
-def _c0_report(traj) -> EstimateReport:
-    base = verify_c0_convergence(traj, name="prop-3.7")
-    monitors = {k: float(np.max(v)) for k, v in traj.monitors.items()}
-    samples = dict(base.samples)
-    samples["monitor_maxima"] = monitors
-    times = np.asarray(traj.times)
-    early = times <= 1.0
-    monitor_growth = {}
-    for k, v in traj.monitors.items():
-        v = np.asarray(v)
-        early_max = float(np.abs(v[early]).max())
-        monitor_growth[k] = float(np.abs(v).max() / max(early_max, 1e-300))
-    samples["monitor_growth_vs_t1"] = monitor_growth
-    return EstimateReport(name="prop-3.7", constants=base.constants,
-                          max_violation=base.max_violation, samples=samples)
 
 
 def _trace_reports(traj, bg, barrier):

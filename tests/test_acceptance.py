@@ -221,8 +221,7 @@ def test_criterion_08_trace_bounds(reference_run):
         density = ScalarField(grid, state.density)
         traces.append(trace_field(ref, density))
         traces.append(trace_field(density, ref))
-    rep = verify_trace_bound(traces, barrier, c_cap=1e6,
-                             lambda_grid=(1, 2, 4, 8))
+    rep = verify_trace_bound(traces, barrier, "eq-3.10")
     # negative control: a synthetic violation must be detected
     sig = np.logspace(-7, 0, 200)
     control = fit_trace_constants(None, sig, lambda_grid=(1,),

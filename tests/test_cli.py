@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import coneflow
-from coneflow import fibration_model, ke_solver
+from coneflow import fibration_model, flow_engine, ke_solver
 from coneflow.cli import (DEFAULT_EPSILON_SCHEDULE, _build_parser,
                           _config_from_args, main, parse_config_dict)
 from coneflow.errors import ConfigurationError
@@ -432,7 +432,17 @@ def test_flow_run_quick_byte_identical_across_blas_threads(model_file,
 
 
 def test_verify_all_byte_identical_across_reruns(model_file, tmp_path,
-                                                 capsys):
+                                                 monkeypatch, capsys):
+    # lemma-3.2 and prop-3.7 both read run_flow's decay report: each run
+    # fits once per flow mask (three barrier levels and the compact region)
+    fits = []
+    real = flow_engine.fit_decay_slope
+
+    def counting(times, gaps):
+        fits.append(gaps)
+        return real(times, gaps)
+
+    monkeypatch.setattr(flow_engine, "fit_decay_slope", counting)
     runs = []
     for label in ("a", "b"):
         out = tmp_path / label
@@ -441,6 +451,7 @@ def test_verify_all_byte_identical_across_reruns(model_file, tmp_path,
         runs.append((rc, capsys.readouterr().out,
                      (out / "verification_report.json").read_bytes()))
     assert runs[1] == runs[0]
+    assert len(fits) == 8
     # the product model fails thm-1.1-2 at N = 64: the Ricci-identity
     # residual is about 0.044 against the fiberless cap 5e-3
     report = json.loads(runs[0][2])

@@ -10,6 +10,7 @@ from coneflow.estimates import (EstimateReport, cone_angle,
                                 ricci_residual, sigma_barrier, trace_field,
                                 verify_c0_convergence, verify_trace_bound)
 from coneflow.fibration_model import product_model
+from coneflow.flow_engine import fit_decay_slope
 from coneflow.ke_solver import KESolution, build_problem, newton_solve
 from coneflow.torus_field import ScalarField, make_grid, periodic_distance
 
@@ -71,7 +72,7 @@ def test_trace_field_basics(grid64):
 
 def test_trace_bound_trivial(grid64):
     b = sigma_barrier(grid64, [(0.5, 0.5)])
-    rep = verify_trace_bound(constant(grid64, 1.0), b)
+    rep = verify_trace_bound([constant(grid64, 1.0)], b, "trace-bound")
     assert rep.passed
     assert rep.constants["C"] <= 1.0
 
@@ -82,8 +83,7 @@ def test_trace_bound_exact_exponential(grid64):
     with np.errstate(over="ignore"):
         trace = np.exp(np.minimum(1.0 / np.maximum(sig, 1e-300), 690.0))
     trace[sig == 0] = 1.0
-    rep = verify_trace_bound(ScalarField(grid64, trace),
-                             b, lambda_grid=(1,))
+    rep = verify_trace_bound([ScalarField(grid64, trace)], b, "trace-bound")
     assert rep.passed
     assert rep.constants["lambda"] == 1
     assert rep.constants["C"] <= np.e    # minimal dominating constant near 1
@@ -198,30 +198,40 @@ def test_cone_angle_rejects_large_eps(solved_product_128):
 # ---------------------------------------------------------------------------
 
 class _FakeTraj:
+    monitors = {}
+
     def __init__(self, times, gaps):
         self.times = times
         self.gaps = gaps
 
 
+def decay_fits(traj):
+    """run_flow's decay report for the trajectory's gap series."""
+    return {k: fit_decay_slope(traj.times, v) for k, v in traj.gaps.items()}
+
+
 def test_c0_convergence_trivial_stationary():
     t = [0.05 * k for k in range(1, 41)]
     gaps = {f"sigma>={lvl}": [1e-9] * 40 for lvl in (0.2, 0.4, 0.6)}
-    rep = verify_c0_convergence(_FakeTraj(t, gaps))
+    traj = _FakeTraj(t, gaps)
+    rep = verify_c0_convergence(traj, decay_fits(traj))
     assert rep.passed
 
 
 def test_c0_convergence_needs_samples():
     t = [0.1, 0.2]
     gaps = {f"sigma>={lvl}": [1e-9, 1e-9] for lvl in (0.2, 0.4, 0.6)}
+    traj = _FakeTraj(t, gaps)
     with pytest.raises(ConfigurationError):
-        verify_c0_convergence(_FakeTraj(t, gaps))
+        verify_c0_convergence(traj, decay_fits(traj))
 
 
 def test_c0_convergence_detects_slow_decay():
     t = [0.1 * k for k in range(1, 201)]
     slow = [0.05 * np.exp(-0.3 * tt) for tt in t]           # slope -0.3
     gaps = {f"sigma>={lvl}": slow for lvl in (0.2, 0.4, 0.6)}
-    rep = verify_c0_convergence(_FakeTraj(t, gaps))
+    traj = _FakeTraj(t, gaps)
+    rep = verify_c0_convergence(traj, decay_fits(traj))
     assert not rep.passed
 
 
@@ -241,7 +251,7 @@ def test_c0_shrinking_mask_has_larger_constant():
     c06 = decay["sigma>=0.6"]["intercept_constant"]
     assert c02 > c06
     assert c02 >= c04 >= c06
-    rep = verify_c0_convergence(traj)
+    rep = verify_c0_convergence(traj, decay)
     assert rep.passed
 
 
@@ -314,7 +324,7 @@ def test_trace_times_are_the_step_times_of_the_flow():
 def test_report_json_deterministic(grid64):
     b = sigma_barrier(grid64, [(0.5, 0.5)])
     f = constant(grid64, 1.0)
-    r1 = verify_trace_bound(f, b)
-    r2 = verify_trace_bound(f, b)
+    r1 = verify_trace_bound([f], b, "trace-bound")
+    r2 = verify_trace_bound([f], b, "trace-bound")
     assert json.dumps(r1.to_json_dict(), sort_keys=True) == \
         json.dumps(r2.to_json_dict(), sort_keys=True)

@@ -152,8 +152,9 @@ def test_step_state_carries_its_density(scheme, dt):
 @pytest.mark.parametrize("scheme, n, dt", [("backward-euler-newton", 64, 0.05),
                                            ("rk4-explicit", 16, 1e-4)])
 def test_run_flow_evaluates_each_phi_once(scheme, n, dt, monkeypatch):
-    # every rhs is formed once and carried by its state: no two rhs_values
-    # calls see the same phi (rk4 at N=16, where its guard admits dt=1e-4)
+    # every rhs is formed once and carried by its state, which the
+    # monitors' sup|d_t psi| reads: no two rhs_values calls see the same
+    # phi (rk4 at N=16, where its guard admits dt=1e-4)
     seen = []
     real = FlowOps.rhs_values
 
@@ -163,7 +164,7 @@ def test_run_flow_evaluates_each_phi_once(scheme, n, dt, monkeypatch):
 
     monkeypatch.setattr(FlowOps, "rhs_values", recording)
     run_flow(make_problem(n, eps=0.4), T=1.0, dt=dt, scheme=scheme,
-             masks={"all": np.ones((n, n), dtype=bool)})
+             monitor_mask=np.ones((n, n), dtype=bool))
     assert len(seen) > round(1.0 / dt)
     assert len(set(seen)) == len(seen)
 

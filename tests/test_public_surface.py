@@ -3,13 +3,15 @@
 No linter ships with the project, so these checks read the sources with
 the standard library's ast module: every name a module exports through
 __all__ must exist, and every module-level import must be used, so a
-deleted function cannot leave a stale export or import behind.  No module
-writes an underscore attribute of another object, so no object carries
-private state that some other code sets behind its back.  No knob hides
-in the environment: no module reads an environment variable.  The cone
-field delta chi(eps^2 + q) has one formula: only ke_solver (KEProblem)
-calls chi_values, besides cone_smoothing, which defines it.  Importing
-the package loads no scipy module, nor does building and stepping the 4D
+deleted function cannot leave a stale export or import behind.  Every
+import of the package's own modules sits at module level, so a lazy
+import cannot hide an import cycle.  No module writes an underscore
+attribute of another object, so no object carries private state that
+some other code sets behind its back.  No knob hides in the environment:
+no module reads an environment variable.  The cone field
+delta chi(eps^2 + q) has one formula: only ke_solver (KEProblem) calls
+chi_values, besides cone_smoothing, which defines it.  Importing the
+package loads no scipy module, nor does building and stepping the 4D
 oracle (only the chi quadrature imports it, when it runs), and
 preconditioned_cg keeps the signature that the benchmark tracer and the
 tests' cg_tolerances wrap.  No test-only code hides in the package: every
@@ -67,6 +69,25 @@ def test_no_unused_module_imports(module):
     unused = {name: line for name, line in module_level_imports(tree).items()
               if name not in used}
     assert not unused, f"{qualified(module)}: unused imports {unused}"
+
+
+def is_package_import(node):
+    """Whether node imports one of the package's own modules."""
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").startswith("coneflow")
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "coneflow" for alias in node.names)
+
+
+def test_package_imports_are_at_module_level():
+    nested = []
+    for module in MODULES:
+        with open(os.path.join(SRC, f"{module}.py")) as fh:
+            tree = ast.parse(fh.read())
+        top = {id(node) for node in tree.body}
+        nested += [f"{module}.py:{node.lineno}" for node in ast.walk(tree)
+                   if is_package_import(node) and id(node) not in top]
+    assert not nested, f"package imports below module level at {nested}"
 
 
 def assigned_attributes(node):
