@@ -8,6 +8,7 @@ period integrals are kept in the test suite as the independent oracle.
 A TauModel describes how the fiber modulus varies over the base: constant,
 a local logarithmic profile around marked points (capped and blended to a
 constant), or a Weierstrass family (g2(s), g3(s)) evaluated pointwise.
+Each model forms its own Im tau and Weil-Petersson density rho_WP.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ModelError, NumericalError
-from .torus_field import Grid, ScalarField, periodic_distance
+from .errors import ModelError, NumericalError
+from .torus_field import Grid, ScalarField, lap_values, periodic_distance
 
 __all__ = [
     "WeierstrassCurve",
@@ -29,7 +30,6 @@ __all__ = [
     "periods_from_weierstrass",
     "normalize_tau",
     "tau_field",
-    "cap_blend",
 ]
 
 _AGM_MAX_ITER = 64
@@ -221,21 +221,37 @@ def periods_from_weierstrass(c: WeierstrassCurve):
 # tau models on the base
 # ---------------------------------------------------------------------------
 
-class TauModel:
-    """Marker base class; concrete kinds below."""
+def cap_blend(d, cap):
+    """1 - s((d - cap/2) / (cap/2)) for the quintic smoothstep s: a C^2
+    cutoff, 1 within cap/2 of a marked point and 0 beyond cap."""
+    lo = 0.5 * cap
+    u = np.clip((d - lo) / (cap - lo), 0.0, 1.0)
+    return 1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
 
-    kind = "abstract"
+
+class TauModel:
+    """Base class of the tau models below.  Each model forms its own
+    Im tau, im_tau(grid, fibers), and moduli density rho_WP,
+    wp_density(grid, fibers, im_tau), from the fibration's singular fibers
+    (objects with point and ib_index).  rho_WP must be nonnegative on the
+    tau field's valid mask unless the model is signed."""
+
+    signed = False
 
 
 @dataclass(frozen=True)
 class ConstantTau(TauModel):
     tau: complex = 1j
 
-    kind = "constant"
-
     def __post_init__(self):
         if complex(self.tau).imag <= 0:
             raise ModelError("constant tau must lie in the upper half-plane")
+
+    def im_tau(self, grid: Grid, fibers):
+        return np.full((grid.n, grid.n), complex(self.tau).imag)
+
+    def wp_density(self, grid: Grid, fibers, im_tau):
+        return np.zeros((grid.n, grid.n))
 
 
 @dataclass(frozen=True)
@@ -248,13 +264,55 @@ class LocalLogTau(TauModel):
     baseline: float = 1.0
     cap_radius: float = 0.25
 
-    kind = "ib_local"
-
     def __post_init__(self):
         if self.baseline <= 0:
             raise ModelError("baseline Im tau must be positive")
         if not (0.0 < self.cap_radius <= 0.45):
             raise ModelError("cap radius must lie in (0, 0.45]")
+
+    def profile(self, dists, b):
+        """Im tau contribution profile for one marked point of index b at
+        distances dists."""
+        cap = self.cap_radius
+        lo = 0.5 * cap
+        d = np.maximum(np.asarray(dists, dtype=float), 1e-300)
+        g_log = -np.log(d)
+        g_cap = -np.log(cap)
+        w = cap_blend(d, cap)
+        g = np.where(d <= lo, g_log,
+                     np.where(d >= cap, g_cap, g_cap + w * (g_log - g_cap)))
+        return (b / (2.0 * np.pi)) * g
+
+    def im_tau(self, grid: Grid, fibers):
+        im = np.full((grid.n, grid.n), self.baseline)
+        for f in fibers:
+            if f.ib_index > 0:
+                im = im + self.profile(periodic_distance(grid, f.point),
+                                       f.ib_index)
+        return im
+
+    def wp_density(self, grid: Grid, fibers, im_tau):
+        """The capped profile is not globally the imaginary part of a
+        holomorphic family, so rho_WP is the closed-form local density
+        (b/2pi)^2 / (2 d^2 Im tau^2), shut off by the profile's C^2 blend:
+        nonnegative and supported in the caps."""
+        out = np.zeros((grid.n, grid.n))
+        for f in fibers:
+            if f.ib_index == 0:
+                continue
+            d = np.maximum(periodic_distance(grid, f.point),
+                           0.5 * grid.spacing)
+            cutoff = cap_blend(d, self.cap_radius)
+            out += (0.5 * (f.ib_index / (2.0 * np.pi))**2
+                    / (d * d * im_tau * im_tau)) * cutoff
+        return out
+
+
+def _evaluate_modes(x, y, const, modes):
+    out = np.full(x.shape, complex(const), dtype=complex)
+    for kx, ky, amp in modes:
+        out += complex(amp) * np.exp(2j * np.pi * (kx * x + ky * y))
+    return out
 
 
 @dataclass(frozen=True)
@@ -267,87 +325,53 @@ class WeierstrassFamilyTau(TauModel):
     g2_modes: tuple = field(default_factory=tuple)
     g3_modes: tuple = field(default_factory=tuple)
 
-    kind = "weierstrass"
+    @property
+    def signed(self):
+        """A varying family on the torus is never holomorphic, so its
+        density is genuinely signed and only Im tau > 0 is required."""
+        return bool(self.g2_modes or self.g3_modes)
+
+    def im_tau(self, grid: Grid, fibers):
+        """Im(w2/w1) of the family at every grid point, one block of _BLOCK
+        points at a time: a block's invariants, discriminant check, roots,
+        AGM inputs, both AGMs and period ratio.  No full-grid complex array
+        is formed."""
+        n = grid.n
+        axis = grid.axis()
+        im = np.empty(n * n)
+        for s in _blocks(n * n):
+            i, j = np.divmod(np.arange(s.start, s.stop), n)
+            x, y = axis[i], axis[j]
+            g2 = _evaluate_modes(x, y, self.g2, self.g2_modes)
+            g3 = _evaluate_modes(x, y, self.g3, self.g3_modes)
+            del i, j, x, y      # not held through the roots' temporaries
+            disc = g2**3 - 27.0 * g3**2
+            if np.any(np.abs(disc) < 1e-12):
+                raise ModelError("Weierstrass family degenerates on the grid")
+            rows = _agm_inputs(_block_roots(g2, g3, disc))
+            del g2, g3, disc
+            w1 = np.pi / (2.0 * _agm(rows[0], rows[1]))
+            w2 = np.pi / (2.0 * _agm(rows[2], rows[3]))
+            im[s] = np.abs((w2 / w1).imag)
+        return im.reshape(n, n)
+
+    def wp_density(self, grid: Grid, fibers, im_tau):
+        """The spectral Laplacian of log Im tau is exact here: the field is
+        smooth and periodic."""
+        return -0.5 * lap_values(np.log(im_tau))
 
 
-def cap_blend(d, cap):
-    """1 - s((d - cap/2) / (cap/2)) for the quintic smoothstep s: a C^2
-    cutoff, 1 within cap/2 of a marked point and 0 beyond cap."""
-    lo = 0.5 * cap
-    u = np.clip((d - lo) / (cap - lo), 0.0, 1.0)
-    return 1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
-
-
-def local_log_im_tau(model: LocalLogTau, dists, b):
-    """Im tau contribution profile for one marked point at distances dists."""
-    cap = model.cap_radius
-    lo = 0.5 * cap
-    d = np.maximum(np.asarray(dists, dtype=float), 1e-300)
-    g_log = -np.log(d)
-    g_cap = -np.log(cap)
-    w = cap_blend(d, cap)
-    g = np.where(d <= lo, g_log,
-                 np.where(d >= cap, g_cap, g_cap + w * (g_log - g_cap)))
-    return (b / (2.0 * np.pi)) * g
-
-
-def _evaluate_modes(x, y, const, modes):
-    out = np.full(x.shape, complex(const), dtype=complex)
-    for kx, ky, amp in modes:
-        out += complex(amp) * np.exp(2j * np.pi * (kx * x + ky * y))
-    return out
-
-
-def _weierstrass_im_tau(model: WeierstrassFamilyTau, grid: Grid):
-    """Im(w2/w1) of the family at every grid point, one block of _BLOCK
-    points at a time: a block's invariants, discriminant check, roots, AGM
-    inputs, both AGMs and period ratio.  No full-grid complex array is
-    formed."""
-    n = grid.n
-    axis = grid.axis()
-    im = np.empty(n * n)
-    for s in _blocks(n * n):
-        i, j = np.divmod(np.arange(s.start, s.stop), n)
-        x, y = axis[i], axis[j]
-        g2 = _evaluate_modes(x, y, model.g2, model.g2_modes)
-        g3 = _evaluate_modes(x, y, model.g3, model.g3_modes)
-        del i, j, x, y      # not held through the roots' temporaries
-        disc = g2**3 - 27.0 * g3**2
-        if np.any(np.abs(disc) < 1e-12):
-            raise ModelError("Weierstrass family degenerates on the grid")
-        rows = _agm_inputs(_block_roots(g2, g3, disc))
-        del g2, g3, disc
-        w1 = np.pi / (2.0 * _agm(rows[0], rows[1]))
-        w2 = np.pi / (2.0 * _agm(rows[2], rows[3]))
-        im[s] = np.abs((w2 / w1).imag)
-    return im.reshape(n, n)
-
-
-def tau_field(model: TauModel, grid: Grid, singular_points=(), ib_indices=()):
+def tau_field(model: TauModel, grid: Grid, fibers=()):
     """Sample Im tau on the grid and build the validity mask.
 
-    The mask excludes a two-cell disk around each singular point; Im tau
-    must be positive everywhere on the mask.  For the local-log kind the
-    b-indices pair up with singular_points.
+    fibers are the singular fibers (objects with point and ib_index).  The
+    mask excludes a two-cell disk around each of their points; Im tau must
+    be positive everywhere on the mask.
     """
-    n = grid.n
-    if model.kind == "constant":
-        im = np.full((n, n), complex(model.tau).imag)
-    elif model.kind == "ib_local":
-        if len(singular_points) != len(ib_indices):
-            raise ModelError("each singular point needs a log-monodromy index")
-        im = np.full((n, n), model.baseline)
-        for p, b in zip(singular_points, ib_indices):
-            if b > 0:
-                im = im + local_log_im_tau(model, periodic_distance(grid, p), b)
-    elif model.kind == "weierstrass":
-        im = _weierstrass_im_tau(model, grid)
-    else:
-        raise ConfigurationError(f"unknown tau model kind {model.kind!r}")
-
-    mask = np.ones((n, n), dtype=bool)
-    for p in singular_points:
-        mask &= periodic_distance(grid, p) > 2.0 * grid.spacing
+    im = model.im_tau(grid, fibers)
+    mask = np.ones((grid.n, grid.n), dtype=bool)
+    for f in fibers:
+        mask &= periodic_distance(grid, f.point) > 2.0 * grid.spacing
     if np.any(im[mask] <= 0):
         raise ModelError("Im tau is not positive on the valid mask")
     return ScalarField(grid, np.asarray(im, dtype=float)), mask

@@ -29,10 +29,9 @@ import numpy as np
 
 from .errors import ConfigurationError, ModelError
 from .elliptic_periods import (ConstantTau, LocalLogTau, TauModel,
-                               WeierstrassFamilyTau, cap_blend, tau_field)
+                               WeierstrassFamilyTau, tau_field)
 from .torus_field import (Grid, ScalarField, green_values, lap_values,
-                          make_grid, pair_distance, periodic_distance,
-                          solve_poisson_values)
+                          make_grid, pair_distance, solve_poisson_values)
 
 __all__ = [
     "SingularFiber",
@@ -96,7 +95,6 @@ class BackgroundGeometry:
     q: ScalarField                 # |section|^2, max exactly 1
     wp: ScalarField                # moduli density rho_WP
     wp_mass: float                 # W, the mean of rho_WP
-    tau_mask: np.ndarray
 
     def metric_density(self, v) -> np.ndarray:
         """A + (1/2) Lap v: the density of the metric with potential v,
@@ -134,36 +132,6 @@ def _snap_model(model: FibrationModel, grid: Grid) -> FibrationModel:
     return replace(model, cone_point=pts[0], fibers=fibers)
 
 
-def _wp_density_values(model: FibrationModel, grid: Grid, im_tau):
-    """Moduli density on the grid, nonnegative on the valid mask.
-
-    For a global Weierstrass family the spectral Laplacian of log Im tau is
-    exact (the field is smooth and periodic).  The capped local-log profile
-    is not globally the imaginary part of a holomorphic family, so there we
-    use the closed-form local density (b/2pi)^2 / (2 d^2 Im tau^2), shut off
-    by the same C^2 blend as the profile; this keeps the density nonnegative
-    and supported in the caps.
-    """
-    n = grid.n
-    kind = model.tau_model.kind
-    if kind == "constant":
-        return np.zeros((n, n))
-    if kind == "weierstrass":
-        return -0.5 * lap_values(np.log(im_tau))
-    if kind == "ib_local":
-        tm = model.tau_model
-        out = np.zeros((n, n))
-        for f in model.fibers:
-            if f.ib_index == 0:
-                continue
-            d = np.maximum(periodic_distance(grid, f.point), 0.5 * grid.spacing)
-            cutoff = cap_blend(d, tm.cap_radius)
-            out += (0.5 * (f.ib_index / (2.0 * np.pi))**2
-                    / (d * d * im_tau * im_tau)) * cutoff
-        return out
-    raise ConfigurationError(f"unknown tau model kind {kind!r}")
-
-
 def _class_area(model: FibrationModel, w_mass: float) -> float:
     """A = 2 pi (1 - beta) + W + 2 pi sum (m_i - 1)/m_i."""
     return 2.0 * np.pi * (1.0 - model.beta) + w_mass + \
@@ -172,14 +140,17 @@ def _class_area(model: FibrationModel, w_mass: float) -> float:
 
 def _moduli(model: FibrationModel, grid: Grid):
     """The moduli step: the model with its points snapped to the grid, the
-    moduli density rho_WP on it, the tau field's valid mask, the mass W and
-    the area A that the class forces."""
+    moduli density rho_WP on it, the mass W and the area A that the class
+    forces.  Unless the tau model is signed, rho_WP may not dip below -1e-8
+    on the tau field's valid mask."""
     model = _snap_model(model, grid)
-    im, mask = tau_field(model.tau_model, grid, [f.point for f in model.fibers],
-                         [f.ib_index for f in model.fibers])
-    wp = _wp_density_values(model, grid, im.values)
+    tau = model.tau_model
+    im, mask = tau_field(tau, grid, model.fibers)
+    wp = tau.wp_density(grid, model.fibers, im.values)
+    if not tau.signed and np.any(wp[mask] < -1e-8):
+        raise ModelError("moduli density dips below -1e-8 on the valid mask")
     w_mass = float(wp.mean())
-    return model, wp, mask, w_mass, _class_area(model, w_mass)
+    return model, wp, w_mass, _class_area(model, w_mass)
 
 
 def required_area(model: FibrationModel, grid: Grid) -> float:
@@ -195,21 +166,13 @@ def build_background(model: FibrationModel, grid: Grid) -> BackgroundGeometry:
 
     Marked points snap to the lattice; their separations must exceed 8/N.
     """
-    model, wp, tau_mask, wp_mass, area = _moduli(model, grid)
+    model, wp, wp_mass, area = _moduli(model, grid)
     q = green_values(grid, model.cone_point)
     q -= q.max()
     np.exp(q, out=q)
-    # nonnegativity is guaranteed (and enforced) for the built-in kinds; a
-    # varying Weierstrass family on the torus is never holomorphic, so its
-    # density is genuinely signed and only Im tau > 0 is required there
-    varying_family = (model.tau_model.kind == "weierstrass"
-                      and (model.tau_model.g2_modes or model.tau_model.g3_modes))
-    if not varying_family and \
-            np.any(wp[tau_mask] < -1e-8):
-        raise ModelError("moduli density dips below -1e-8 on the valid mask")
     return BackgroundGeometry(grid=grid, model=model, area=area,
                               q=ScalarField(grid, q), wp=ScalarField(grid, wp),
-                              wp_mass=wp_mass, tau_mask=tau_mask)
+                              wp_mass=wp_mass)
 
 
 def assemble_density(model: FibrationModel, bg: BackgroundGeometry,

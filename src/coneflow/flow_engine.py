@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, DivergenceError, PositivityError,
                      StabilityGuardError)
+from .elliptic_periods import ConstantTau
 from .ke_solver import KEProblem, build_problem, damped_newton
 from .torus_field import (ScalarField, from_half_spectrum, half_spectrum,
                           lap_values, _lap_multiplier)
@@ -313,7 +314,7 @@ class ProductFlow4D:
     def __init__(self, problem: KEProblem, nf: int = 16, nb: int = 32,
                  fiber_area: float = 2.0):
         model = problem.bg.model
-        if model.fibers or model.tau_model.kind != "constant":
+        if model.fibers or not isinstance(model.tau_model, ConstantTau):
             raise ConfigurationError("the 4D oracle supports product models only")
         if np.abs(problem.density.log_density.values).max() > 1e-10:
             raise ConfigurationError("the 4D oracle requires F identically 1")

@@ -54,6 +54,12 @@ NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 50
 NEWTON_CG_FLOOR = 1e-12
 CG_MAX_ITER = 500
+# A stalled line search ends the solve at x when its full step is
+# round-off, sup|w| <= ROUNDOFF_STEP eps sup|x|.  Every stall of the
+# product-model flows at N = 256 (T 1, dt 0.05) had sup|w| / (eps sup|x|)
+# of 2.9 to 18 at delta 0.1 and of 2.5 to 51 at delta 0.487.
+ROUNDOFF_STEP = 64
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -215,7 +221,9 @@ def damped_newton(x, start, evaluate, linearize, tol, max_iter, cg_floor):
     (coeff, op_symbol, b) for preconditioned_cg, solved to the relative
     tolerance max(cg_floor, 0.1 * tol / sup) (Kelley's safeguard).  Steps
     are halved, at most 30 times, until the trial is in the cone and lowers
-    sup|G|; the accepted trial's evaluation is the next iterate's.
+    sup|G|; the accepted trial's evaluation is the next iterate's.  When
+    no trial does, x is returned if the full step is round-off (see
+    ROUNDOFF_STEP), else the solve fails.
     """
     (g, state), history = start, []
     while True:
@@ -236,6 +244,8 @@ def damped_newton(x, start, evaluate, linearize, tol, max_iter, cg_floor):
                 break
             step *= 0.5
         else:
+            if np.abs(w).max() <= ROUNDOFF_STEP * _EPS * np.abs(x).max():
+                return x, state, history
             raise DivergenceError(
                 f"Newton line search stalled at iteration {len(history) - 1}"
                 f" (residual {sup:.3e})")

@@ -18,10 +18,11 @@ from coneflow.estimates import (cone_angle, fit_trace_constants,
                                 sigma_barrier, trace_field,
                                 verify_trace_bound)
 from coneflow.fibration_model import product_model, validate_lp
-from coneflow.flow_engine import ProductFlow4D, run_flow
+from coneflow.flow_engine import ProductFlow4D
 from coneflow.ke_solver import (build_problem, extrapolated_solution,
                                 newton_solve)
 from coneflow.torus_field import ScalarField, lap_values
+from coneflow.verify import target_flow
 
 from tests.conftest import i1_model, m2_model, mesh
 
@@ -35,25 +36,15 @@ def report(criterion, passed, detail):
 @pytest.fixture(scope="session")
 def reference_run():
     """Criterion 1 configuration: product model, N=128, eps=0.05, T=20,
-    dt=0.05 backward Euler, with snapshots for the trace criteria."""
-    model = product_model()
-    problem = build_problem(model, 128, 0.05)
-    barrier = sigma_barrier(problem.bg.grid, [model.cone_point],
-                            reference_area=problem.bg.area)
-    masks = {f"sigma>={lvl}": barrier.level_mask(lvl)
-             for lvl in (0.2, 0.4, 0.6)}
-    masks["qr>=0.1"] = problem.bg.q.values >= 0.1
-    target = newton_solve(problem)
+    dt=0.05 backward Euler, with snapshots for the trace criteria; the
+    flow is verify.target_flow, the one that flow run and verify all run."""
+    problem = build_problem(product_model(), 128, 0.05)
     t0 = time.time()
-    state, traj, decay = run_flow(problem, T=20.0, dt=0.05,
-                                  scheme="backward-euler-newton",
-                                  masks=masks, target_phi=target.phi,
-                                  monitor_mask=masks["sigma>=0.2"],
-                                  snapshot_times=(1.0, 5.0, 10.0, 20.0))
+    barrier, state, traj, decay = target_flow(
+        problem, 20.0, 0.05, snapshot_times=(1.0, 5.0, 10.0, 20.0))
     runtime = time.time() - t0
-    return dict(problem=problem, barrier=barrier, masks=masks,
-                target=target, state=state, traj=traj, decay=decay,
-                runtime=runtime)
+    return dict(problem=problem, barrier=barrier, state=state, traj=traj,
+                decay=decay, runtime=runtime)
 
 
 @pytest.fixture(scope="session")

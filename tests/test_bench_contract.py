@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from coneflow import cli, ke_solver
+from coneflow.elliptic_periods import WeierstrassFamilyTau
 from coneflow.fibration_model import product_model
 
 
@@ -75,7 +76,8 @@ def test_verify_workload_setup_writes_a_loadable_model(load_bench, tmp_path,
         ((0.5 + shift[0]) % 1.0, (0.5 + shift[1]) % 1.0))
     assert [(f.multiplicity, f.ib_index) for f in model.fibers] == [(1, 0)]
     tau = model.tau_model
-    assert tau.kind == "weierstrass" and (tau.g2, tau.g3) == (4.0, 0.0)
+    assert isinstance(tau, WeierstrassFamilyTau)
+    assert (tau.g2, tau.g3) == (4.0, 0.0)
     assert [m[:2] for m in tau.g2_modes] == [(1, 0)]
     assert [m[:2] for m in tau.g3_modes] == [(0, 1)]
     assert abs(tau.g2_modes[0][2]) == pytest.approx(0.2)

@@ -400,6 +400,17 @@ def test_flow_run_artifacts_and_gaps(model_file, tmp_path):
     assert -1.15 < fit["slope"] < -0.85
 
 
+@pytest.mark.slow
+def test_flow_run_at_256_accepts_roundoff_steps(model_file, tmp_path):
+    # at N = 256 some backward-Euler steps stall just above STEP_TOL with a
+    # full Newton step of a few ulps of phi; the flow takes them and goes on
+    out = tmp_path / "out"
+    rc = main(["flow", "run", "--model", model_file, "--grid-n", "256",
+               "--T", "1", "--dt", "0.05", "--out", str(out)])
+    assert rc == 0
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 20
+
+
 def test_flow_run_byte_identical_across_reruns(model_file, tmp_path):
     names = ("trajectory.csv", "final_phi.csv", "decay_report.json")
     runs = []

@@ -5,11 +5,11 @@ from scipy.integrate import quad
 from coneflow.elliptic_periods import (ConstantTau, LocalLogTau,
                                        WeierstrassCurve,
                                        WeierstrassFamilyTau,
-                                       discriminant, local_log_im_tau,
-                                       normalize_tau,
+                                       discriminant, normalize_tau,
                                        periods_from_weierstrass, tau_field)
 from coneflow import elliptic_periods
 from coneflow.errors import ModelError
+from coneflow.fibration_model import SingularFiber
 from coneflow.torus_field import make_grid
 from tests.conftest import mesh
 
@@ -297,13 +297,14 @@ def test_tau_field_local_log_profile():
     # at distance e^{-2 pi} inside the cap, Im tau = baseline + b
     model = LocalLogTau(baseline=1.0, cap_radius=0.25)
     d = np.exp(-2 * np.pi)
-    val = 1.0 + local_log_im_tau(model, np.array([d]), b=1)[0]
+    val = 1.0 + model.profile(np.array([d]), b=1)[0]
     assert val == pytest.approx(2.0, abs=1e-12)
 
 
 def test_tau_field_local_log_on_grid(grid128):
     model = LocalLogTau(baseline=1.0, cap_radius=0.25)
-    im, mask = tau_field(model, grid128, [(0.25, 0.25)], [1])
+    im, mask = tau_field(model, grid128,
+                         [SingularFiber((0.25, 0.25), 1, ib_index=1)])
     assert im.values[mask].min() > 0
     # constant at distance >= cap
     far = im.values[0, 0]

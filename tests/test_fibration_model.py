@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from coneflow import cli
+from coneflow.elliptic_periods import WeierstrassFamilyTau, tau_field
 from coneflow.errors import ConfigurationError, ModelError
 from coneflow.fibration_model import (FibrationModel, SingularFiber,
                                       assemble_density, build_background,
@@ -65,28 +67,59 @@ def test_build_background_snaps_points(grid64):
 def test_wp_nonnegative_on_mask_builtin_kinds(grid128, i1):
     for model in (product_model(), i1):
         bg = build_background(model, grid128)
-        assert bg.wp.values[bg.tau_mask].min() >= -1e-8
+        assert bg.wp.values.min() >= -1e-8
 
 
 def test_wp_constant_weierstrass_kind(grid128):
-    from coneflow.elliptic_periods import WeierstrassFamilyTau
     wmodel = FibrationModel(beta=0.5, delta=0.1, cone_point=(0.5, 0.5),
                             tau_model=WeierstrassFamilyTau(g2=4.0, g3=0.0))
     bg = build_background(wmodel, grid128)
-    assert bg.wp.values[bg.tau_mask].min() >= -1e-8
+    assert bg.wp.values.min() >= -1e-8
     assert abs(bg.wp_mass) < 1e-12
 
 
 def test_wp_varying_weierstrass_family(grid128):
     # a varying family cannot be holomorphic on the torus, so its density is
     # signed; the build still records a spectrally exact mean-zero density
-    from coneflow.elliptic_periods import WeierstrassFamilyTau
     wmodel = FibrationModel(beta=0.5, delta=0.1, cone_point=(0.5, 0.5),
                             tau_model=WeierstrassFamilyTau(
                                 g2=4.0, g3=0.0, g3_modes=((1, 0, 0.15),)))
     bg = build_background(wmodel, grid128)
     assert abs(bg.wp_mass) < 1e-12
     assert bg.wp.values.std() > 0.0
+
+
+def test_moduli_formulas_match_written_out_expressions(grid64, i1, load_bench,
+                                                       tmp_path):
+    # each tau model forms rho_WP as the formulas below, bit for bit
+    n, h = 64, 1.0 / 64
+    path = load_bench("workloads").verify_setup(3001, str(tmp_path))["model"]
+    family = cli.load_model(path)
+    assert family.tau_model.signed
+    assert not (product_model().tau_model.signed or i1.tau_model.signed
+                or WeierstrassFamilyTau(g2=4.0, g3=0.0).signed)
+
+    assert np.array_equal(build_background(product_model(), grid64).wp.values,
+                          np.zeros((n, n)))
+
+    cap, b = 0.25, 1
+    dist = periodic_distance(grid64, (0.25, 0.25))
+    d = np.maximum(dist, 1e-300)
+    u = np.clip((d - 0.5 * cap) / (cap - 0.5 * cap), 0.0, 1.0)
+    w = 1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
+    g_log, g_cap = -np.log(d), -np.log(cap)
+    g = np.where(d <= 0.5 * cap, g_log,
+                 np.where(d >= cap, g_cap, g_cap + w * (g_log - g_cap)))
+    im = 1.0 + (b / (2.0 * np.pi)) * g
+    d = np.maximum(dist, 0.5 * h)
+    u = np.clip((d - 0.5 * cap) / (cap - 0.5 * cap), 0.0, 1.0)
+    cutoff = 1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
+    expected = (0.5 * (b / (2.0 * np.pi))**2 / (d * d * im * im)) * cutoff
+    assert np.array_equal(build_background(i1, grid64).wp.values, expected)
+
+    im = tau_field(family.tau_model, grid64)[0].values
+    assert np.array_equal(build_background(family, grid64).wp.values,
+                          -0.5 * lap_values(np.log(im)))
 
 
 def test_area_identity_exact(grid128, i1, m2):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from coneflow.errors import ConfigurationError, ModelError
+from coneflow.errors import ConfigurationError, DivergenceError, ModelError
 from coneflow.fibration_model import (DensityData, build_background,
                                       validate_lp)
 from coneflow.ke_solver import (CG_MAX_ITER, POSITIVITY_EPSILONS, KEProblem,
@@ -411,6 +411,28 @@ def test_flow_steps_match_plain_formulas_bitwise(product_problem128,
         assert np.array_equal(state.phi.values, phi)
         assert np.array_equal(state.density, density)
     assert used_predictor == [False, True]
+
+
+def test_damped_newton_ends_a_stall_only_on_a_roundoff_step(monkeypatch):
+    # no trial lowers sup|G|: a full step of at most ROUNDOFF_STEP ulps of
+    # sup|x| ends the solve at x, a longer one fails it
+    from coneflow import ke_solver
+    x, g = np.full((8, 8), 2.0), np.full((8, 8), 1e-11)
+
+    def solve(ulps):
+        step = np.full((8, 8), ulps * np.finfo(float).eps * 2.0)
+        monkeypatch.setattr(ke_solver, "preconditioned_cg",
+                            lambda coeff, op_symbol, b, rel_tol: (step, 1))
+        return ke_solver.damped_newton(x, (g, "start"),
+                                       lambda u: (g, "trial"),
+                                       lambda u, state, g: (None, None, g),
+                                       1e-12, 30, 1e-13)
+
+    u, state, history = solve(ke_solver.ROUNDOFF_STEP)
+    assert u is x and state == "start" and history == [1e-11]
+    with pytest.raises(DivergenceError, match=r"stalled at iteration 0 "
+                       r"\(residual 1\.000e-11\)"):
+        solve(ke_solver.ROUNDOFF_STEP + 1)
 
 
 @pytest.mark.slow

@@ -10,7 +10,9 @@ attribute of another object, so no object carries private state that
 some other code sets behind its back.  No knob hides in the environment:
 no module reads an environment variable.  The cone field
 delta chi(eps^2 + q) has one formula: only ke_solver (KEProblem) calls
-chi_values, besides cone_smoothing, which defines it.  Importing the
+chi_values, besides cone_smoothing, which defines it.  No module reads a
+.kind attribute, so no code dispatches on a tau model's kind string: each
+tau model forms its own Im tau and moduli density.  Importing the
 package loads no scipy module, nor does building and stepping the 4D
 oracle (only the chi quadrature imports it, when it runs), and
 preconditioned_cg keeps the signature that the benchmark tracer and the
@@ -172,6 +174,24 @@ def test_only_ke_solver_forms_cone_fields():
         if lines:
             calls[module] = lines
     assert not calls, f"chi_values is called at {calls}"
+
+
+def kind_reads(tree):
+    """[(top-level definition, line)] of every read of a .kind attribute."""
+    return [(getattr(top, "name", "<module>"), node.lineno)
+            for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and node.attr == "kind"
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_no_module_reads_a_kind_attribute():
+    reads = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, f"{module}.py")) as fh:
+            found = kind_reads(ast.parse(fh.read()))
+        if found:
+            reads[module] = found
+    assert not reads, f".kind is read at {reads}"
 
 
 def scipy_modules_after(code):
