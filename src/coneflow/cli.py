@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from .errors import ConeflowError, ConfigurationError, ModelError
 from .fibration_model import (_integer, _known_keys, _mapping, _read, _real,
                               _string, lp_threshold, model_from_json_dict)
-from .flow_engine import _step_count, _steps_to
+from .flow_engine import T_MAX, _step_count, _steps_to
 from .ke_solver import build_problem, continuation_solve
 from .torus_field import write_field_csv, write_field_pgm
 from .verify import run_verification_suite, target_flow
@@ -80,8 +80,8 @@ def parse_config_dict(d: dict, base_dir=".") -> RunConfig:
     _known_keys(flow, _FLOW_KEYS, "config.flow")
     flow["T"] = _read(flow, "T", "config.flow", _real)
     flow["dt"] = _read(flow, "dt", "config.flow", _real)
-    if not (0.0 < flow["dt"] <= flow["T"] <= 50.0):
-        raise ConfigurationError("config.flow: need 0 < dt <= T <= 50")
+    if not (0.0 < flow["dt"] <= flow["T"] <= T_MAX):
+        raise ConfigurationError(f"config.flow: need 0 < dt <= T <= {T_MAX:g}")
     _step_count(flow["T"], flow["dt"], "config.flow")
     return RunConfig(model_path=model_path, grid_n=grid_n,
                      epsilon_schedule=schedule, flow=flow,
@@ -131,7 +131,7 @@ def write_json(path, obj):
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
-def _cmd_model_check(model, problem) -> int:
+def _cmd_model_check(cfg: RunConfig, model, problem) -> int:
     print(f"A = {problem.bg.area:.12g}")
     print(f"W = {problem.bg.wp_mass:.12g}")
     print(f"p_star = {lp_threshold(model):.12g}")
@@ -153,7 +153,7 @@ def _ke_report(report, sols):
     }
 
 
-def _cmd_solve_ke(cfg: RunConfig, problem) -> int:
+def _cmd_solve_ke(cfg: RunConfig, model, problem) -> int:
     sols, report = continuation_solve(problem, list(cfg.epsilon_schedule))
     sol = sols[-1]
     out = cfg.output_dir
@@ -164,7 +164,7 @@ def _cmd_solve_ke(cfg: RunConfig, problem) -> int:
     return 0
 
 
-def _cmd_flow_run(cfg: RunConfig, problem) -> int:
+def _cmd_flow_run(cfg: RunConfig, model, problem) -> int:
     _, state, traj, decay = target_flow(problem, cfg.flow["T"], cfg.flow["dt"])
     out = cfg.output_dir
 
@@ -265,7 +265,10 @@ def _build_parser():
                 description="Conical-flow numerical laboratory")
     sub = p.add_subparsers(dest="group", required=True)
 
-    def add_common(sp):
+    def add_common(sp, command):
+        """The flags every model subcommand takes; the subcommand runs as
+        command(cfg, model, problem)."""
+        sp.set_defaults(command=command)
         sp.add_argument("--config", help="run-config JSON path")
         sp.add_argument("--model", help="model JSON path")
         sp.add_argument("--grid-n", type=int, default=None)
@@ -275,21 +278,24 @@ def _build_parser():
 
     model_p = sub.add_parser("model", help="model-file operations")
     model_sub = model_p.add_subparsers(dest="action", required=True)
-    add_common(model_sub.add_parser("check", help="print forced constants"))
+    add_common(model_sub.add_parser("check", help="print forced constants"),
+               _cmd_model_check)
 
-    add_common(sub.add_parser("solve-ke", help="continuation solve"))
+    add_common(sub.add_parser("solve-ke", help="continuation solve"),
+               _cmd_solve_ke)
 
     flow_p = sub.add_parser("flow", help="flow operations")
     flow_sub = flow_p.add_subparsers(dest="action", required=True)
     flow_run = flow_sub.add_parser("run", help="evolve the reduced flow")
-    add_common(flow_run)
+    add_common(flow_run, _cmd_flow_run)
     flow_run.add_argument("--T", type=float, default=None)
     flow_run.add_argument("--dt", type=float, default=None)
     flow_run.add_argument("--epsilon", type=float, default=None)
 
     verify_p = sub.add_parser("verify", help="verification suites")
     verify_sub = verify_p.add_subparsers(dest="action", required=True)
-    add_common(verify_sub.add_parser("all", help="full estimate suite"))
+    add_common(verify_sub.add_parser("all", help="full estimate suite"),
+               _cmd_verify_all)
 
     per = sub.add_parser("periods", help="batch elliptic periods")
     per.add_argument("--input", required=True, help="CSV of g2, g3 rows")
@@ -348,15 +354,7 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         model = load_model(cfg.model_path)
         problem = build_problem(model, cfg.grid_n, cfg.epsilon_schedule[-1])
-        if args.group == "model" and args.action == "check":
-            return _cmd_model_check(model, problem)
-        if args.group == "solve-ke":
-            return _cmd_solve_ke(cfg, problem)
-        if args.group == "flow" and args.action == "run":
-            return _cmd_flow_run(cfg, problem)
-        if args.group == "verify" and args.action == "all":
-            return _cmd_verify_all(cfg, model, problem)
-        raise ConfigurationError(f"unhandled command {args.group}")
+        return args.command(cfg, model, problem)
     except (ConeflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

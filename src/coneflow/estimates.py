@@ -62,7 +62,6 @@ class BarrierSigma:
     gradient and Laplacian bounds recorded against the reference area."""
 
     sigma: ScalarField
-    points: tuple
     bound_constant: float      # max(sup |grad sigma|^2, sup |(1/2) Lap sigma|) / A
 
     def level_mask(self, threshold: float) -> np.ndarray:
@@ -102,8 +101,7 @@ def sigma_barrier(grid: Grid, points,
     grad_sq = float((gx * gx + gy * gy).max())
     half_lap = float(np.abs(0.5 * lap_values(sig)).max())
     bound = max(grad_sq, half_lap) / reference_area
-    return BarrierSigma(sigma=ScalarField(grid, sig), points=tuple(pts),
-                        bound_constant=bound)
+    return BarrierSigma(sigma=ScalarField(grid, sig), bound_constant=bound)
 
 
 # The sets the paper's convergence statements are made on (barrier levels
@@ -136,8 +134,9 @@ def trace_field(rho_num: ScalarField, rho_den: ScalarField) -> ScalarField:
     return ScalarField(rho_num.grid, rho_num.values / den)
 
 
-def _min_dominating_constant(log_trace, sigma_vals, lam, c_cap=1e9):
-    """Smallest C with log T <= log C + C / sigma^lam at every sample."""
+def _min_dominating_constant(log_trace, sigma_vals, lam):
+    """Smallest C with log T <= log C + C / sigma^lam at every sample;
+    infinite when no C up to 1e9 dominates."""
     weight = sigma_vals ** (-float(lam))
 
     def violation(c):
@@ -146,7 +145,7 @@ def _min_dominating_constant(log_trace, sigma_vals, lam, c_cap=1e9):
     lo, hi = 1e-6, 1.0
     while violation(hi) > 0.0:
         hi *= 4.0
-        if hi > c_cap:
+        if hi > 1e9:
             return math.inf
     for _ in range(200):
         mid = math.sqrt(lo * hi)
@@ -159,23 +158,21 @@ def _min_dominating_constant(log_trace, sigma_vals, lam, c_cap=1e9):
     return hi
 
 
-def fit_trace_constants(trace_values, sigma_values, lambda_grid=(1, 2, 4, 8),
-                        log_trace_values=None):
-    """Fit (C, lambda) over the lambda grid; returns the smallest dominating
-    C and its lambda, ignoring samples with sigma = 0.  Synthetic controls
-    whose trace overflows may pass log_trace_values directly."""
+TRACE_LAMBDAS = (1, 2, 4, 8)    # the exponents lambda the trace fit tries
+
+
+def fit_trace_constants(trace_values, sigma_values):
+    """Fit (C, lambda) over TRACE_LAMBDAS; returns the smallest dominating
+    C and its lambda, ignoring samples with sigma = 0."""
     sig = np.asarray(sigma_values, dtype=float).ravel()
     keep = sig > 0.0
-    if log_trace_values is not None:
-        log_t = np.asarray(log_trace_values, dtype=float).ravel()[keep]
-    else:
-        trace = np.asarray(trace_values, dtype=float).ravel()
-        if trace[keep].min() <= 0.0:
-            raise ModelError("trace samples must be positive")
-        log_t = np.log(trace[keep])
+    trace = np.asarray(trace_values, dtype=float).ravel()
+    if trace[keep].min() <= 0.0:
+        raise ModelError("trace samples must be positive")
+    log_t = np.log(trace[keep])
     sig = sig[keep]
     best = (math.inf, None)
-    for lam in lambda_grid:
+    for lam in TRACE_LAMBDAS:
         c = _min_dominating_constant(log_t, sig, lam)
         if c < best[0]:
             best = (c, lam)

@@ -132,31 +132,9 @@ def _snap_model(model: FibrationModel, grid: Grid) -> FibrationModel:
     return replace(model, cone_point=pts[0], fibers=fibers)
 
 
-def _class_area(model: FibrationModel, w_mass: float) -> float:
-    """A = 2 pi (1 - beta) + W + 2 pi sum (m_i - 1)/m_i."""
-    return 2.0 * np.pi * (1.0 - model.beta) + w_mass + \
-        2.0 * np.pi * sum(model.multiplicity_weights)
-
-
-def _moduli(model: FibrationModel, grid: Grid):
-    """The moduli step: the model with its points snapped to the grid, the
-    moduli density rho_WP on it, the mass W and the area A that the class
-    forces.  Unless the tau model is signed, rho_WP may not dip below -1e-8
-    on the tau field's valid mask."""
-    model = _snap_model(model, grid)
-    tau = model.tau_model
-    im, mask = tau_field(tau, grid, model.fibers)
-    wp = tau.wp_density(grid, model.fibers, im.values)
-    if not tau.signed and np.any(wp[mask] < -1e-8):
-        raise ModelError("moduli density dips below -1e-8 on the valid mask")
-    w_mass = float(wp.mean())
-    return model, wp, w_mass, _class_area(model, w_mass)
-
-
 def required_area(model: FibrationModel, grid: Grid) -> float:
-    """Base area forced by the class constraint:
-    A = 2 pi (1 - beta) + W + 2 pi sum (m_i - 1)/m_i."""
-    a = _moduli(model, grid)[-1]
+    """Base area forced by the class constraint: build_background's A."""
+    a = build_background(model, grid).area
     assert a > 0.0, "area must be positive for beta < 1 and W >= 0"
     return a
 
@@ -165,8 +143,20 @@ def build_background(model: FibrationModel, grid: Grid) -> BackgroundGeometry:
     """Construct the background geometry on a grid.
 
     Marked points snap to the lattice; their separations must exceed 8/N.
+    The moduli density rho_WP is formed on the snapped model and, unless
+    the tau model is signed, may not dip below -1e-8 on the tau field's
+    valid mask; its mean W sets the area the class forces,
+    A = 2 pi (1 - beta) + W + 2 pi sum (m_i - 1)/m_i.
     """
-    model, wp, wp_mass, area = _moduli(model, grid)
+    model = _snap_model(model, grid)
+    tau = model.tau_model
+    im, mask = tau_field(tau, grid, model.fibers)
+    wp = tau.wp_density(grid, model.fibers, im.values)
+    if not tau.signed and np.any(wp[mask] < -1e-8):
+        raise ModelError("moduli density dips below -1e-8 on the valid mask")
+    wp_mass = float(wp.mean())
+    area = 2.0 * np.pi * (1.0 - model.beta) + wp_mass + \
+        2.0 * np.pi * sum(model.multiplicity_weights)
     q = green_values(grid, model.cone_point)
     q -= q.max()
     np.exp(q, out=q)
@@ -219,8 +209,11 @@ def lp_threshold(model: FibrationModel) -> float:
     return min(_fiber_threshold(model), 1.0 / (1.0 - model.beta))
 
 
-def validate_lp(model: FibrationModel, grid_sizes=(128, 256, 512)) -> dict:
-    """Report integrability of F across grid refinements.
+LP_GRIDS = (128, 256, 512)      # the refinements validate_lp compares
+
+
+def validate_lp(model: FibrationModel) -> dict:
+    """Report integrability of F across the grid refinements LP_GRIDS.
 
     With p_star = lp_threshold(model), reports int F^p at p = 0.95 p_star
     (expected to settle) and at p = 1.05 p_star (expected to keep growing).
@@ -231,7 +224,7 @@ def validate_lp(model: FibrationModel, grid_sizes=(128, 256, 512)) -> dict:
     p_high = 1.05 * p_star
 
     low, high = {}, {}
-    for n in grid_sizes:
+    for n in LP_GRIDS:
         g = make_grid(n)
         bg = build_background(model, g)
         dens = assemble_density(model, bg, g)
@@ -241,18 +234,16 @@ def validate_lp(model: FibrationModel, grid_sizes=(128, 256, 512)) -> dict:
         high[n] = float((f_vals**p_high).mean())
         del f_vals
 
-    ns = sorted(low)
+    pairs = list(zip(LP_GRIDS, LP_GRIDS[1:]))
     return {
         "p_star": p_star,
         "p_low": p_low,
         "p_high": p_high,
         "integrals_low": low,
         "integrals_high": high,
-        "low_changes": {f"{a}->{b}": low[b] / low[a] - 1.0
-                        for a, b in zip(ns, ns[1:])},
+        "low_changes": {f"{a}->{b}": low[b] / low[a] - 1.0 for a, b in pairs},
         "high_changes": {f"{a}->{b}": high[b] / high[a] - 1.0
-                         for a, b in zip(ns, ns[1:])},
-        "high_growth_full_range": high[ns[-1]] / high[ns[0]] - 1.0,
+                         for a, b in pairs},
     }
 
 
@@ -362,9 +353,10 @@ _MODEL_KEYS = {"beta", "delta", "cone_point", "fibers", "tau_model",
                "fiber_area", "grid_n"}
 
 
-def model_from_json_dict(d: dict, path="model") -> FibrationModel:
+def model_from_json_dict(d: dict) -> FibrationModel:
     """Parse and validate a model dict.  The keys fiber_area (positive)
     and grid_n (an integer) are accepted and validated but unused."""
+    path = "model"
     if not isinstance(d, dict):
         raise ConfigurationError(f"{path}: expected a JSON object")
     _known_keys(d, _MODEL_KEYS, path)
@@ -404,7 +396,7 @@ def model_from_json_dict(d: dict, path="model") -> FibrationModel:
         raise ConfigurationError(f"{path}: {exc}")
 
 
-def product_model(beta=0.5, delta=0.1) -> FibrationModel:
+def product_model() -> FibrationModel:
     """The trivial-moduli reference model: one cone point, no singular fibers."""
-    return FibrationModel(beta=beta, delta=delta, cone_point=(0.5, 0.5),
+    return FibrationModel(beta=0.5, delta=0.1, cone_point=(0.5, 0.5),
                           tau_model=ConstantTau(1j))

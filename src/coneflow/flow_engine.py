@@ -51,6 +51,7 @@ SCHEMES = ("backward-euler-newton", "rk4-explicit")
 STEP_TOL = 1e-12
 STEP_MAX_NEWTON = 30
 STEP_CG_FLOOR = 1e-13
+T_MAX = 50.0        # the longest flow horizon a run may ask for
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ def _backward_euler(ops: FlowOps, state: FlowState):
     """Solve u - dt * rhs(u) = phi to sup|u - phi - dt rhs(u)| <= STEP_TOL
     by damped Newton (damped_newton, at most STEP_MAX_NEWTON steps) from the
     explicit predictor, or from phi when the predictor leaves the Kahler
-    cone.  Returns (u, (its density, its rhs), Newton steps).
+    cone.  Returns (u, (its density, its rhs)).
 
     The linearization (1+dt) I - dt (1/2) Lap / D, multiplied through by
     the density D, is SPD: (1+dt) D w - dt (1/2) Lap w, solved by CG to the
@@ -173,12 +174,12 @@ def _backward_euler(ops: FlowOps, state: FlowState):
     start = evaluate(u)
     if start is None:
         u, start = phi, residual(phi, state.density, state.rhs)
-    u, evaluated, history = damped_newton(
+    u, evaluated, _ = damped_newton(
         u, start, evaluate,
         lambda u, evaluated, resid: ((1.0 + dt) * evaluated[0], op_symbol,
                                      -evaluated[0] * resid),
         STEP_TOL, STEP_MAX_NEWTON, STEP_CG_FLOOR)
-    return u, evaluated, len(history) - 1
+    return u, evaluated
 
 
 def _rk4(ops: FlowOps, state: FlowState) -> FlowState:
@@ -209,7 +210,7 @@ def flow_step(state: FlowState, ops: FlowOps,
         raise ConfigurationError("dt must be positive")
     if scheme == "rk4-explicit":
         return _rk4(ops, state)
-    u, evaluated, _ = _backward_euler(ops, state)
+    u, evaluated = _backward_euler(ops, state)
     return FlowState(ScalarField(state.phi.grid, u), state.t + state.dt,
                      state.dt, *evaluated)
 
@@ -230,8 +231,8 @@ def run_flow(problem: KEProblem, T: float, dt: float,
 
     Returns (final state, trajectory, decay report).
     """
-    if T > 50.0:
-        raise ConfigurationError("flow horizon is capped at T = 50")
+    if T > T_MAX:
+        raise ConfigurationError(f"flow horizon is capped at T = {T_MAX:g}")
     if dt <= 0 or T <= 0:
         raise ConfigurationError("T and dt must be positive")
     n_steps = _step_count(T, dt)

@@ -384,8 +384,6 @@ def extrapolated_solution(problem: KEProblem):
     """
     sols, report = continuation_solve(
         problem, default_extrapolation_schedule(problem.bg.grid.n))
-    if len(sols) < 4:
-        raise ConfigurationError("extrapolation needs at least four ladder points")
     tail = sols[-4:]
     basis = np.array([_extrapolation_basis(problem.beta, s.epsilon)
                       for s in tail])

@@ -16,11 +16,12 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimates import (EstimateReport, cone_angle, flow_masks,
+from .estimates import (SIGMA_LEVELS, EstimateReport, cone_angle, flow_masks,
                         multiplicity_exponent, ricci_residual, trace_field,
                         verify_c0_convergence, verify_decay_rate,
                         verify_trace_bound)
-from .fibration_model import FibrationModel, _fiber_threshold, validate_lp
+from .fibration_model import (LP_GRIDS, FibrationModel, _fiber_threshold,
+                              validate_lp)
 from .flow_engine import _steps_to, run_flow
 from .ke_solver import KEProblem, extrapolated_solution, newton_solve
 from .torus_field import ScalarField
@@ -42,12 +43,14 @@ def _ricci_cap(model: FibrationModel) -> float:
 
 def target_flow(problem, T: float, dt: float, snapshot_times=()) -> tuple:
     """(barrier, state, trajectory, decay) of the flow toward the problem's
-    stationary target, gaps on flow_masks and monitors on sigma>=0.2."""
+    stationary target, gaps on flow_masks and monitors on the lowest
+    sigma level."""
     barrier, masks = flow_masks(problem.bg)
     target = newton_solve(problem)
     return (barrier, *run_flow(
         problem, T, dt, masks=masks, target_phi=target.phi,
-        monitor_mask=masks["sigma>=0.2"], snapshot_times=snapshot_times))
+        monitor_mask=masks[f"sigma>={SIGMA_LEVELS[0]}"],
+        snapshot_times=snapshot_times))
 
 
 def run_verification_suite(model: FibrationModel, problem: KEProblem,
@@ -125,17 +128,16 @@ def _limit_identity_report(sol0, bg, barrier) -> EstimateReport:
 
 def _holder_report(cont_report) -> EstimateReport:
     """Regularity exponent is reported, not asserted against a target: the
-    statement only guarantees some exponent in (0, 1)."""
-    h = cont_report.holder_exponent
-    violation = 0.0 if 0.0 < h <= 1.0 else 1.0
+    statement only guarantees some exponent in (0, 1), and
+    holder_exponent_estimate clamps it into (0, 1].  Fails when a Cauchy
+    sup grows by more than 5% down the ladder."""
     cauchy = list(cont_report.cauchy_sups)
     decreasing = all(b <= a * 1.05 for a, b in zip(cauchy, cauchy[1:]))
-    if not decreasing:
-        violation = max(violation, 1.0)
     return EstimateReport(
         name="prop-2.1-holder",
-        constants={"holder_exponent": h, "cauchy_sups": cauchy},
-        max_violation=float(violation),
+        constants={"holder_exponent": cont_report.holder_exponent,
+                   "cauchy_sups": cauchy},
+        max_violation=0.0 if decreasing else 1.0,
         samples={"epsilons": list(cont_report.epsilons)})
 
 
@@ -147,7 +149,7 @@ def _lp_report(model) -> EstimateReport:
     floor of the finest grid's mean counts as settled; every change above
     the floor must shrink."""
     rep = validate_lp(model)
-    terms = max(rep["integrals_low"]) ** 2
+    terms = LP_GRIDS[-1] ** 2
     floor = LP_ROUNDOFF_ULPS * float(np.finfo(float).eps) * math.log2(terms)
     low_changes = [abs(v) for v in rep["low_changes"].values()]
     violations = []

@@ -13,15 +13,15 @@ import pytest
 from dataclasses import replace
 
 from coneflow.cone_smoothing import chi, chi_values
-from coneflow.estimates import (cone_angle, fit_trace_constants,
+from coneflow.estimates import (_min_dominating_constant, cone_angle,
                                 multiplicity_exponent, ricci_residual,
-                                sigma_barrier, trace_field,
-                                verify_trace_bound)
-from coneflow.fibration_model import product_model, validate_lp
+                                sigma_barrier)
+from coneflow.fibration_model import LP_GRIDS, product_model, validate_lp
 from coneflow.flow_engine import ProductFlow4D
 from coneflow.ke_solver import (build_problem, extrapolated_solution,
                                 newton_solve)
 from coneflow.torus_field import ScalarField, lap_values
+from coneflow import verify
 from coneflow.verify import target_flow
 
 from tests.conftest import i1_model, m2_model, mesh
@@ -112,7 +112,7 @@ def test_criterion_04_cone_angle(beta, extrapolated_product_256):
         sol = extrapolated_product_256
     else:
         sol = extrapolated_solution(
-            build_problem(product_model(beta=beta), 256, 0.0))[0]
+            build_problem(replace(product_model(), beta=beta), 256, 0.0))[0]
     slope = cone_angle(sol)
     rel = abs(slope / (2 * beta) - 1.0)
     ok = rel <= 0.02
@@ -203,33 +203,29 @@ def test_criterion_07_reduction_oracle(oracle_4d):
 
 @pytest.mark.slow
 def test_criterion_08_trace_bounds(reference_run):
-    problem = reference_run["problem"]
-    barrier = reference_run["barrier"]
-    grid = problem.bg.grid
-    ref = ScalarField(grid, np.full((grid.n, grid.n), problem.bg.area))
-    traces = []
-    for t, state in sorted(reference_run["traj"].snapshots.items()):
-        density = ScalarField(grid, state.density)
-        traces.append(trace_field(ref, density))
-        traces.append(trace_field(density, ref))
-    rep = verify_trace_bound(traces, barrier, "eq-3.10")
-    # negative control: a synthetic violation must be detected
+    # eq-3.10 as verify all builds it: both trace directions, pooled
+    _, rep = verify._trace_reports(reference_run["traj"],
+                                   reference_run["problem"].bg,
+                                   reference_run["barrier"])
+    # negative control: a synthetic violation must be detected (log T =
+    # 1/sigma^2 against lambda = 1, in log form since T itself overflows)
     sig = np.logspace(-7, 0, 200)
-    control = fit_trace_constants(None, sig, lambda_grid=(1,),
-                                  log_trace_values=1.0 / sig**2)
-    ok = rep.passed and control["C"] > 1e6
+    control = _min_dominating_constant(1.0 / sig**2, sig, 1)
+    ok = rep.passed and control > 1e6
     assert report(8, ok,
                   f"fitted C={rep.constants['C']:.3g} "
                   f"lambda={rep.constants['lambda']} over t in (1,5,10,20), "
                   f"both directions (caps 1e6, 8); negative control "
-                  f"C={control['C']:.2g} exceeds cap as required")
+                  f"C={control:.2g} exceeds cap as required")
 
 
 @pytest.mark.slow
 def test_criterion_09_lp_membership():
-    rep = validate_lp(m2_model(), grid_sizes=(128, 256, 512))
+    rep = validate_lp(m2_model())
     stab = abs(rep["low_changes"]["256->512"])
     growth = rep["high_changes"]["256->512"]
+    high = rep["integrals_high"]
+    full_range = high[LP_GRIDS[-1]] / high[LP_GRIDS[0]] - 1.0
     ok = stab <= 0.05 and growth >= 0.20
     # the qualitative dichotomy holds (settling below p*, divergence above),
     # but both measured rates sit outside the stated thresholds; the deficit
@@ -239,7 +235,7 @@ def test_criterion_09_lp_membership():
         9, ok,
         f"int F^1.9 change 256->512 {stab * 100:.2f}% (cap 5%); "
         f"int F^2.1 growth 256->512 {growth * 100:.2f}% (floor 20%); "
-        f"full-range growth {rep['high_growth_full_range'] * 100:.1f}%")
+        f"full-range growth {full_range * 100:.1f}%")
 
 
 def test_criterion_10_solver_quality(product_problem128):

@@ -5,7 +5,8 @@ import pytest
 from dataclasses import replace
 
 from coneflow.errors import ConfigurationError, ModelError
-from coneflow.estimates import (EstimateReport, cone_angle,
+from coneflow.estimates import (TRACE_LAMBDAS, EstimateReport,
+                                _min_dominating_constant, cone_angle,
                                 fit_trace_constants, multiplicity_exponent,
                                 ricci_residual, sigma_barrier, trace_field,
                                 verify_c0_convergence, verify_trace_bound)
@@ -19,13 +20,16 @@ def constant(grid, c):
     return ScalarField(grid, np.full((grid.n, grid.n), c))
 
 
+BARRIER_POINTS = [(0.5, 0.5), (0.25, 0.25)]
+
+
 @pytest.fixture(scope="module")
 def barrier128(grid128):
-    return sigma_barrier(grid128, [(0.5, 0.5), (0.25, 0.25)])
+    return sigma_barrier(grid128, BARRIER_POINTS)
 
 
 def test_sigma_vanishes_at_points(barrier128, grid128):
-    for p in barrier128.points:
+    for p in BARRIER_POINTS:
         i, j = grid128.point_index(p)
         assert barrier128.sigma.values[i, j] == 0.0
         # exact plateau one cell around the point
@@ -43,7 +47,7 @@ def test_sigma_range_and_positivity(barrier128, grid128):
     v = barrier128.sigma.values
     assert v.min() >= 0.0 and v.max() <= 1.0
     outside = np.ones_like(v, dtype=bool)
-    for p in barrier128.points:
+    for p in BARRIER_POINTS:
         outside &= periodic_distance(grid128, p) > grid128.spacing
     assert v[outside].min() > 0.0
 
@@ -94,13 +98,12 @@ def test_trace_bound_negative_control():
     # sample set reaches small sigma; synthetic samples pin this down
     # (passed in log form since the trace itself overflows)
     sig = np.logspace(-7, 0, 200)
-    fit = fit_trace_constants(None, sig, lambda_grid=(1,),
-                              log_trace_values=1.0 / sig**2)
-    assert fit["C"] > 1e6
+    fits = {lam: _min_dominating_constant(1.0 / sig**2, sig, lam)
+            for lam in TRACE_LAMBDAS}
+    assert fits[1] > 1e6
     # the full lambda grid does dominate it (lambda = 2 matches exactly)
-    fit_full = fit_trace_constants(None, sig, lambda_grid=(1, 2, 4, 8),
-                                   log_trace_values=1.0 / sig**2)
-    assert fit_full["C"] <= 2.0 and fit_full["lambda"] in (2, 4, 8)
+    best = min(TRACE_LAMBDAS, key=fits.get)
+    assert fits[best] <= 2.0 and best in (2, 4, 8)
 
 
 def test_fit_trace_requires_positive(grid64):
@@ -270,8 +273,7 @@ def fake_lp(low_changes, high_changes=(0.5, 0.5)):
     return {"p_star": 2.0, "p_low": 1.9, "p_high": 2.1,
             "integrals_low": ones, "integrals_high": ones,
             "low_changes": dict(zip(keys, low_changes)),
-            "high_changes": dict(zip(keys, high_changes)),
-            "high_growth_full_range": 1.0}
+            "high_changes": dict(zip(keys, high_changes))}
 
 
 PLATEAU = (4.9395721799294634e-05, 5.002373463414145e-05)
@@ -310,6 +312,25 @@ def test_lp_report_growth_rule_unchanged(monkeypatch):
     rep = verify._lp_report(m2_model())
     assert not rep.passed
     assert rep.max_violation == pytest.approx(0.01)
+
+
+@pytest.mark.parametrize("cauchy, violation", [
+    ((1.0, 1.05, 0.5, 0.525), 0.0),     # growth of exactly 5% is allowed
+    ((1.0, 0.5, 0.25), 0.0),
+    ((1.0, 0.5, 0.53), 1.0),            # 6% growth down the ladder
+])
+def test_holder_report_verdict(cauchy, violation):
+    from coneflow import verify
+    from coneflow.ke_solver import ContinuationReport
+    epsilons = tuple(0.4 * 0.7**k for k in range(len(cauchy) + 1))
+    rep = verify._holder_report(ContinuationReport(
+        epsilons=epsilons, cauchy_sups=cauchy, holder_exponent=0.37))
+    assert rep.name == "prop-2.1-holder"
+    assert rep.max_violation == violation
+    assert rep.passed is (violation == 0.0)
+    assert rep.constants == {"holder_exponent": 0.37,
+                             "cauchy_sups": list(cauchy)}
+    assert rep.samples == {"epsilons": list(epsilons)}
 
 
 def test_trace_times_are_the_step_times_of_the_flow():

@@ -184,7 +184,7 @@ def test_assemble_density_curvature_round_trip(grid128, i1):
 
 
 def test_validate_lp_product():
-    rep = validate_lp(product_model(), grid_sizes=(64, 128))
+    rep = validate_lp(product_model())
     assert rep["p_star"] == pytest.approx(2.0)   # capped by 1/(1-beta)
     for v in rep["integrals_low"].values():
         assert v == pytest.approx(1.0, abs=1e-12)
@@ -203,7 +203,7 @@ def test_validate_lp_memory_on_the_benchmark_family(load_bench, tmp_path,
 
 @pytest.mark.slow
 def test_validate_lp_m2_trends(m2):
-    rep = validate_lp(m2, grid_sizes=(128, 256, 512))
+    rep = validate_lp(m2)
     assert rep["p_star"] == pytest.approx(2.0)
     assert rep["p_low"] == pytest.approx(1.9)
     assert rep["p_high"] == pytest.approx(2.1)

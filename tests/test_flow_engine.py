@@ -19,7 +19,8 @@ from tests.conftest import mesh
 
 
 def make_problem(n=64, eps=0.1, beta=0.5, delta=0.1):
-    return build_problem(product_model(beta=beta, delta=delta), n, eps)
+    return build_problem(replace(product_model(), beta=beta, delta=delta), n,
+                         eps)
 
 
 @pytest.fixture(scope="module")
@@ -293,14 +294,14 @@ def test_run_flow_matches_public_steps_bitwise(problem64, solved64):
 def test_backward_euler_forcing_matches_fixed_cg_tolerance(
         problem64, cg_tolerances, monkeypatch):
     steps = []
-    real = flow_engine._backward_euler
+    real = flow_engine.damped_newton
 
-    def counting(*args, **kwargs):
-        out = real(*args, **kwargs)
-        steps.append(out[2])
+    def counting(*args):
+        out = real(*args)
+        steps.append(len(out[2]) - 1)     # Newton steps of one flow step
         return out
 
-    monkeypatch.setattr(flow_engine, "_backward_euler", counting)
+    monkeypatch.setattr(flow_engine, "damped_newton", counting)
     runs = []
     for pin in (1e-13, None):
         steps.clear()

@@ -259,7 +259,7 @@ def test_default_schedule_shape():
 
 def test_holder_exponent_power_law(grid256):
     from coneflow.fibration_model import build_background, product_model
-    bg = build_background(product_model(beta=0.4), grid256)
+    bg = build_background(replace(product_model(), beta=0.4), grid256)
     field = ScalarField(grid256, bg.q.values**0.4)
     est = holder_exponent_estimate(field, (0.5, 0.5))
     assert abs(est - 0.8) <= 0.05     # q ~ d^2, so q^0.4 ~ d^0.8
@@ -282,7 +282,8 @@ def test_holder_exponent_solved_stability(product):
     from coneflow.fibration_model import product_model
     vals = {}
     for n in (128, 256):
-        sol = newton_solve(build_problem(product_model(beta=0.4), n, 0.05))
+        sol = newton_solve(build_problem(replace(product_model(), beta=0.4),
+                                         n, 0.05))
         vals[n] = holder_exponent_estimate(sol.v, (0.5, 0.5))
         assert 0.0 < vals[n] <= 1.0
     assert abs(vals[256] - vals[128]) <= 0.05
@@ -470,7 +471,7 @@ def test_problem_build_forms_the_only_cones(product, chi_calls):
     assert [args[0] for args in chi_calls] == [0.1, *POSITIVITY_EPSILONS]
     chi_calls.clear()
     build_background(product, make_grid(64))
-    validate_lp(product, grid_sizes=(64, 128))
+    validate_lp(product)
     assert chi_calls == []
 
 

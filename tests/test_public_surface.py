@@ -17,7 +17,9 @@ package loads no scipy module, nor does building and stepping the 4D
 oracle (only the chi quadrature imports it, when it runs), and
 preconditioned_cg keeps the signature that the benchmark tracer and the
 tests' cg_tolerances wrap.  No test-only code hides in the package: every
-top-level function and class is used by the package or the benchmark.
+top-level function and class is used by the package or the benchmark, and
+every parameter with a default is set by some call in the package or the
+benchmark, so no option exists that only the tests set.
 """
 
 import ast
@@ -259,6 +261,17 @@ TEST_ORACLES = {
     "chi": "the adaptive-quadrature kernel that checks chi_values",
     "ProductFlow4D": "the 4D flow that checks the reduced flow (criterion 7)",
 }
+# Functions whose defaulted parameters only the tests set, each with why.
+TEST_SET_DEFAULTS = {
+    "cli.main": "the console entry point: argv defaults to sys.argv, and "
+                "the tests pass their own",
+    "flow_engine.ProductFlow4D.__init__": "the oracle's grid sizes and fiber "
+                                          "area are chosen by each test",
+    "flow_engine.ProductFlow4D.initial_state": "the oracle's perturbed fiber "
+                                               "mode is a test's choice",
+    "flow_engine.ProductFlow4D.run": "the oracle's start and reference "
+                                     "comparison are a test's choice",
+}
 
 
 def test_every_definition_is_used_by_the_package_or_the_benchmark():
@@ -283,3 +296,75 @@ def test_every_definition_is_used_by_the_package_or_the_benchmark():
               if not any(n == name and owner != name for n, owner in used)}
     assert unused.keys() == TEST_ORACLES.keys(), \
         f"defined in src/ but used only by the tests: {unused}"
+
+
+def defaulted_parameters(tree, module):
+    """[(called name, qualified function, parameter, position)] for every
+    parameter with a default of every function and method in tree.  A
+    method's first parameter (self) takes no position, __init__ is called
+    by its class's name, and a keyword-only parameter has no position."""
+    found = []
+
+    def visit(node, cls, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                if cls is not None:
+                    positional = positional[1:]
+                called = cls if child.name == "__init__" else child.name
+                where = f"{prefix}{child.name}"
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    found.append((called, where, arg.arg, i))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found.append((called, where, arg.arg, None))
+                visit(child, None, f"{where}.")
+            else:
+                visit(child, cls, prefix)
+
+    visit(tree, None, f"{module}.")
+    return found
+
+
+def calls_by_name(tree):
+    """[(called name, call)] of every call in tree, by bare name or as an
+    attribute."""
+    return [(getattr(node.func, "id", None) or getattr(node.func, "attr",
+                                                       None), node)
+            for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
+def sets_parameter(call, name, position):
+    """Whether call passes the parameter by keyword or by position; a
+    **mapping or a *sequence may pass anything."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    return position is not None and any(
+        isinstance(arg, ast.Starred) or i == position
+        for i, arg in enumerate(call.args))
+
+
+def test_every_default_is_set_by_the_package_or_the_benchmark():
+    # calls are matched by name alone, so a same-named call elsewhere may
+    # hide an unset parameter, but a parameter with a real setter is never
+    # flagged
+    defaults, calls = [], []
+    for module in MODULES:
+        with open(os.path.join(SRC, f"{module}.py")) as fh:
+            tree = ast.parse(fh.read())
+        defaults += defaulted_parameters(tree, module)
+        calls += calls_by_name(tree)
+    for name in sorted(os.listdir(BENCH)):
+        if name.endswith(".py"):
+            with open(os.path.join(BENCH, name)) as fh:
+                calls += calls_by_name(ast.parse(fh.read()))
+    unset = [f"{where}({param})" for called, where, param, position in defaults
+             if where not in TEST_SET_DEFAULTS and not any(
+                 n == called and sets_parameter(call, param, position)
+                 for n, call in calls)]
+    assert not unset, f"parameters with defaults that only the tests set: " \
+        f"{unset}"
