@@ -41,6 +41,11 @@ _AGM_MAX_ITER = 64
 # elision reverses the operands of a complex product, and numpy's FMA
 # complex multiply is not bitwise commutative.  1 << 12 would trace less
 # at N = 512 but moves 1,835 of its Im tau values there by up to 8 ulps.
+# On a grid with N^2 a multiple of _BLOCK every block is full-size, so a
+# lattice point's Im tau is the same double on every such grid that holds
+# it: fibration_model.validate_lp restricts its finest field to the
+# coarser LP_GRIDS on that ground.  At N = 64 (4,096 points, one short
+# block) about 50 points per field differ in their last bits.
 _BLOCK = 1 << 14
 
 
@@ -361,14 +366,15 @@ class WeierstrassFamilyTau(TauModel):
         return -0.5 * lap_values(np.log(im_tau))
 
 
-def tau_field(model: TauModel, grid: Grid, fibers=()):
+def tau_field(model: TauModel, grid: Grid, fibers=(), im_tau=None):
     """Sample Im tau on the grid and build the validity mask.
 
     fibers are the singular fibers (objects with point and ib_index).  The
     mask excludes a two-cell disk around each of their points; Im tau must
-    be positive everywhere on the mask.
+    be positive everywhere on the mask.  im_tau, when given, is
+    model.im_tau(grid, fibers) formed earlier, and is checked the same way.
     """
-    im = model.im_tau(grid, fibers)
+    im = model.im_tau(grid, fibers) if im_tau is None else im_tau
     mask = np.ones((grid.n, grid.n), dtype=bool)
     for f in fibers:
         mask &= periodic_distance(grid, f.point) > 2.0 * grid.spacing

@@ -150,11 +150,15 @@ def gradient_values(values: np.ndarray):
 
 
 def solve_poisson_values(rhs: np.ndarray) -> np.ndarray:
-    """Unique mean-zero u with (1/2) Lap u = rhs - mean(rhs)."""
+    """Unique mean-zero u with (1/2) Lap u = rhs - mean(rhs).
+
+    The half spectrum is doubled in place and divided by the cached
+    symbol: the bits of hat / (0.5 * symbol), since halving a divisor and
+    doubling a dividend are exact short of overflow and subnormals."""
     hat = half_spectrum(rhs)
-    mult = 0.5 * _lap_multiplier(rhs.shape[0])
+    hat *= 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(hat, mult, out=hat)
+        np.divide(hat, _lap_multiplier(rhs.shape[0]), out=hat)
     hat[0, 0] = 0.0
     return from_half_spectrum(hat)
 

@@ -9,9 +9,9 @@ from coneflow.elliptic_periods import (ConstantTau, LocalLogTau,
                                        periods_from_weierstrass, tau_field)
 from coneflow import elliptic_periods
 from coneflow.errors import ModelError
-from coneflow.fibration_model import SingularFiber
+from coneflow.fibration_model import LP_GRIDS, SingularFiber
 from coneflow.torus_field import make_grid
-from tests.conftest import mesh
+from tests.conftest import i1_model, mesh
 
 
 def agm_array(a, b):
@@ -501,6 +501,40 @@ def test_cubic_roots_independent_of_block_size(monkeypatch):
     whole = cubic_roots(g2, g3)
     monkeypatch.setattr(elliptic_periods, "_BLOCK", 1 << 10)
     assert cubic_roots(g2, g3).tobytes() == whole.tobytes()
+
+
+def test_lp_grids_hold_only_full_blocks():
+    # validate_lp restricts the finest LP grid's Im tau to the others: each
+    # must divide it, and fill every block of _BLOCK points
+    for n in LP_GRIDS:
+        assert LP_GRIDS[-1] % n == 0
+        assert n * n >= elliptic_periods._BLOCK
+        assert n * n % elliptic_periods._BLOCK == 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", ["bench-3001", "bench-3007", "multi-mode",
+                                  "near-degenerate", "constant", "i1"])
+def test_lp_grid_tau_fields_restrict_the_finest(case, load_bench, tmp_path):
+    # every LP grid's Im tau is the finest grid's at the same lattice
+    # points, bit for bit, also where points take the eigenvalue fallback
+    if case.startswith("bench"):
+        from coneflow.cli import load_model
+        state = load_bench("workloads").verify_setup(int(case[-4:]),
+                                                     str(tmp_path))
+        model = load_model(state["model"])
+        tau, fibers = model.tau_model, model.fibers
+    elif case == "i1":
+        tau, fibers = i1_model().tau_model, i1_model().fibers
+    else:
+        tau, fibers = {"multi-mode": MULTI_MODE_FAMILY,
+                       "near-degenerate": NEAR_DEGENERATE_FAMILY,
+                       "constant": ConstantTau(0.3 + 1.7j)}[case], ()
+    finest = tau_field(tau, make_grid(LP_GRIDS[-1]), fibers)[0].values
+    for n in LP_GRIDS[:-1]:
+        s = LP_GRIDS[-1] // n
+        im = tau_field(tau, make_grid(n), fibers)[0].values
+        assert np.array_equal(im, finest[::s, ::s])
 
 
 @pytest.mark.slow

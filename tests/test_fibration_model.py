@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from coneflow import cli
-from coneflow.elliptic_periods import WeierstrassFamilyTau, tau_field
+from coneflow.elliptic_periods import (LocalLogTau, WeierstrassFamilyTau,
+                                       tau_field)
 from coneflow.errors import ConfigurationError, ModelError
-from coneflow.fibration_model import (FibrationModel, SingularFiber,
-                                      assemble_density, build_background,
+from coneflow.fibration_model import (LP_GRIDS, FibrationModel, SingularFiber,
+                                      _snap_model, assemble_density,
+                                      build_background, lp_threshold,
                                       model_from_json_dict, product_model,
                                       required_area, validate_lp)
 from coneflow.torus_field import (green_values, lap_values, make_grid,
@@ -198,7 +200,82 @@ def test_validate_lp_memory_on_the_benchmark_family(load_bench, tmp_path,
     from coneflow.cli import load_model
     state = load_bench("workloads").verify_setup(3001, str(tmp_path))
     model = load_model(state["model"])
-    assert traced_peak_mib(lambda: validate_lp(model)) <= 15.0
+    assert traced_peak_mib(lambda: validate_lp(model)) <= 13.0
+
+
+def per_grid_validate_lp(model):
+    """validate_lp with every grid forming its own Im tau."""
+    p_star = lp_threshold(model)
+    p_low, p_high = 0.95 * p_star, 1.05 * p_star
+    low, high = {}, {}
+    for n in LP_GRIDS:
+        g = make_grid(n)
+        bg = build_background(model, g)
+        f_vals = assemble_density(model, bg, g).density_values()
+        low[n] = float((f_vals**p_low).mean())
+        high[n] = float((f_vals**p_high).mean())
+    pairs = list(zip(LP_GRIDS, LP_GRIDS[1:]))
+    return {
+        "p_star": p_star, "p_low": p_low, "p_high": p_high,
+        "integrals_low": low, "integrals_high": high,
+        "low_changes": {f"{a}->{b}": low[b] / low[a] - 1.0 for a, b in pairs},
+        "high_changes": {f"{a}->{b}": high[b] / high[a] - 1.0
+                         for a, b in pairs},
+    }
+
+
+# an I_1 fiber off the 1/128 lattice: its snapped point moves between the
+# LP grids, so each grid forms its own field
+OFF_LATTICE = FibrationModel(beta=0.5, delta=0.1, cone_point=(0.5, 0.5),
+                             fibers=(SingularFiber((0.3, 0.3), 1, 1),),
+                             tau_model=LocalLogTau())
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", ["bench", "product", "m2", "i1",
+                                  "off-lattice"])
+def test_validate_lp_matches_the_per_grid_ladder(case, load_bench, tmp_path,
+                                                 m2, i1):
+    if case == "bench":
+        from coneflow.cli import load_model
+        state = load_bench("workloads").verify_setup(3001, str(tmp_path))
+        model = load_model(state["model"])
+    else:
+        model = {"product": product_model(), "m2": m2, "i1": i1,
+                 "off-lattice": OFF_LATTICE}[case]
+    snapped = [_snap_model(model, make_grid(n)) for n in LP_GRIDS]
+    assert (snapped[0] != snapped[-1]) == (case == "off-lattice")
+    rep = validate_lp(model)
+    ref = per_grid_validate_lp(model)
+    assert repr(rep) == repr(ref)
+    assert list(rep["integrals_low"]) == list(LP_GRIDS)
+
+
+def test_validate_lp_reports_the_coarsest_close_points_first():
+    # 1/32 apart: more than 8/N at N = 512, not at N = 128
+    model = FibrationModel(beta=0.5, delta=0.1, cone_point=(0.5, 0.5),
+                           fibers=(SingularFiber((0.5 + 1 / 32, 0.5), 2),))
+    build_background(model, make_grid(LP_GRIDS[-1]))
+    with pytest.raises(ConfigurationError,
+                       match=r"closer than 8/N at N=128$"):
+        validate_lp(model)
+
+
+@pytest.mark.slow
+def test_validate_lp_rejects_a_family_degenerate_only_at_512():
+    # g2 = 3 + 0.1 cos(2 pi (x - 1/512)), g3 = 1 degenerates on the rows
+    # x = 129/512 and 385/512 alone: off the N = 256 lattice
+    rot = complex(np.exp(2j * np.pi / 512))
+    tau = WeierstrassFamilyTau(g2=3.0, g3=1.0,
+                               g2_modes=((1, 0, 0.05 / rot), (-1, 0, 0.05 * rot)))
+    model = FibrationModel(beta=0.5, delta=0.1, cone_point=(0.5, 0.5),
+                           tau_model=tau)
+    for n in LP_GRIDS[:-1]:
+        tau_field(tau, make_grid(n))
+    for ladder in (validate_lp, per_grid_validate_lp):
+        with pytest.raises(ModelError, match="^Weierstrass family "
+                           "degenerates on the grid$"):
+            ladder(model)
 
 
 @pytest.mark.slow

@@ -75,6 +75,24 @@ def test_solve_poisson_round_trip():
     assert abs(u.mean()) < 1e-13
 
 
+@pytest.mark.parametrize("n", [16, 18, 48, 64, 96, 128, 256, 512])
+def test_solve_poisson_keeps_the_halved_symbol_bits(n, nyquist_field):
+    # doubling the spectrum and dividing by the symbol gives the bits of
+    # dividing by half the symbol, at scales far from 1 too
+    def halved_symbol(rhs):
+        hat = half_spectrum(rhs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(hat, 0.5 * _lap_multiplier(n), out=hat)
+        hat[0, 0] = 0.0
+        return from_half_spectrum(hat)
+
+    vals = nyquist_field(n, seed=n)
+    for scale in (1.0, 1e200, 1e-200, 1e-300):
+        rhs = vals * scale
+        assert solve_poisson_values(rhs).tobytes() == \
+            halved_symbol(rhs).tobytes()
+
+
 @pytest.mark.parametrize("n", [16, 64, 512])
 def test_real_transforms_match_complex_formula(n, nyquist_field, full_k2):
     vals = nyquist_field(n, seed=n)
