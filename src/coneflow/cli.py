@@ -226,8 +226,8 @@ def _cmd_periods(input_path, output_dir) -> int:
                 raise ConfigurationError(
                     f"{where}: expected 2 or 4 numbers per row")
             curve = periods_mod.WeierstrassCurve(g2, g3)
-            disc = periods_mod.discriminant(curve)
             try:
+                disc = periods_mod.discriminant(curve)
                 w1, w2, tau = periods_mod.periods_from_weierstrass(curve)
             except ModelError as exc:
                 raise ConfigurationError(f"{where}: {exc}") from None

@@ -62,43 +62,54 @@ class WeierstrassCurve:
 
 
 def discriminant(c: WeierstrassCurve) -> complex:
+    """g2^3 - 27 g3^2; ModelError when it overflows."""
     g2 = complex(c.g2)
     g3 = complex(c.g3)
-    return g2**3 - 27.0 * g3**2
+    try:
+        disc = g2**3 - 27.0 * g3**2
+    except OverflowError:       # complex ** raises where * gives inf
+        disc = complex(np.inf)
+    if not np.isfinite(disc):
+        raise ModelError("discriminant overflows")
+    return disc
 
 
 def _agm(a, b):
-    """Overwrite the 1-D complex arrays a, b with their AGM steps and return
-    a, which then holds the means.
+    """The AGM of the 1-D complex arrays a and b, pointwise: a holds the
+    means on return, and b is overwritten.
 
     Each point steps until its own pair passes |a - b| <= 1e-15 max(|a|,
     |b|, 1e-300) and keeps (a + b) / 2, so a point's bits depend only on
-    its own inputs.  The geometric mean takes the principal square root,
-    flipped in sign whenever |a' - b'| > |a' + b'| (the branch that keeps
-    the iteration quadratically convergent); the smaller of the two is the
-    next step's |a - b|.  Zero inputs are absorbing.
+    its own inputs.  At each check the converged points take their means
+    and leave the working arrays; the steps run on the live points alone.
+    The geometric mean takes the principal square root, flipped in sign
+    whenever |a' - b'| > |a' + b'| (the branch that keeps the iteration
+    quadratically convergent); the smaller of the two is the next step's
+    |a - b|.  Zero inputs are absorbing.
     """
     zero = (a == 0) | (b == 0)
     a[zero] = 0.0
     b[zero] = 0.0
+    means = a
+    at = np.arange(len(a))      # the live points' places in means
     gap = np.abs(a - b)
     scale = np.maximum(np.abs(a), np.abs(b))
-    live = np.ones(a.shape, dtype=bool)
     for _ in range(_AGM_MAX_ITER):
-        live &= ~(gap <= 1e-15 * np.maximum(scale, 1e-300))
-        if not live.any():
-            a += b
-            a /= 2.0
-            return a
+        done = gap <= 1e-15 * np.maximum(scale, 1e-300)
+        if done.any():
+            live = ~done
+            means[at[done]] = (a[done] + b[done]) / 2.0
+            if not live.any():
+                return means
+            a, b, at = a[live], b[live], at[live]
         an = (a + b) / 2.0
         bn = np.sqrt(a * b)
         minus = np.abs(an - bn)
         plus = np.abs(an + bn)
         np.negative(bn, out=bn, where=minus > plus)
-        np.copyto(a, an, where=live)
-        np.copyto(b, bn, where=live)
+        a, b = an, bn
         gap = np.minimum(minus, plus)
-        scale = np.maximum(np.abs(an), np.abs(bn))
+        scale = np.maximum(np.abs(a), np.abs(b))
     raise NumericalError("AGM did not converge within 64 iterations")
 
 
@@ -121,8 +132,8 @@ def _companion_roots(g2, g3):
 
 
 def _block_roots(a, b, disc):
-    """Roots (M, 3) of 4x^3 - a x - b for 1-D invariant arrays a, b with
-    discriminants disc = a^3 - 27 b^2.
+    """Roots of 4x^3 - a x - b, as the rows of a (3, M) array, for 1-D
+    invariant arrays a, b with discriminants disc = a^3 - 27 b^2.
 
     The cubic is already depressed, x^3 + p x + q with p = -a/4 and
     q = -b/4, so Cardano's formula applies: u^3 = -q/2 + s with
@@ -133,7 +144,9 @@ def _block_roots(a, b, disc):
     discriminant at most _NEAR_DOUBLE, which includes every point with
     u = 0) fall back to companion-matrix eigenvalues.  Each point's roots
     are sorted by (Re, Im) descending, so the order is stable under
-    positive real rescaling.
+    positive real rescaling: a stable compare-exchange network on the row
+    pairs (0, 1), (1, 2), (0, 1) swaps only where the later root sorts
+    strictly first.
     """
     h = b / 8.0                         # -q/2
     sq = np.sqrt(-disc / 1728.0)        # s, then signed: Re(h* s) >= 0
@@ -144,16 +157,17 @@ def _block_roots(a, b, disc):
         np.abs(a)**3, 27.0 * np.abs(b)**2)
     u[near] = 1.0       # placeholder; their roots are replaced below
     v = a / (12.0 * u)
-    r = np.stack((u + v, u * _OMEGA + v / _OMEGA,
-                  u / _OMEGA + v * _OMEGA), axis=-1)
-    a3, b3 = a[:, None], b[:, None]
+    r = np.stack((u + v, u * _OMEGA + v / _OMEGA, u / _OMEGA + v * _OMEGA))
     for _ in range(2):
         r2 = r * r
-        r -= (r * (4.0 * r2 - a3) - b3) / (12.0 * r2 - a3)
+        r -= (r * (4.0 * r2 - a) - b) / (12.0 * r2 - a)
     if near.any():
-        r[near] = _companion_roots(a[near], b[near])
-    order = np.lexsort((-r.imag, -r.real), axis=-1)
-    return np.take_along_axis(r, order, axis=-1)
+        r[:, near] = _companion_roots(a[near], b[near]).T
+    for i, j in ((0, 1), (1, 2), (0, 1)):
+        x, y = r[i], r[j]
+        swap = (y.real > x.real) | ((y.real == x.real) & (y.imag > x.imag))
+        r[i, swap], r[j, swap] = y[swap], x[swap]
+    return r
 
 
 def normalize_tau(tau: complex) -> complex:
@@ -180,12 +194,12 @@ def normalize_tau(tau: complex) -> complex:
 
 
 def _agm_inputs(e):
-    """The half-periods' AGM inputs for roots e (M, 3), as the rows of a
-    (4, M) array: sqrt(e1 - e2) and sqrt(e1 - e3) for w1, sqrt(e3 - e1)
-    and sqrt(e3 - e2) for w2.  Once each pair of rows has run through
-    _agm, w1 and w2 are pi / (2 rows[0]) and pi / (2 rows[2])."""
-    e1, e2, e3 = e[:, 0], e[:, 1], e[:, 2]
-    rows = np.empty((4, len(e)), dtype=complex)
+    """The half-periods' AGM inputs for the root rows e (3, M), as the
+    rows of a (4, M) array: sqrt(e1 - e2) and sqrt(e1 - e3) for w1,
+    sqrt(e3 - e1) and sqrt(e3 - e2) for w2.  Once each pair of rows has
+    run through _agm, w1 and w2 are pi / (2 rows[0]) and pi / (2 rows[2])."""
+    e1, e2, e3 = e
+    rows = np.empty((4, e.shape[1]), dtype=complex)
     for row, (x, y) in zip(rows, ((e1, e2), (e1, e3), (e3, e1), (e3, e2))):
         np.sqrt(x - y, out=row)
     return rows
@@ -210,9 +224,9 @@ def periods_from_weierstrass(c: WeierstrassCurve):
     a, b = np.array([g2]), np.array([g3])
     e = _block_roots(a, b, a**3 - 27.0 * b**2)
     if g2.imag == g3.imag == 0 and disc.real < 0:
-        down, real, up = e[0, np.argsort(e[0].imag)]
-        e[0] = ((real, up, down) if g3.real > 0 else
-                (up, down, real) if g3.real < 0 else (up, real, down))
+        down, real, up = e[np.argsort(e[:, 0].imag), 0]
+        e[:, 0] = ((real, up, down) if g3.real > 0 else
+                   (up, down, real) if g3.real < 0 else (up, real, down))
     rows = _agm_inputs(e)
     # Python complex division, which rounds otherwise than numpy's
     w1, w2 = (np.pi / complex(2.0 * _agm(*pair)[0])
@@ -338,19 +352,22 @@ class WeierstrassFamilyTau(TauModel):
 
     def im_tau(self, grid: Grid, fibers):
         """Im(w2/w1) of the family at every grid point, one block of _BLOCK
-        points at a time: a block's invariants, discriminant check, roots,
-        AGM inputs, both AGMs and period ratio.  No full-grid complex array
-        is formed."""
+        points at a time: a block's invariants, discriminant checks
+        (finite, then nondegenerate), roots, AGM inputs, both AGMs and
+        period ratio.  No full-grid complex array is formed."""
         n = grid.n
         axis = grid.axis()
         im = np.empty(n * n)
         for s in _blocks(n * n):
             i, j = np.divmod(np.arange(s.start, s.stop), n)
             x, y = axis[i], axis[j]
-            g2 = _evaluate_modes(x, y, self.g2, self.g2_modes)
-            g3 = _evaluate_modes(x, y, self.g3, self.g3_modes)
+            with np.errstate(over="ignore", invalid="ignore"):
+                g2 = _evaluate_modes(x, y, self.g2, self.g2_modes)
+                g3 = _evaluate_modes(x, y, self.g3, self.g3_modes)
+                disc = g2**3 - 27.0 * g3**2
             del i, j, x, y      # not held through the roots' temporaries
-            disc = g2**3 - 27.0 * g3**2
+            if not np.isfinite(disc).all():
+                raise ModelError("Weierstrass family overflows on the grid")
             if np.any(np.abs(disc) < 1e-12):
                 raise ModelError("Weierstrass family degenerates on the grid")
             rows = _agm_inputs(_block_roots(g2, g3, disc))

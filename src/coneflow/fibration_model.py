@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -92,9 +93,16 @@ class BackgroundGeometry:
     grid: Grid
     model: FibrationModel          # with points snapped to the grid
     area: float                    # A; also the constant reference density
-    q: ScalarField                 # |section|^2, max exactly 1
     wp: ScalarField                # moduli density rho_WP
     wp_mass: float                 # W, the mean of rho_WP
+
+    @cached_property
+    def q(self) -> ScalarField:
+        """|section|^2, max exactly 1, formed on first read."""
+        q = green_values(self.grid, self.model.cone_point)
+        q -= q.max()
+        np.exp(q, out=q)
+        return ScalarField(self.grid, q)
 
     def metric_density(self, v) -> np.ndarray:
         """A + (1/2) Lap v: the density of the metric with potential v,
@@ -159,12 +167,8 @@ def build_background(model: FibrationModel, grid: Grid,
     wp_mass = float(wp.mean())
     area = 2.0 * np.pi * (1.0 - model.beta) + wp_mass + \
         2.0 * np.pi * sum(model.multiplicity_weights)
-    q = green_values(grid, model.cone_point)
-    q -= q.max()
-    np.exp(q, out=q)
     return BackgroundGeometry(grid=grid, model=model, area=area,
-                              q=ScalarField(grid, q), wp=ScalarField(grid, wp),
-                              wp_mass=wp_mass)
+                              wp=ScalarField(grid, wp), wp_mass=wp_mass)
 
 
 def assemble_density(model: FibrationModel, bg: BackgroundGeometry,

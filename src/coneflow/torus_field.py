@@ -229,15 +229,25 @@ def bilinear_sample(values: np.ndarray, xs, ys):
             + values[i1, j1] * tx * ty)
 
 
+@lru_cache(maxsize=32)
+def _unit_circle(n_angles: int):
+    """cos and sin of n_angles equally spaced angles, as the rows of a
+    read-only (2, n_angles) array."""
+    th = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    cs = np.stack((np.cos(th), np.sin(th)))
+    cs.setflags(write=False)
+    return cs
+
+
 def circle_samples(f: ScalarField, center, radius: float, n_angles: int = None):
     """Values of f on the circle of given radius, bilinearly interpolated
     at equally spaced angles (at least 64, scaled with the circumference)."""
     n = f.grid.n
     if n_angles is None:
         n_angles = max(64, 4 * int(np.ceil(0.5 * np.pi * radius * n)))
-    th = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    xs = center[0] + radius * np.cos(th)
-    ys = center[1] + radius * np.sin(th)
+    cos, sin = _unit_circle(n_angles)
+    xs = center[0] + radius * cos
+    ys = center[1] + radius * sin
     return bilinear_sample(f.values, xs, ys)
 
 

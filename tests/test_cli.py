@@ -187,6 +187,8 @@ BAD_INPUTS = {
     "periods_non_numeric_cell": "curves.csv:3: could not convert",
     "periods_degenerate_curve": "curves.csv:3: degenerate fiber",
     "periods_non_finite_cell": "curves.csv:3: values must be finite",
+    "periods_overflowing_cell": "curves.csv:3: discriminant overflows",
+    "weierstrass_overflows": "Weierstrass family overflows on the grid",
     "flag_grid_n_zero": "config.grid_n: must be even and >= 16, got 0",
     "flag_dt_above_T": "config.flow: need 0 < dt <= T <= 50",
     "flag_epsilon_zero": "config.epsilon_schedule: value 0.0 out of (0, 1]",
@@ -225,6 +227,10 @@ BAD_INPUTS = {
 BAD_MODEL_KEYS = {
     "cone_point_nan": {"cone_point": [float("nan"), 0.5]},
     "delta_overflows": {"delta": 1e300},    # written as 1e400 below
+    # finite invariants whose discriminant overflows on the grid
+    "weierstrass_overflows": {"tau_model": {
+        "kind": "weierstrass", "g2": [1e200, 0.0],
+        "g3_modes": [[1, 0, 1e160, 0.0]]}},
     "g2_nan": {"tau_model": {"kind": "weierstrass",
                              "g2": [float("nan"), 0.0]}},
     "fiber_area_infinite": {"fiber_area": float("inf")},
@@ -289,7 +295,8 @@ def test_bad_input_gives_one_error_line(case, tmp_path):
     (tmp_path / "config.json").write_text(
         json.dumps(dict(BAD_CONFIG, **BAD_CONFIG_KEYS.get(case, {}))))
     cell = {"periods_non_numeric_cell": "abc,1",
-            "periods_non_finite_cell": "nan,1"}.get(case, "3,1")
+            "periods_non_finite_cell": "nan,1",
+            "periods_overflowing_cell": "1e200,1"}.get(case, "3,1")
     (tmp_path / "curves.csv").write_text(f"# g2, g3\n4,0\n{cell}\n")
     if case.startswith("periods"):
         args = ["periods", "--input", "curves.csv", "--out", "out"]

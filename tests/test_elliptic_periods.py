@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,7 +10,7 @@ from coneflow.elliptic_periods import (ConstantTau, LocalLogTau,
                                        discriminant, normalize_tau,
                                        periods_from_weierstrass, tau_field)
 from coneflow import elliptic_periods
-from coneflow.errors import ModelError
+from coneflow.errors import ModelError, NumericalError
 from coneflow.fibration_model import LP_GRIDS, SingularFiber
 from coneflow.torus_field import make_grid
 from tests.conftest import i1_model, mesh
@@ -32,7 +34,7 @@ def cubic_roots(g2, g3):
     roots = np.empty((f2.size, 3), dtype=complex)
     for s in elliptic_periods._blocks(f2.size):
         a, b = f2[s], f3[s]
-        roots[s] = elliptic_periods._block_roots(a, b, a**3 - 27.0 * b**2)
+        roots[s] = elliptic_periods._block_roots(a, b, a**3 - 27.0 * b**2).T
     return roots.reshape(g2.shape + (3,))
 
 
@@ -91,6 +93,16 @@ def test_discriminant_values():
 def test_periods_reject_singular_curve():
     with pytest.raises(ModelError):
         periods_from_weierstrass(WeierstrassCurve(3, 1))
+
+
+@pytest.mark.parametrize("g2, g3", [(1e200, 1.0), (1.0, 1e154)])
+def test_discriminant_rejects_overflow(g2, g3):
+    # g2**3 raises OverflowError; 27 g3**2 overflows to inf without one
+    curve = WeierstrassCurve(g2, g3)
+    with pytest.raises(ModelError, match="^discriminant overflows$"):
+        discriminant(curve)
+    with pytest.raises(ModelError, match="^discriminant overflows$"):
+        periods_from_weierstrass(curve)
 
 
 def half_period_integral(g2, g3):
@@ -479,6 +491,165 @@ def test_agm_steps_each_point_until_it_converges():
         elliptic_periods._block_roots(g2, g3, g2**3 - 27.0 * g3**2))
     own = [agm_array(a[i], b[i]) for i in range(2)]
     assert agm_array(a, b).tobytes() == np.array(own).tobytes()
+
+
+def step_family_agm_batch():
+    """Both AGM input pairs of STEP_FAMILY on a 16 x 16 grid, which converge
+    after 3 to 7 steps, and zero pairs among them, as one batch (a, b)."""
+    x, y = mesh(make_grid(16))
+    g2 = elliptic_periods._evaluate_modes(x.ravel(), y.ravel(), STEP_FAMILY.g2,
+                                          STEP_FAMILY.g2_modes)
+    g3 = elliptic_periods._evaluate_modes(x.ravel(), y.ravel(), STEP_FAMILY.g3,
+                                          STEP_FAMILY.g3_modes)
+    rows = elliptic_periods._agm_inputs(
+        elliptic_periods._block_roots(g2, g3, g2**3 - 27.0 * g3**2))
+    a = np.concatenate([rows[0], rows[2], [0.0, 2.0, -0.0, 0.0]])
+    b = np.concatenate([rows[1], rows[3], [1.5j, 0.0, 0.0, -0.0]])
+    return a, b
+
+
+def test_agm_gives_each_point_its_own_bytes_in_any_batch():
+    # the live points leave the working arrays as they converge, so a
+    # point's mean must not depend on its place in the batch, on the
+    # batch's other points, or on when they converge
+    a, b = step_family_agm_batch()
+    whole = agm_array(a, b)
+    own = np.concatenate([agm_array(a[i:i + 1], b[i:i + 1])
+                          for i in range(len(a))])
+    assert whole.tobytes() == own.tobytes()
+    perm = np.random.default_rng(3).permutation(len(a))
+    assert agm_array(a[perm], b[perm]).tobytes() == whole[perm].tobytes()
+    half = len(a) // 2 + 1
+    split = np.concatenate([agm_array(a[:half], b[:half]),
+                            agm_array(a[half:], b[half:])])
+    assert split.tobytes() == whole.tobytes()
+    assert (whole[-4:] == 0).all()
+
+
+def test_agm_nan_pair_raises_after_the_step_limit(monkeypatch):
+    # a NaN never passes the convergence test: the pair steps 64 times
+    # beside a pair that converged at once, then the AGM gives up
+    steps = []
+    sqrt = np.sqrt
+
+    def counting(x, *args, **kwargs):
+        steps.append(len(x))
+        return sqrt(x, *args, **kwargs)
+
+    monkeypatch.setattr(elliptic_periods.np, "sqrt", counting)
+    with pytest.raises(NumericalError,
+                       match="^AGM did not converge within 64 iterations$"):
+        agm_array([1.0, np.nan, 2.0], [1.0, 1.0, 0.0])
+    assert steps == [1] * elliptic_periods._AGM_MAX_ITER
+
+
+def block_roots_by_lexsort(a, b, disc):
+    """_block_roots on (M, 3) rows of roots, sorted by lexsort: the layout
+    the three-row form and its compare-exchange network must match bit
+    for bit."""
+    h = b / 8.0
+    sq = np.sqrt(-disc / 1728.0)
+    sq[(h.real * sq.real + h.imag * sq.imag) < 0] *= -1.0
+    u = (h + sq) ** (1.0 / 3.0)
+    near = np.abs(disc) <= elliptic_periods._NEAR_DOUBLE * np.maximum(
+        np.abs(a)**3, 27.0 * np.abs(b)**2)
+    u[near] = 1.0
+    v = a / (12.0 * u)
+    omega = elliptic_periods._OMEGA
+    r = np.stack((u + v, u * omega + v / omega, u / omega + v * omega),
+                 axis=-1)
+    a3, b3 = a[:, None], b[:, None]
+    for _ in range(2):
+        r2 = r * r
+        r -= (r * (4.0 * r2 - a3) - b3) / (12.0 * r2 - a3)
+    if near.any():
+        r[near] = elliptic_periods._companion_roots(a[near], b[near])
+    order = np.lexsort((-r.imag, -r.real), axis=-1)
+    return np.take_along_axis(r, order, axis=-1)
+
+
+def assert_block_roots_match_lexsort(g2, g3):
+    g2 = np.ascontiguousarray(g2, dtype=complex)
+    g3 = np.ascontiguousarray(g3, dtype=complex)
+    disc = g2**3 - 27.0 * g3**2
+    got = elliptic_periods._block_roots(g2, g3, disc)
+    assert got.shape == (3, len(g2))
+    want = block_roots_by_lexsort(g2, g3, disc)
+    assert np.ascontiguousarray(got.T).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("size", [5000, elliptic_periods._BLOCK])
+def test_block_roots_match_lexsort_on_random_invariants(size):
+    # 5,000 points stay below numpy's temporary-elision size and a full
+    # block reaches it (see _BLOCK): the three rows must meet it alike
+    rng = np.random.default_rng(size)
+    g2 = 3.0 * (rng.normal(size=size) + 1j * rng.normal(size=size))
+    g3 = 3.0 * (rng.normal(size=size) + 1j * rng.normal(size=size))
+    assert_block_roots_match_lexsort(g2, g3)
+
+
+def test_block_roots_match_lexsort_on_real_invariants():
+    # disc < 0: one real root and a conjugate pair whose real parts tie
+    # up to round-off, so the sort's tie rule decides their order
+    rng = np.random.default_rng(29)
+    g2 = rng.normal(size=2000)
+    g3 = 3.0 * rng.normal(size=2000)
+    assert (g2**3 - 27.0 * g3**2 < 0).sum() > 1000
+    got = elliptic_periods._block_roots(g2 + 0j, g3 + 0j,
+                                        g2**3 - 27.0 * g3**2 + 0j)
+    assert (got[0].real == got[1].real).any()
+    assert (got[1].real == got[2].real).any()
+    assert_block_roots_match_lexsort(g2, g3)
+
+
+def test_block_roots_match_lexsort_on_the_integer_lattice():
+    # invariants with signed-zero parts: roots on the axes, real-part ties
+    # and roots with Im = -0.0
+    vals = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 4.0, -4.0]
+    cs = np.array([complex(x, y) for x in vals for y in vals])
+    g2, g3 = np.repeat(cs, len(cs)), np.tile(cs, len(cs))
+    keep = np.abs(g2**3 - 27.0 * g3**2) > 0
+    g2, g3 = g2[keep], g3[keep]
+    got = elliptic_periods._block_roots(g2, g3, g2**3 - 27.0 * g3**2)
+    assert ((got.imag == 0) & np.signbit(got.imag)).any()
+    assert (got[0].real == got[1].real).any()
+    assert_block_roots_match_lexsort(g2, g3)
+
+
+def test_block_roots_match_lexsort_on_the_near_degenerate_family(grid64):
+    x, _ = mesh(grid64)
+    g2 = elliptic_periods._evaluate_modes(
+        x.ravel(), 0.0 * x.ravel(), NEAR_DEGENERATE_FAMILY.g2,
+        NEAR_DEGENERATE_FAMILY.g2_modes)
+    g3 = np.full_like(g2, NEAR_DEGENERATE_FAMILY.g3)
+    assert (relative_discriminant(g2, g3) <= 1e-8).sum() == 2 * grid64.n
+    assert_block_roots_match_lexsort(g2, g3)
+
+
+def test_block_roots_sort_signed_zero_ties_as_lexsort(monkeypatch):
+    # every point here takes the companion fallback, patched to hand back
+    # each ordering of roots whose parts tie as +0.0 and -0.0: the network
+    # must order exact ties, signed zeros included, as the stable lexsort
+    parts = [0.0, -0.0, 1.0]
+    roots = [complex(x, y) for x in parts for y in parts]
+    triples = np.array([(p, q, r) for p in roots for q in roots
+                        for r in roots])
+    monkeypatch.setattr(elliptic_periods, "_companion_roots",
+                        lambda a, b: triples.copy())
+    g2 = np.full(len(triples), 3.0 + 0j)
+    g3 = np.full(len(triples), 1.0 + 0j)        # disc = 0: all near
+    assert_block_roots_match_lexsort(g2, g3)
+
+
+def test_tau_field_rejects_a_family_that_overflows(grid64):
+    # finite invariants whose discriminant overflows: one ModelError and
+    # no numpy warning
+    model = WeierstrassFamilyTau(g2=1e200, g3_modes=((1, 0, 1e160),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError,
+                           match="^Weierstrass family overflows on the grid$"):
+            tau_field(model, grid64)
 
 
 def test_tau_field_rejects_a_family_degenerate_past_the_first_block(grid256):

@@ -12,6 +12,7 @@ from coneflow.fibration_model import (LP_GRIDS, FibrationModel, SingularFiber,
                                       required_area, validate_lp)
 from coneflow.torus_field import (green_values, lap_values, make_grid,
                                   periodic_distance)
+from tests.conftest import i1_model
 
 
 def test_required_area_product(grid64):
@@ -200,7 +201,37 @@ def test_validate_lp_memory_on_the_benchmark_family(load_bench, tmp_path,
     from coneflow.cli import load_model
     state = load_bench("workloads").verify_setup(3001, str(tmp_path))
     model = load_model(state["model"])
-    assert traced_peak_mib(lambda: validate_lp(model)) <= 13.0
+    assert traced_peak_mib(lambda: validate_lp(model)) <= 11.0
+
+
+def test_validate_lp_forms_no_q(load_bench, tmp_path, monkeypatch):
+    # F never reads the cone point's q, and the benchmark model's one
+    # fiber has m = 1, so no Green potential is formed at all
+    from coneflow import fibration_model
+    from coneflow.cli import load_model
+    state = load_bench("workloads").verify_setup(3001, str(tmp_path))
+    model = load_model(state["model"])
+    assert [f.multiplicity for f in model.fibers] == [1]
+    calls = []
+
+    def counting(grid, point):
+        calls.append(grid.n)
+        return green_values(grid, point)
+
+    monkeypatch.setattr(fibration_model, "green_values", counting)
+    validate_lp(model)
+    assert calls == []
+
+
+@pytest.mark.parametrize("model", [product_model(), i1_model()])
+def test_build_problem_q_keeps_its_formula(model):
+    # q is formed on first read, from the snapped cone point
+    from coneflow.ke_solver import build_problem
+    bg = build_problem(model, 64, 0.1).bg
+    q = green_values(bg.grid, bg.model.cone_point)
+    q = np.exp(q - q.max())
+    assert bg.q.values.tobytes() == q.tobytes()
+    assert bg.q is bg.q
 
 
 def per_grid_validate_lp(model):

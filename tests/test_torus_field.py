@@ -3,12 +3,13 @@ import pytest
 import scipy.fft as sfft
 
 from coneflow.errors import ConfigurationError
-from coneflow.torus_field import (ScalarField, circle_samples,
-                                  from_half_spectrum, gradient_values,
-                                  green_values, half_spectrum, lap_values,
-                                  make_grid, solve_poisson_values,
-                                  write_field_csv, write_field_pgm,
-                                  _inverse, _lap_multiplier, _phases)
+from coneflow.torus_field import (ScalarField, bilinear_sample,
+                                  circle_samples, from_half_spectrum,
+                                  gradient_values, green_values,
+                                  half_spectrum, lap_values, make_grid,
+                                  solve_poisson_values, write_field_csv,
+                                  write_field_pgm, _inverse, _lap_multiplier,
+                                  _phases, _unit_circle)
 from tests.conftest import mesh
 
 
@@ -256,6 +257,23 @@ def test_radial_profile_quadratic(grid128):
     for r in (0.05, 0.1, 0.2):
         m = circle_samples(f, c, r).mean()
         assert m == pytest.approx(r * r, abs=5e-4)
+
+
+def test_circle_samples_keep_the_direct_angles(grid128):
+    # the cached unit circle gives the bits of forming the angles, their
+    # cos and their sin on every call, and cannot be written through
+    x, y = mesh(grid128)
+    f = ScalarField(grid128, np.sin(2 * np.pi * x) * np.cos(4 * np.pi * y))
+    for c, r, n in [((0.3, 0.7), 0.05, None), ((0.5, 0.5), 0.2, 512),
+                    ((0.1, 0.9), 0.31, 100)]:
+        n_angles = n or max(64, 4 * int(np.ceil(0.5 * np.pi * r * 128)))
+        th = 2.0 * np.pi * np.arange(n_angles) / n_angles
+        want = bilinear_sample(f.values, c[0] + r * np.cos(th),
+                               c[1] + r * np.sin(th))
+        for _ in range(2):
+            got = circle_samples(f, c, r, n)
+            assert got.tobytes() == want.tobytes()
+    assert not _unit_circle(512).flags.writeable
 
 
 def test_field_rejects_nonfinite(grid64):
