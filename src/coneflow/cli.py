@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from .errors import ConeflowError, ConfigurationError, ModelError
 from .fibration_model import (_integer, _known_keys, _mapping, _read, _real,
                               _string, lp_threshold, model_from_json_dict)
-from .flow_engine import T_MAX, _step_count, _steps_to
+from .flow_engine import _step_count, _steps_to
 from .ke_solver import build_problem, continuation_solve
 from .torus_field import write_field_csv, write_field_pgm
 from .verify import run_verification_suite, target_flow
@@ -80,8 +80,6 @@ def parse_config_dict(d: dict, base_dir=".") -> RunConfig:
     _known_keys(flow, _FLOW_KEYS, "config.flow")
     flow["T"] = _read(flow, "T", "config.flow", _real)
     flow["dt"] = _read(flow, "dt", "config.flow", _real)
-    if not (0.0 < flow["dt"] <= flow["T"] <= T_MAX):
-        raise ConfigurationError(f"config.flow: need 0 < dt <= T <= {T_MAX:g}")
     _step_count(flow["T"], flow["dt"], "config.flow")
     return RunConfig(model_path=model_path, grid_n=grid_n,
                      epsilon_schedule=schedule, flow=flow,

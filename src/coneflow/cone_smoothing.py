@@ -22,8 +22,10 @@ __all__ = [
 
 
 def _check_args(eps, x, beta):
-    if eps < 0 or x < 0:
-        raise ConfigurationError("chi requires eps >= 0 and x >= 0")
+    """ConfigurationError unless eps and every x (a number or a nonempty
+    array) are finite and nonnegative (a NaN is neither) and 0 < beta < 1."""
+    if not (0.0 <= eps < np.inf and 0.0 <= np.min(x) and np.max(x) < np.inf):
+        raise ConfigurationError("chi requires finite eps >= 0 and x >= 0")
     if not (0.0 < beta < 1.0):
         raise ConfigurationError("beta must lie in (0, 1)")
 
@@ -93,9 +95,7 @@ def chi_values(eps: float, x, beta: float) -> np.ndarray:
     arrays of x's size.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ConfigurationError("chi requires nonnegative arguments")
-    _check_args(eps, float(x.flat[0]) if x.size else 0.0, beta)
+    _check_args(eps, x if x.size else 0.0, beta)
     if eps == 0.0:
         return x**beta
     e2 = eps * eps

@@ -24,7 +24,3 @@ class DivergenceError(NumericalError):
 
 class PositivityError(NumericalError):
     """A metric density left the Kahler cone (nonpositive somewhere)."""
-
-
-class StabilityGuardError(ConfigurationError):
-    """An explicit time step exceeds its stability guard."""

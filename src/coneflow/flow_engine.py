@@ -6,11 +6,8 @@ The reduced flow evolves the potential phi on the base:
                  - phi - delta chi(eps^2 + q),        eta = phi + delta chi,
 
 whose stationary points are exactly the solutions of the regularized
-limiting equation handled by ke_solver.  Backward Euler with the same
-Newton/CG machinery (shifted by 1/dt) is the default scheme, and the only
-one the CLI runs; an explicit RK4 with a conservative stability guard is
-kept as the reference the backward-Euler tests compare against, reached
-from the library only (the scheme argument of flow_step and run_flow).
+limiting equation handled by ke_solver.  flow_step advances it by backward
+Euler, with the same Newton/CG machinery (shifted by 1/dt).
 
 The 4D oracle evolves the same flow on a coarse product of a fiber torus
 and the base, computing the full 2x2 Hermitian determinant spectrally.
@@ -30,8 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (ConfigurationError, DivergenceError, PositivityError,
-                     StabilityGuardError)
+from .errors import ConfigurationError, DivergenceError, PositivityError
 from .elliptic_periods import ConstantTau
 from .ke_solver import KEProblem, build_problem, damped_newton
 from .torus_field import (ScalarField, from_half_spectrum, half_spectrum,
@@ -47,7 +43,6 @@ __all__ = [
     "ProductFlow4D",
 ]
 
-SCHEMES = ("backward-euler-newton", "rk4-explicit")
 STEP_TOL = 1e-12
 STEP_MAX_NEWTON = 30
 STEP_CG_FLOOR = 1e-13
@@ -135,8 +130,11 @@ def _steps_to(t, dt):
 
 
 def _step_count(T, dt, where="flow"):
-    """The number of dt steps in the horizon T, which must be a whole
-    number of them; ConfigurationError naming where otherwise."""
+    """The number of dt steps in the horizon T, for 0 < dt <= T <= T_MAX
+    (a NaN fails) and T a whole number of steps; ConfigurationError naming
+    where otherwise."""
+    if not 0.0 < dt <= T <= T_MAX:
+        raise ConfigurationError(f"{where}: need 0 < dt <= T <= {T_MAX:g}")
     steps = _steps_to(T, dt)
     if steps is None:
         raise ConfigurationError(
@@ -144,16 +142,21 @@ def _step_count(T, dt, where="flow"):
     return steps
 
 
-def _backward_euler(ops: FlowOps, state: FlowState):
-    """Solve u - dt * rhs(u) = phi to sup|u - phi - dt rhs(u)| <= STEP_TOL
-    by damped Newton (damped_newton, at most STEP_MAX_NEWTON steps) from the
-    explicit predictor, or from phi when the predictor leaves the Kahler
-    cone.  Returns (u, (its density, its rhs)).
+def flow_step(state: FlowState, ops: FlowOps) -> FlowState:
+    """Advance the state by its dt with one backward-Euler step, for the
+    problem ops was built from; returns the new state with its density and
+    rhs.
 
-    The linearization (1+dt) I - dt (1/2) Lap / D, multiplied through by
-    the density D, is SPD: (1+dt) D w - dt (1/2) Lap w, solved by CG to the
-    relative tolerance max(STEP_CG_FLOOR, 0.1 * STEP_TOL / sup|residual|).
+    Solves u - dt * rhs(u) = phi to sup|u - phi - dt rhs(u)| <= STEP_TOL by
+    damped Newton (damped_newton, at most STEP_MAX_NEWTON steps) from the
+    explicit predictor phi + dt rhs(phi), read from the state, or from phi
+    when the predictor leaves the Kahler cone.  The linearization
+    (1+dt) I - dt (1/2) Lap / D, multiplied through by the density D, is
+    SPD: (1+dt) D w - dt (1/2) Lap w, solved by CG to the relative
+    tolerance max(STEP_CG_FLOOR, 0.1 * STEP_TOL / sup|residual|).
     """
+    if not state.dt > 0:
+        raise ConfigurationError("dt must be positive")
     phi, dt = state.phi.values, state.dt
     op_symbol = -dt * 0.5 * _lap_multiplier(ops.bg.grid.n)
 
@@ -179,48 +182,16 @@ def _backward_euler(ops: FlowOps, state: FlowState):
         lambda u, evaluated, resid: ((1.0 + dt) * evaluated[0], op_symbol,
                                      -evaluated[0] * resid),
         STEP_TOL, STEP_MAX_NEWTON, STEP_CG_FLOOR)
-    return u, evaluated
-
-
-def _rk4(ops: FlowOps, state: FlowState) -> FlowState:
-    """One classical RK4 step, if dt is within the stability guard."""
-    phi, dt = state.phi.values, state.dt
-    guard = 0.2 * ops.bg.grid.spacing**2 * ops.bg.area \
-        / float(state.density.max())
-    if dt > guard:
-        raise StabilityGuardError(
-            f"rk4 step dt={dt} exceeds the stability guard {guard:.3e} "
-            f"(0.2 h^2 A / max density)")
-    k1 = state.rhs
-    k2 = ops.rhs_values(phi + 0.5 * dt * k1)
-    k3 = ops.rhs_values(phi + 0.5 * dt * k2)
-    k4 = ops.rhs_values(phi + dt * k3)
-    return ops.state(phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
-                     state.t + dt, dt)
-
-
-def flow_step(state: FlowState, ops: FlowOps,
-              scheme: str = "backward-euler-newton") -> FlowState:
-    """Advance the state by its dt with the chosen scheme, for the problem
-    ops was built from; the step starts from the state's density and rhs
-    and returns the new state with its own."""
-    if scheme not in SCHEMES:
-        raise ConfigurationError(f"unknown scheme {scheme!r}; pick from {SCHEMES}")
-    if state.dt <= 0:
-        raise ConfigurationError("dt must be positive")
-    if scheme == "rk4-explicit":
-        return _rk4(ops, state)
-    u, evaluated = _backward_euler(ops, state)
-    return FlowState(ScalarField(state.phi.grid, u), state.t + state.dt,
-                     state.dt, *evaluated)
+    return FlowState(ScalarField(state.phi.grid, u), state.t + dt, dt,
+                     *evaluated)
 
 
 def run_flow(problem: KEProblem, T: float, dt: float,
              scheme: str = "backward-euler-newton",
              masks: dict = None, target_phi: ScalarField = None,
              monitor_mask=None, snapshot_times=()) -> tuple:
-    """Evolve from phi(0) = 0 to time T, a whole number of steps dt,
-    sampling every step.
+    """Evolve from phi(0) = 0 to time T, a whole number of steps dt with
+    0 < dt <= T <= T_MAX, sampling every step.
 
     masks maps names to boolean arrays; the trajectory records the sup gap
     to target_phi on each.  monitor_mask, when given, hosts the
@@ -229,12 +200,13 @@ def run_flow(problem: KEProblem, T: float, dt: float,
     be a step time k dt with 0 < k <= T/dt; the trajectory keeps the state
     of that step under the requested time.
 
+    scheme exists only because bench/workloads.py passes it; the one value
+    it takes is "backward-euler-newton", the scheme flow_step runs.
+
     Returns (final state, trajectory, decay report).
     """
-    if T > T_MAX:
-        raise ConfigurationError(f"flow horizon is capped at T = {T_MAX:g}")
-    if dt <= 0 or T <= 0:
-        raise ConfigurationError("T and dt must be positive")
+    if scheme != "backward-euler-newton":
+        raise ConfigurationError(f"unknown scheme {scheme!r}")
     n_steps = _step_count(T, dt)
     snapshot_steps = {}
     for t in sorted(snapshot_times):
@@ -252,7 +224,7 @@ def run_flow(problem: KEProblem, T: float, dt: float,
     target = None if target_phi is None else target_phi.values
     try:
         for k in range(1, n_steps + 1):
-            state = flow_step(state, ops, scheme)
+            state = flow_step(state, ops)
             phi, density = state.phi.values, state.density
             gaps = {}
             if target is not None:

@@ -56,6 +56,15 @@ def test_chi_rejects_bad_arguments():
         chi(0.1, 1.0, 1.5)
 
 
+@pytest.mark.parametrize("eps, x", [(float("nan"), 0.1), (float("inf"), 0.1),
+                                    (0.1, float("nan")), (0.1, float("inf"))])
+def test_chi_rejects_non_finite_arguments(eps, x):
+    with pytest.raises(ConfigurationError, match="finite"):
+        chi(eps, x, 0.5)
+    with pytest.raises(ConfigurationError, match="finite"):
+        chi_values(eps, np.array([0.5, x]), 0.5)
+
+
 def test_chi_derivative_small_x_limit():
     # near x = 0 only the Taylor head runs; its slope is the integrand's
     # removable-singularity limit beta * (beta eps^(2 beta - 2))

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from coneflow.errors import (ConfigurationError, PositivityError,
-                             StabilityGuardError)
+from coneflow.errors import ConfigurationError, PositivityError
 from coneflow import flow_engine
 from coneflow.estimates import ricci_residual
 from coneflow.fibration_model import product_model
@@ -35,6 +34,23 @@ def solved64(problem64):
 
 def state_of(problem, phi_values, t=0.0, dt=0.05):
     return FlowOps(problem).state(phi_values, t, dt)
+
+
+def rk4_step(ops, state):
+    """One classical RK4 step, the explicit reference that backward Euler
+    is checked against; its dt must be within the stability guard
+    0.2 h^2 A / max density."""
+    phi, dt = state.phi.values, state.dt
+    guard = 0.2 * ops.bg.grid.spacing**2 * ops.bg.area \
+        / float(state.density.max())
+    assert dt <= guard, f"rk4 step dt={dt} exceeds the stability guard " \
+        f"{guard:.3e} (0.2 h^2 A / max density)"
+    k1 = state.rhs
+    k2 = ops.rhs_values(phi + 0.5 * dt * k1)
+    k3 = ops.rhs_values(phi + 0.5 * dt * k2)
+    k4 = ops.rhs_values(phi + dt * k3)
+    return ops.state(phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+                     state.t + dt, dt)
 
 
 def test_rhs_vanishes_at_solution(problem64, solved64):
@@ -133,16 +149,15 @@ def test_formulas_match_written_out_expressions(m2, eps):
                           + sol.density_values() - bg.wp.values)
 
 
-@pytest.mark.parametrize("scheme, dt", [("rk4-explicit", 1e-4),
-                                        ("backward-euler-newton", 0.05)])
-def test_step_state_carries_its_density(scheme, dt):
+@pytest.mark.parametrize("dt", [0.05], ids=["backward-euler-newton-0.05"])
+def test_step_state_carries_its_density(dt):
     p = make_problem(16, eps=0.4)
     x, y = mesh(p.bg.grid)
     ops = FlowOps(p)
     st = ops.state(0.02 * np.cos(2 * np.pi * x), 0.0, dt)
     for _ in range(2):      # the second step starts from the carried state
-        fresh = flow_step(ops.state(st.phi.values, st.t, dt), ops, scheme)
-        st = flow_step(st, ops, scheme)
+        fresh = flow_step(ops.state(st.phi.values, st.t, dt), ops)
+        st = flow_step(st, ops)
         assert np.array_equal(st.phi.values, fresh.phi.values)
         assert np.array_equal(st.density, ops.density_values(st.phi.values))
         assert np.array_equal(st.rhs, ops.rhs_values(st.phi.values))
@@ -150,12 +165,11 @@ def test_step_state_carries_its_density(scheme, dt):
         assert not st.rhs.flags.writeable
 
 
-@pytest.mark.parametrize("scheme, n, dt", [("backward-euler-newton", 64, 0.05),
-                                           ("rk4-explicit", 16, 1e-4)])
-def test_run_flow_evaluates_each_phi_once(scheme, n, dt, monkeypatch):
+@pytest.mark.parametrize("n, dt", [(64, 0.05)],
+                         ids=["backward-euler-newton-64-0.05"])
+def test_run_flow_evaluates_each_phi_once(n, dt, monkeypatch):
     # every rhs is formed once and carried by its state, which the
-    # monitors' sup|d_t psi| reads: no two rhs_values calls see the same
-    # phi (rk4 at N=16, where its guard admits dt=1e-4)
+    # monitors' sup|d_t psi| reads: no two rhs_values calls see the same phi
     seen = []
     real = FlowOps.rhs_values
 
@@ -164,7 +178,7 @@ def test_run_flow_evaluates_each_phi_once(scheme, n, dt, monkeypatch):
         return real(self, phi_values, *args)
 
     monkeypatch.setattr(FlowOps, "rhs_values", recording)
-    run_flow(make_problem(n, eps=0.4), T=1.0, dt=dt, scheme=scheme,
+    run_flow(make_problem(n, eps=0.4), T=1.0, dt=dt,
              monitor_mask=np.ones((n, n), dtype=bool))
     assert len(seen) > round(1.0 / dt)
     assert len(set(seen)) == len(seen)
@@ -177,10 +191,16 @@ def test_step_fixed_point(problem64, solved64):
     assert out.t == pytest.approx(0.1)
 
 
-def test_step_rejects_unknown_scheme(problem64):
-    st = state_of(problem64, np.zeros((64, 64)))
-    with pytest.raises(ConfigurationError):
-        flow_step(st, FlowOps(problem64), scheme="leapfrog")
+def test_run_flow_rejects_unknown_scheme(problem32):
+    with pytest.raises(ConfigurationError, match="unknown scheme 'leapfrog'"):
+        run_flow(problem32, T=0.1, dt=0.05, scheme="leapfrog")
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.05, float("nan")])
+def test_step_rejects_nonpositive_dt(problem32, dt):
+    st = state_of(problem32, np.zeros((32, 32)), dt=dt)
+    with pytest.raises(ConfigurationError, match="dt must be positive"):
+        flow_step(st, FlowOps(problem32))
 
 
 def test_backward_euler_vs_rk4_cross_check():
@@ -191,8 +211,8 @@ def test_backward_euler_vs_rk4_cross_check():
     dt = 1e-4
     st = state_of(p, phi, dt=dt)
     ops = FlowOps(p)
-    out_be = flow_step(st, ops, "backward-euler-newton")
-    out_rk = flow_step(st, ops, "rk4-explicit")
+    out_be = flow_step(st, ops)
+    out_rk = rk4_step(ops, st)
     assert np.abs(out_be.phi.values - out_rk.phi.values).max() <= 1e-6
 
 
@@ -204,8 +224,8 @@ def test_backward_euler_first_order():
     ops = FlowOps(p)
     errs = []
     for dt in (4e-4, 2e-4):
-        be = flow_step(state_of(p, phi, dt=dt), ops, "backward-euler-newton")
-        rk = flow_step(state_of(p, phi, dt=dt), ops, "rk4-explicit")
+        be = flow_step(state_of(p, phi, dt=dt), ops)
+        rk = rk4_step(ops, state_of(p, phi, dt=dt))
         errs.append(np.abs(be.phi.values - rk.phi.values).max())
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.0    # local error O(dt^2): ratio ~ 4
@@ -223,18 +243,12 @@ def test_backward_euler_global_first_order():
         a = state_of(p, phi0, dt=dt)
         b = state_of(p, phi0, dt=1e-4)
         for _ in range(int(round(t_final / dt))):
-            a = flow_step(a, ops, "backward-euler-newton")
+            a = flow_step(a, ops)
         for _ in range(int(round(t_final / 1e-4))):
-            b = flow_step(b, ops, "rk4-explicit")
+            b = rk4_step(ops, b)
         errs.append(np.abs(a.phi.values - b.phi.values).max())
     ratio = errs[0] / errs[1]
     assert 1.6 < ratio < 2.4
-
-
-def test_rk4_stability_guard(problem64):
-    st = state_of(problem64, np.zeros((64, 64)), dt=0.01)
-    with pytest.raises(StabilityGuardError, match="stability guard"):
-        flow_step(st, FlowOps(problem64), "rk4-explicit")
 
 
 def test_positivity_error_surfaces(problem64):
@@ -318,6 +332,17 @@ def test_backward_euler_forcing_matches_fixed_cg_tolerance(
 def test_run_flow_rejects_long_horizon(problem64):
     with pytest.raises(ConfigurationError):
         run_flow(problem64, T=60.0, dt=0.05)
+
+
+@pytest.mark.parametrize("T, dt", [(float("nan"), 0.05), (1.0, float("nan")),
+                                   (1.0, float("inf"))])
+def test_non_finite_horizons_are_rejected(problem32, oracle, T, dt):
+    # a NaN or infinite horizon or step is neither a crash nor a
+    # zero-step flow, for the reduced flow and the 4D oracle alike
+    with pytest.raises(ConfigurationError, match="need 0 < dt <= T <= 50"):
+        run_flow(problem32, T, dt)
+    with pytest.raises(ConfigurationError, match="need 0 < dt <= T <= 50"):
+        oracle.run(T, dt)
 
 
 @pytest.mark.parametrize("dt", [0.3, 0.6])

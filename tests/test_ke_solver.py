@@ -483,6 +483,13 @@ def test_build_problem_rejects_delta_that_breaks_positivity(product):
     build_background(replace(product, delta=50.0), make_grid(64))
 
 
+def test_build_problem_rejects_a_nan_epsilon(product):
+    # the positivity levels are fixed epsilons, so only the problem's own
+    # cone sees its epsilon: a NaN must not build an all-NaN cone
+    with pytest.raises(ConfigurationError, match="finite eps"):
+        build_problem(product, 32, float("nan"))
+
+
 def test_continuation_forms_one_cone_per_rung(product, chi_calls):
     # each rung's problem forms its cone once; the warm start and the
     # solution's phi read it there

@@ -16,10 +16,12 @@ tau model forms its own Im tau and moduli density.  Importing the
 package loads no scipy module, nor does building and stepping the 4D
 oracle (only the chi quadrature imports it, when it runs), and
 preconditioned_cg keeps the signature that the benchmark tracer and the
-tests' cg_tolerances wrap.  No test-only code hides in the package: every
-top-level function and class is used by the package or the benchmark, and
-every parameter with a default is set by some call in the package or the
-benchmark, so no option exists that only the tests set.
+tests' cg_tolerances wrap, and flow_step takes only a state and its ops,
+so a second time-stepping scheme cannot return as an option.  No
+test-only code hides in the package: every top-level function and class
+is used by the package or the benchmark, and every parameter with a
+default is set by some call in the package or the benchmark, so no
+option exists that only the tests set.
 """
 
 import ast
@@ -226,6 +228,15 @@ def test_preconditioned_cg_signature():
     (cg,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
              and node.name == "preconditioned_cg"]
     assert ast.unparse(cg.args) == "coeff, op_symbol, b, rel_tol=1e-12"
+
+
+def test_flow_step_signature():
+    # one time stepper: no scheme or other option selects a second one
+    with open(os.path.join(SRC, "flow_engine.py")) as fh:
+        tree = ast.parse(fh.read())
+    (step,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name == "flow_step"]
+    assert ast.unparse(step.args) == "state: FlowState, ops: FlowOps"
 
 
 def used_names(tree):
