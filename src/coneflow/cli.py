@@ -11,9 +11,10 @@ Subcommands
                 CSV of (w1, w2, tau, discriminant) out
 
 Exit codes: 0 success (all checks pass), 1 solver/configuration error
-(bad flags included), 2 verification failure.  All artifacts are written
-atomically (temp file plus rename) inside the configured output directory,
-with no timestamps, so reruns are byte-identical.
+(bad flags and a grid too large to allocate included), 2 verification
+failure.  All artifacts are written atomically (temp file plus rename)
+inside the configured output directory, with no timestamps, so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConeflowError, ConfigurationError, ModelError
 from .fibration_model import (_integer, _known_keys, _mapping, _read, _real,
@@ -44,10 +45,10 @@ QUICK_T = 8.0       # --quick's cap on the flow horizon
 @dataclass(frozen=True)
 class RunConfig:
     model_path: str
-    grid_n: int = DEFAULT_GRID_N
-    epsilon_schedule: tuple = DEFAULT_EPSILON_SCHEDULE
-    flow: dict = field(default_factory=lambda: dict(DEFAULT_FLOW))
-    output_dir: str = "out"
+    grid_n: int
+    epsilon_schedule: tuple
+    flow: dict
+    output_dir: str
 
 
 _CONFIG_KEYS = {"model", "grid_n", "epsilon_schedule", "flow", "output_dir"}
@@ -353,7 +354,7 @@ def main(argv=None) -> int:
         model = load_model(cfg.model_path)
         problem = build_problem(model, cfg.grid_n, cfg.epsilon_schedule[-1])
         return args.command(cfg, model, problem)
-    except (ConeflowError, OSError) as exc:
+    except (ConeflowError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

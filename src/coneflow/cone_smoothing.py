@@ -23,9 +23,15 @@ __all__ = [
 
 def _check_args(eps, x, beta):
     """ConfigurationError unless eps and every x (a number or a nonempty
-    array) are finite and nonnegative (a NaN is neither) and 0 < beta < 1."""
+    array) are finite and nonnegative (a NaN is neither) and 0 < beta < 1,
+    and unless a positive eps has a fourth power e2 * e2 that is not 0, as
+    chi's Taylor head divides by it."""
     if not (0.0 <= eps < np.inf and 0.0 <= np.min(x) and np.max(x) < np.inf):
         raise ConfigurationError("chi requires finite eps >= 0 and x >= 0")
+    e2 = eps * eps
+    if eps > 0.0 and e2 * e2 == 0.0:
+        raise ConfigurationError(
+            f"chi: eps={eps:g} is too small (eps^4 underflows to 0)")
     if not (0.0 < beta < 1.0):
         raise ConfigurationError("beta must lie in (0, 1)")
 

@@ -187,18 +187,18 @@ def flow_step(state: FlowState, ops: FlowOps) -> FlowState:
 
 
 def run_flow(problem: KEProblem, T: float, dt: float,
-             scheme: str = "backward-euler-newton",
-             masks: dict = None, target_phi: ScalarField = None,
-             monitor_mask=None, snapshot_times=()) -> tuple:
+             scheme: str = "backward-euler-newton", *, masks: dict,
+             target_phi: ScalarField, monitor_mask,
+             snapshot_times) -> tuple:
     """Evolve from phi(0) = 0 to time T, a whole number of steps dt with
     0 < dt <= T <= T_MAX, sampling every step.
 
     masks maps names to boolean arrays; the trajectory records the sup gap
-    to target_phi on each.  monitor_mask, when given, hosts the
-    boundedness monitors sup|psi|, sup|d_t psi| and the trace of the
-    reference density against the evolving one.  Each snapshot time must
-    be a step time k dt with 0 < k <= T/dt; the trajectory keeps the state
-    of that step under the requested time.
+    to target_phi on each.  monitor_mask hosts the boundedness monitors
+    sup|psi|, sup|d_t psi| and the trace of the reference density against
+    the evolving one.  Each snapshot time must be a step time k dt with
+    0 < k <= T/dt; the trajectory keeps the state of that step under the
+    requested time.
 
     scheme exists only because bench/workloads.py passes it; the one value
     it takes is "backward-euler-newton", the scheme flow_step runs.
@@ -218,32 +218,27 @@ def run_flow(problem: KEProblem, T: float, dt: float,
         snapshot_steps.setdefault(k, t)
     ops = FlowOps(problem)
     n = problem.bg.grid.n
-    masks = masks or {}
     traj = Trajectory()
     state = ops.state(np.zeros((n, n)), 0.0, dt)
-    target = None if target_phi is None else target_phi.values
+    target = target_phi.values
     try:
         for k in range(1, n_steps + 1):
             state = flow_step(state, ops)
             phi, density = state.phi.values, state.density
-            gaps = {}
-            if target is not None:
-                diff = np.abs(phi - target)
-                for name, mask in masks.items():
-                    gaps[name] = float(diff[mask].max())
-            monitors = {}
-            if monitor_mask is not None:
-                psi = phi + ops.cone
-                monitors["sup_psi"] = float(np.abs(psi[monitor_mask]).max())
-                monitors["sup_dt_psi"] = float(
-                    np.abs(state.rhs[monitor_mask]).max())
-                monitors["trace_ref"] = float(
-                    (ops.bg.area / density[monitor_mask]).max())
+            diff = np.abs(phi - target)
+            gaps = {name: float(diff[mask].max())
+                    for name, mask in masks.items()}
+            psi = phi + ops.cone
+            monitors = {
+                "sup_psi": float(np.abs(psi[monitor_mask]).max()),
+                "sup_dt_psi": float(np.abs(state.rhs[monitor_mask]).max()),
+                "trace_ref": float(
+                    (ops.bg.area / density[monitor_mask]).max())}
             traj.append(state.t, gaps, float(phi.mean()),
                         float(density.min()), monitors)
             if k in snapshot_steps:
                 traj.snapshots[snapshot_steps[k]] = state
-    except (DivergenceError, PositivityError) as exc:
+    except DivergenceError as exc:
         raise DivergenceError(
             f"flow aborted at t={state.t:.3f}: {exc}") from exc
     decay = {name: fit_decay_slope(traj.times, series)

@@ -9,7 +9,7 @@ from coneflow.fibration_model import (FibrationModel, SingularFiber,
                                       product_model)
 from coneflow.elliptic_periods import ConstantTau, LocalLogTau
 from coneflow.ke_solver import build_problem
-from coneflow.torus_field import make_grid
+from coneflow.torus_field import ScalarField, make_grid
 
 
 @pytest.fixture(scope="session")
@@ -61,6 +61,18 @@ def mesh(grid):
     """The grid's coordinates x, y as N x N arrays, x varying along axis 0."""
     x = grid.axis()
     return np.meshgrid(x, x, indexing="ij")
+
+
+def observers(problem, **given):
+    """run_flow's four required observers, for a test that reads only
+    some of them: gaps on the whole torus ("all") to the zero target, so
+    they are sup|phi|, monitors on the whole torus and no snapshots; each
+    keyword given replaces its default."""
+    n = problem.bg.grid.n
+    whole = np.ones((n, n), dtype=bool)
+    return {"masks": {"all": whole},
+            "target_phi": ScalarField(problem.bg.grid, np.zeros((n, n))),
+            "monitor_mask": whole, "snapshot_times": (), **given}
 
 
 def m2_model():

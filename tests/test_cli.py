@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import coneflow
-from coneflow import fibration_model, flow_engine, ke_solver
+from coneflow import cli, fibration_model, flow_engine, ke_solver
 from coneflow.cli import (DEFAULT_EPSILON_SCHEDULE, _build_parser,
                           _config_from_args, main, parse_config_dict)
 from coneflow.errors import ConfigurationError
@@ -193,6 +193,8 @@ BAD_INPUTS = {
     "flag_dt_above_T": "config.flow: need 0 < dt <= T <= 50",
     "flag_epsilon_zero": "config.epsilon_schedule: value 0.0 out of (0, 1]",
     "flag_epsilon_two": "config.epsilon_schedule: value 2.0 out of (0, 1]",
+    "flag_epsilon_underflows":
+        "chi: eps=1e-170 is too small (eps^4 underflows to 0)",
     "cone_point_nan": "model.cone_point: must be finite, got nan",
     "delta_overflows": "model.delta: must be finite, got inf",
     "g2_nan": "model.tau_model.g2: must be finite, got nan",
@@ -276,6 +278,9 @@ BAD_FLAGS = {
     "flag_dt_above_T": ["flow", "run", "--T", "0.5", "--dt", "1"],
     "flag_epsilon_zero": ["flow", "run", "--epsilon", "0"],
     "flag_epsilon_two": ["flow", "run", "--epsilon", "2"],
+    # eps^2 underflows to 0, which chi_values cannot raise to beta - 1 < 0
+    "flag_epsilon_underflows": ["flow", "run", "--quick", "--epsilon",
+                                "1e-170"],
 }
 
 
@@ -335,6 +340,24 @@ def test_bad_arguments_give_one_error_line(argv, message, model_file,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+
+
+def test_unallocatable_grid_gives_one_error_line(model_file, capsys,
+                                                monkeypatch):
+    # a grid too large for memory ends like any other bad input; the
+    # allocation failure is simulated, so nothing large is allocated
+    message = "Unable to allocate 8.00 TiB for an array with shape " \
+        "(1048576, 1048576) and data type float64"
+
+    def unallocatable(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "build_problem", unallocatable)
+    assert main(["model", "check", "--model", model_file,
+                 "--grid-n", "1048576"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 def test_help_exits_zero(capsys):

@@ -56,12 +56,18 @@ def test_chi_rejects_bad_arguments():
         chi(0.1, 1.0, 1.5)
 
 
-@pytest.mark.parametrize("eps, x", [(float("nan"), 0.1), (float("inf"), 0.1),
-                                    (0.1, float("nan")), (0.1, float("inf"))])
-def test_chi_rejects_non_finite_arguments(eps, x):
-    with pytest.raises(ConfigurationError, match="finite"):
+@pytest.mark.parametrize("eps, x, message", [
+    (float("nan"), 0.1, "finite"), (float("inf"), 0.1, "finite"),
+    (0.1, float("nan"), "finite"), (0.1, float("inf"), "finite"),
+    # eps^2 underflows (chi_values raised ZeroDivisionError), and eps^4
+    # underflows while eps^2 does not (chi divided by 18 eps^4 = 0)
+    (1e-170, 0.1, "underflows"), (1e-82, 0.1, "underflows")],
+    ids=["nan-0.1", "inf-0.1", "0.1-nan", "0.1-inf", "1e-170-0.1",
+         "1e-82-0.1"])
+def test_chi_rejects_non_finite_arguments(eps, x, message):
+    with pytest.raises(ConfigurationError, match=message):
         chi(eps, x, 0.5)
-    with pytest.raises(ConfigurationError, match="finite"):
+    with pytest.raises(ConfigurationError, match=message):
         chi_values(eps, np.array([0.5, x]), 0.5)
 
 

@@ -14,6 +14,7 @@ from coneflow.fibration_model import product_model
 from coneflow.flow_engine import fit_decay_slope
 from coneflow.ke_solver import KESolution, build_problem, newton_solve
 from coneflow.torus_field import ScalarField, make_grid, periodic_distance
+from tests.conftest import observers
 
 
 def constant(grid, c):
@@ -247,8 +248,8 @@ def test_c0_shrinking_mask_has_larger_constant():
     b = sigma_barrier(p.bg.grid, [model.cone_point], reference_area=p.bg.area)
     masks = {f"sigma>={lvl}": b.level_mask(lvl) for lvl in (0.2, 0.4, 0.6)}
     target = newton_solve(p)
-    _, traj, decay = run_flow(p, T=12.0, dt=0.05, masks=masks,
-                              target_phi=target.phi)
+    _, traj, decay = run_flow(p, T=12.0, dt=0.05, **observers(
+        p, masks=masks, target_phi=target.phi))
     c02 = decay["sigma>=0.2"]["intercept_constant"]
     c04 = decay["sigma>=0.4"]["intercept_constant"]
     c06 = decay["sigma>=0.6"]["intercept_constant"]

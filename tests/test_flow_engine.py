@@ -14,7 +14,7 @@ from coneflow.flow_engine import (FlowOps, ProductFlow4D, fit_decay_slope,
 from coneflow.ke_solver import (KESolution, build_problem, ke_residual,
                                 newton_solve)
 from coneflow.torus_field import ScalarField, lap_values
-from tests.conftest import mesh
+from tests.conftest import mesh, observers
 
 
 def make_problem(n=64, eps=0.1, beta=0.5, delta=0.1):
@@ -71,8 +71,8 @@ def test_rhs_shift_by_constant(problem64):
 
 
 def test_snapshots_are_the_states_at_their_times(problem64):
-    state, traj, _ = run_flow(problem64, T=0.2, dt=0.05,
-                              snapshot_times=(0.2, 0.1))
+    state, traj, _ = run_flow(problem64, T=0.2, dt=0.05, **observers(
+        problem64, snapshot_times=(0.2, 0.1)))
     assert list(traj.snapshots) == [0.1, 0.2]
     assert traj.snapshots[0.2] is state
     ops = FlowOps(problem64)
@@ -93,7 +93,8 @@ def test_snapshot_times_must_be_step_times(problem32, times):
     # t = 0 is no step, 0.07 falls between the steps 0.05 and 0.1, and
     # 0.35 lies past T; none may block or relabel the other snapshots
     with pytest.raises(ConfigurationError, match="not a step time"):
-        run_flow(problem32, T=0.3, dt=0.05, snapshot_times=times)
+        run_flow(problem32, T=0.3, dt=0.05,
+                 **observers(problem32, snapshot_times=times))
 
 
 def test_rhs_identity_case_formula(problem64):
@@ -178,8 +179,8 @@ def test_run_flow_evaluates_each_phi_once(n, dt, monkeypatch):
         return real(self, phi_values, *args)
 
     monkeypatch.setattr(FlowOps, "rhs_values", recording)
-    run_flow(make_problem(n, eps=0.4), T=1.0, dt=dt,
-             monitor_mask=np.ones((n, n), dtype=bool))
+    problem = make_problem(n, eps=0.4)
+    run_flow(problem, T=1.0, dt=dt, **observers(problem))
     assert len(seen) > round(1.0 / dt)
     assert len(set(seen)) == len(seen)
 
@@ -193,7 +194,8 @@ def test_step_fixed_point(problem64, solved64):
 
 def test_run_flow_rejects_unknown_scheme(problem32):
     with pytest.raises(ConfigurationError, match="unknown scheme 'leapfrog'"):
-        run_flow(problem32, T=0.1, dt=0.05, scheme="leapfrog")
+        run_flow(problem32, T=0.1, dt=0.05, scheme="leapfrog",
+                 **observers(problem32))
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.05, float("nan")])
@@ -263,7 +265,8 @@ def test_run_flow_converges_and_reports(problem64, solved64):
              "qr>=0.1": problem64.bg.q.values >= 0.1}
     state, traj, decay = run_flow(problem64, T=6.0, dt=0.05, masks=masks,
                                   target_phi=solved64.phi,
-                                  monitor_mask=masks["qr>=0.1"])
+                                  monitor_mask=masks["qr>=0.1"],
+                                  snapshot_times=())
     gaps = traj.gaps["qr>=0.1"]
     assert gaps[-1] < 5e-3
     assert all(b < a for a, b in zip(gaps[40:], gaps[41:]))  # monotone tail
@@ -282,7 +285,8 @@ def test_run_flow_matches_public_steps_bitwise(problem64, solved64):
              "qr>=0.1": problem64.bg.q.values >= 0.1}
     monitor = masks["qr>=0.1"]
     final, traj, _ = run_flow(problem64, T=1.0, dt=0.05, masks=masks,
-                              target_phi=solved64.phi, monitor_mask=monitor)
+                              target_phi=solved64.phi, monitor_mask=monitor,
+                              snapshot_times=())
     ops = FlowOps(problem64)
     state = state_of(problem64, np.zeros((64, 64)))
     target = solved64.phi.values
@@ -320,7 +324,8 @@ def test_backward_euler_forcing_matches_fixed_cg_tolerance(
     for pin in (1e-13, None):
         steps.clear()
         asked = cg_tolerances(pin)
-        final, _, _ = run_flow(problem64, T=2.0, dt=0.05)
+        final, _, _ = run_flow(problem64, T=2.0, dt=0.05,
+                               **observers(problem64))
         runs.append((final.phi.values, list(steps), asked))
     (phi_pinned, steps_pinned, _), (phi, steps_forced, asked) = runs
     assert len(steps_forced) == 40
@@ -331,7 +336,7 @@ def test_backward_euler_forcing_matches_fixed_cg_tolerance(
 
 def test_run_flow_rejects_long_horizon(problem64):
     with pytest.raises(ConfigurationError):
-        run_flow(problem64, T=60.0, dt=0.05)
+        run_flow(problem64, T=60.0, dt=0.05, **observers(problem64))
 
 
 @pytest.mark.parametrize("T, dt", [(float("nan"), 0.05), (1.0, float("nan")),
@@ -340,7 +345,7 @@ def test_non_finite_horizons_are_rejected(problem32, oracle, T, dt):
     # a NaN or infinite horizon or step is neither a crash nor a
     # zero-step flow, for the reduced flow and the 4D oracle alike
     with pytest.raises(ConfigurationError, match="need 0 < dt <= T <= 50"):
-        run_flow(problem32, T, dt)
+        run_flow(problem32, T, dt, **observers(problem32))
     with pytest.raises(ConfigurationError, match="need 0 < dt <= T <= 50"):
         oracle.run(T, dt)
 
@@ -349,14 +354,14 @@ def test_non_finite_horizons_are_rejected(problem32, oracle, T, dt):
 def test_run_flow_rejects_horizon_off_the_step_lattice(problem64, dt):
     # 1/0.3 and 1/0.6 steps would stop at t=0.9 and t=1.2
     with pytest.raises(ConfigurationError, match="whole number of steps"):
-        run_flow(problem64, T=1.0, dt=dt)
+        run_flow(problem64, T=1.0, dt=dt, **observers(problem64))
 
 
 def test_dt_phi_decay_rate(problem64, solved64):
     masks = {"qr>=0.1": problem64.bg.q.values >= 0.1}
     _, traj, _ = run_flow(problem64, T=8.0, dt=0.05, masks=masks,
                           target_phi=solved64.phi,
-                          monitor_mask=masks["qr>=0.1"])
+                          monitor_mask=masks["qr>=0.1"], snapshot_times=())
     t = np.array(traj.times)
     d = np.array(traj.monitors["sup_dt_psi"])
     sel = (t >= 2.0) & (d > 1e-12)
@@ -367,9 +372,8 @@ def test_dt_phi_decay_rate(problem64, solved64):
 def test_shift_covariance(problem64, solved64):
     # from a near-stationary state, a constant shift decays like the
     # backward-Euler damping factor per unit time
-    masks = {"all": np.ones((64, 64), dtype=bool)}
-    state, traj, _ = run_flow(problem64, T=10.0, dt=0.05, masks=masks,
-                              target_phi=solved64.phi)
+    state, traj, _ = run_flow(problem64, T=10.0, dt=0.05, **observers(
+        problem64, target_phi=solved64.phi))
     assert traj.gaps["all"][-1] <= 1e-4
     c = 1e-5
     phi0 = state.phi.values
@@ -384,9 +388,8 @@ def test_shift_covariance(problem64, solved64):
 
 
 def test_stationarity_equivalence_long_run(problem64, solved64):
-    _, traj, _ = run_flow(problem64, T=30.0, dt=0.1,
-                          masks={"all": np.ones((64, 64), dtype=bool)},
-                          target_phi=solved64.phi)
+    _, traj, _ = run_flow(problem64, T=30.0, dt=0.1, **observers(
+        problem64, target_phi=solved64.phi))
     assert traj.gaps["all"][-1] <= 1e-7
 
 

@@ -15,7 +15,7 @@ from coneflow.ke_solver import (CG_MAX_ITER, POSITIVITY_EPSILONS, KEProblem,
 from coneflow.torus_field import (ScalarField, from_half_spectrum,
                                   half_spectrum, lap_values, make_grid,
                                   _lap_multiplier)
-from tests.conftest import mesh
+from tests.conftest import mesh, observers
 
 
 def raw_density(grid, log_values):
@@ -505,7 +505,7 @@ def test_solve_and_flow_form_no_cone(product, chi_calls):
     problem = build_problem(product, 32, 0.1)
     chi_calls.clear()
     newton_solve(problem).phi
-    run_flow(problem, T=0.5, dt=0.05)
+    run_flow(problem, T=0.5, dt=0.05, **observers(problem))
     assert chi_calls == []
 
 

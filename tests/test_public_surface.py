@@ -12,12 +12,15 @@ no module reads an environment variable.  The cone field
 delta chi(eps^2 + q) has one formula: only ke_solver (KEProblem) calls
 chi_values, besides cone_smoothing, which defines it.  No module reads a
 .kind attribute, so no code dispatches on a tau model's kind string: each
-tau model forms its own Im tau and moduli density.  Importing the
-package loads no scipy module, nor does building and stepping the 4D
-oracle (only the chi quadrature imports it, when it runs), and
-preconditioned_cg keeps the signature that the benchmark tracer and the
-tests' cg_tolerances wrap, and flow_step takes only a state and its ops,
-so a second time-stepping scheme cannot return as an option.  No
+tau model forms its own Im tau and moduli density.  Importing the CLI
+loads no scipy module, nor does building and stepping the 4D
+oracle (only the chi quadrature imports it, when it runs).  The package
+itself binds no name, so each name has one import path, its module's,
+and importing the package alone loads none of them.  preconditioned_cg
+keeps the signature that the benchmark tracer and the tests'
+cg_tolerances wrap, flow_step takes only a state and its ops, so a
+second time-stepping scheme cannot return as an option, and run_flow
+requires its four observers, so it has no unobserved mode.  No
 test-only code hides in the package: every top-level function and class
 is used by the package or the benchmark, and every parameter with a
 default is set by some call in the package or the benchmark, so no
@@ -198,10 +201,12 @@ def test_no_module_reads_a_kind_attribute():
     assert not reads, f".kind is read at {reads}"
 
 
-def scipy_modules_after(code):
-    """The scipy modules loaded once code has run in a fresh interpreter,
-    so that no other test's scipy import is counted."""
-    code += "\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
+def modules_after(code, prefix="scipy"):
+    """The modules whose names start with prefix that are loaded once code
+    has run in a fresh interpreter, so that no other test's import is
+    counted."""
+    code += ("\nprint(sorted(m for m in sys.modules"
+             f" if m.startswith({prefix!r})))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
     proc = subprocess.run([sys.executable, "-c", "import sys\n" + code],
                           env=env, capture_output=True, text=True,
@@ -211,12 +216,27 @@ def scipy_modules_after(code):
 
 
 def test_import_loads_no_scipy():
-    assert scipy_modules_after("import coneflow.cli") == "[]"
+    assert modules_after("import coneflow.cli") == "[]"
+
+
+def test_package_import_loads_no_module():
+    # each name is imported from its own module, and only that module
+    # and the ones it imports are loaded
+    assert modules_after("import coneflow", "coneflow.") == "[]"
+
+
+def test_package_init_binds_no_name():
+    with open(os.path.join(SRC, "__init__.py")) as fh:
+        tree = ast.parse(fh.read())
+    assert ast.get_docstring(tree)
+    assert [type(node) for node in tree.body] == [ast.Expr]
 
 
 def test_oracle_step_loads_no_scipy():
-    assert scipy_modules_after(
-        "from coneflow import ProductFlow4D, build_problem, product_model\n"
+    assert modules_after(
+        "from coneflow.fibration_model import product_model\n"
+        "from coneflow.flow_engine import ProductFlow4D\n"
+        "from coneflow.ke_solver import build_problem\n"
         "oracle = ProductFlow4D(build_problem(product_model(), 16, 0.2),\n"
         "                       nf=8, nb=16)\n"
         "oracle.run(T=0.01, dt=0.01, reduced_reference=True)") == "[]"
@@ -230,13 +250,27 @@ def test_preconditioned_cg_signature():
     assert ast.unparse(cg.args) == "coeff, op_symbol, b, rel_tol=1e-12"
 
 
-def test_flow_step_signature():
-    # one time stepper: no scheme or other option selects a second one
+def flow_engine_signature(name):
     with open(os.path.join(SRC, "flow_engine.py")) as fh:
         tree = ast.parse(fh.read())
-    (step,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-               and node.name == "flow_step"]
-    assert ast.unparse(step.args) == "state: FlowState, ops: FlowOps"
+    (func,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name == name]
+    return ast.unparse(func.args)
+
+
+def test_flow_step_signature():
+    # one time stepper: no scheme or other option selects a second one
+    assert flow_engine_signature("flow_step") == \
+        "state: FlowState, ops: FlowOps"
+
+
+def test_run_flow_signature():
+    # one observed flow: the masks, target, monitor mask and snapshot
+    # times are required, so no caller runs an unobserved mode
+    assert flow_engine_signature("run_flow") == (
+        "problem: KEProblem, T: float, dt: float, scheme: str="
+        "'backward-euler-newton', *, masks: dict, target_phi: ScalarField, "
+        "monitor_mask, snapshot_times")
 
 
 def used_names(tree):
@@ -288,8 +322,6 @@ TEST_SET_DEFAULTS = {
 def test_every_definition_is_used_by_the_package_or_the_benchmark():
     defined, used = {}, set()
     for module in MODULES:
-        if module == "__init__":    # its re-exports are not uses
-            continue
         with open(os.path.join(SRC, f"{module}.py")) as fh:
             tree = ast.parse(fh.read())
         for node in tree.body:
