@@ -27,19 +27,165 @@ import sys
 import tempfile
 from dataclasses import dataclass
 
+from .elliptic_periods import (ConstantTau, LocalLogTau, WeierstrassCurve,
+                               WeierstrassFamilyTau, discriminant,
+                               periods_from_weierstrass)
 from .errors import ConeflowError, ConfigurationError, ModelError
-from .fibration_model import (_integer, _known_keys, _mapping, _read, _real,
-                              _string, lp_threshold, model_from_json_dict)
+from .fibration_model import FibrationModel, SingularFiber, lp_threshold
 from .flow_engine import _step_count, _steps_to
 from .ke_solver import build_problem, continuation_solve
 from .torus_field import write_field_csv, write_field_pgm
 from .verify import run_verification_suite, target_flow
-from . import elliptic_periods as periods_mod
 
 DEFAULT_GRID_N = 128
 DEFAULT_EPSILON_SCHEDULE = (0.4, 0.2, 0.1, 0.05)
 DEFAULT_FLOW = {"T": 20.0, "dt": 0.05}
 QUICK_T = 8.0       # --quick's cap on the flow horizon
+
+
+# ---------------------------------------------------------------------------
+# input files: model JSON, run-config JSON
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+def _read(d, key, path, convert, default=_REQUIRED):
+    """convert(d[key]), or default when the key is absent; a missing
+    required key or a value convert rejects raises a ConfigurationError
+    that names the key path."""
+    if key not in d:
+        if default is _REQUIRED:
+            raise ConfigurationError(f"{path}: missing required key {key!r}")
+        return default
+    try:
+        return convert(d[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{path}.{key}: {exc}") from None
+
+
+def _known_keys(d, known, path):
+    """ConfigurationError naming the first key of d not in known."""
+    for key in d:
+        if key not in known:
+            raise ConfigurationError(f"{path}.{key}: unknown key")
+
+
+def _build(cls, path, **kwargs):
+    """cls(**kwargs), the ModelError of its own checks raised as a
+    ConfigurationError prefixed with path."""
+    try:
+        return cls(**kwargs)
+    except ModelError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+
+
+def _real(v):
+    if isinstance(v, (bool, str)):  # JSON true/false or "0.1": not a number
+        raise TypeError(f"must be a number, got {v!r}")
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {v!r}")
+    return x
+
+
+def _integer(v):
+    if isinstance(v, bool):
+        raise TypeError(f"must be an integer, got {v!r}")
+    k = int(v)
+    if k != v:
+        raise ValueError(f"must be an integer, got {v!r}")
+    return k
+
+
+def _string(v):
+    if not isinstance(v, str):
+        raise TypeError(f"must be a string, got {v!r}")
+    return v
+
+
+def _mapping(v):
+    if not isinstance(v, dict):     # dict(v) would take a list of pairs too
+        raise TypeError(f"must be an object, got {v!r}")
+    return dict(v)
+
+
+def _pair(v):
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise ValueError(f"expected [x, y], got {v!r}")
+    return _real(v[0]), _real(v[1])
+
+
+def _complex(v):
+    return complex(*_pair(v))
+
+
+def _modes(v):
+    """[[kx, ky, re, im], ...] as (kx, ky, complex amplitude) tuples."""
+    return tuple((_integer(kx), _integer(ky), complex(_real(re), _real(im)))
+                 for kx, ky, re, im in v)
+
+
+# Each tau model kind's class and the converters of its keys besides kind;
+# a key the file leaves out takes the class's default.
+_TAU_KINDS = {
+    "constant": (ConstantTau, {"tau": _complex}),
+    "ib_local": (LocalLogTau, {"baseline": _real, "cap_radius": _real}),
+    "weierstrass": (WeierstrassFamilyTau, {"g2": _complex, "g3": _complex,
+                                           "g2_modes": _modes,
+                                           "g3_modes": _modes}),
+}
+
+
+def _tau_from_dict(d, path):
+    if not isinstance(d, dict) or "kind" not in d:
+        raise ConfigurationError(f"{path}: expected an object with a 'kind' key")
+    kind = d["kind"]
+    if not isinstance(kind, str) or kind not in _TAU_KINDS:
+        raise ConfigurationError(f"{path}.kind: unknown kind {kind!r}")
+    cls, converters = _TAU_KINDS[kind]
+    _known_keys(d, {"kind", *converters}, path)
+    return _build(cls, path, **{key: _read(d, key, path, convert)
+                                for key, convert in converters.items()
+                                if key in d})
+
+
+def _fiber_from_dict(d, path):
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{path}: expected an object")
+    _known_keys(d, {"point", "m", "b"}, path)
+    return _build(SingularFiber, path, point=_read(d, "point", path, _pair),
+                  multiplicity=_read(d, "m", path, _integer, 1),
+                  ib_index=_read(d, "b", path, _integer, 0))
+
+
+_MODEL_KEYS = {"beta", "delta", "cone_point", "fibers", "tau_model",
+               "fiber_area", "grid_n"}
+
+
+def model_from_json_dict(d: dict) -> FibrationModel:
+    """Parse a model dict into the FibrationModel that checks it; fibers
+    and tau_model, when left out, take the class's defaults.  The keys
+    fiber_area (positive) and grid_n (an integer) are accepted and
+    validated but unused."""
+    path = "model"
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{path}: expected a JSON object")
+    _known_keys(d, _MODEL_KEYS, path)
+    kwargs = {key: _read(d, key, path, convert) for key, convert in
+              (("beta", _real), ("delta", _real), ("cone_point", _pair))}
+    if "fibers" in d:
+        if not isinstance(d["fibers"], list):
+            raise ConfigurationError(f"{path}.fibers: expected a list")
+        kwargs["fibers"] = tuple(_fiber_from_dict(fd, f"{path}.fibers[{i}]")
+                                 for i, fd in enumerate(d["fibers"]))
+    if "tau_model" in d:
+        kwargs["tau_model"] = _tau_from_dict(d["tau_model"],
+                                             f"{path}.tau_model")
+    if _read(d, "fiber_area", path, _real, 1.0) <= 0:
+        raise ConfigurationError(f"{path}.fiber_area: must be positive")
+    _read(d, "grid_n", path, _integer, None)
+    return _build(FibrationModel, path, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -56,11 +202,8 @@ _FLOW_KEYS = {"T", "dt"}
 
 
 def parse_config_dict(d: dict, base_dir=".") -> RunConfig:
-    if not isinstance(d, dict):
-        raise ConfigurationError("config: expected a JSON object")
+    """The RunConfig of a config dict whose flow holds T and dt."""
     _known_keys(d, _CONFIG_KEYS, "config")
-    if "model" not in d:
-        raise ConfigurationError("config.model: required (path to a model JSON)")
     model = _read(d, "model", "config", _string)
     model_path = model if os.path.isabs(model) \
         else os.path.join(base_dir, model)
@@ -77,7 +220,7 @@ def parse_config_dict(d: dict, base_dir=".") -> RunConfig:
     for e in schedule:
         if not (0.0 < e <= 1.0):
             raise ConfigurationError(f"config.epsilon_schedule: value {e} out of (0, 1]")
-    flow = {**DEFAULT_FLOW, **_read(d, "flow", "config", _mapping, {})}
+    flow = _read(d, "flow", "config", _mapping)
     _known_keys(flow, _FLOW_KEYS, "config.flow")
     flow["T"] = _read(flow, "T", "config.flow", _real)
     flow["dt"] = _read(flow, "dt", "config.flow", _real)
@@ -90,9 +233,9 @@ def parse_config_dict(d: dict, base_dir=".") -> RunConfig:
 
 def _load_json(path, what):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"{what}: malformed JSON in {path}: {exc}")
 
 
@@ -203,34 +346,38 @@ def _cmd_verify_all(cfg: RunConfig, model, problem) -> int:
 
 
 def _cmd_periods(input_path, output_dir) -> int:
+    try:
+        with open(input_path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{input_path}: {exc}") from None
     rows = []
-    with open(input_path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            where = f"{input_path}:{line_no}"
-            try:
-                parts = [float(v) for v in line.split(",")]
-            except ValueError as exc:
-                raise ConfigurationError(f"{where}: {exc}") from None
-            if not all(map(math.isfinite, parts)):
-                raise ConfigurationError(f"{where}: values must be finite")
-            if len(parts) == 2:
-                g2, g3 = complex(parts[0]), complex(parts[1])
-            elif len(parts) == 4:
-                g2 = complex(parts[0], parts[1])
-                g3 = complex(parts[2], parts[3])
-            else:
-                raise ConfigurationError(
-                    f"{where}: expected 2 or 4 numbers per row")
-            curve = periods_mod.WeierstrassCurve(g2, g3)
-            try:
-                disc = periods_mod.discriminant(curve)
-                w1, w2, tau = periods_mod.periods_from_weierstrass(curve)
-            except ModelError as exc:
-                raise ConfigurationError(f"{where}: {exc}") from None
-            rows.append((g2, g3, w1, w2, tau, disc))
+    for line_no, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{input_path}:{line_no}"
+        try:
+            parts = [float(v) for v in line.split(",")]
+        except ValueError as exc:
+            raise ConfigurationError(f"{where}: {exc}") from None
+        if not all(map(math.isfinite, parts)):
+            raise ConfigurationError(f"{where}: values must be finite")
+        if len(parts) == 2:
+            g2, g3 = complex(parts[0]), complex(parts[1])
+        elif len(parts) == 4:
+            g2 = complex(parts[0], parts[1])
+            g3 = complex(parts[2], parts[3])
+        else:
+            raise ConfigurationError(
+                f"{where}: expected 2 or 4 numbers per row")
+        curve = WeierstrassCurve(g2, g3)
+        try:
+            disc = discriminant(curve)
+            w1, w2, tau = periods_from_weierstrass(curve)
+        except ModelError as exc:
+            raise ConfigurationError(f"{where}: {exc}") from None
+        rows.append((g2, g3, w1, w2, tau, disc))
 
     def _w(tmp):
         with open(tmp, "w") as fh:
@@ -304,10 +451,11 @@ def _build_parser():
 
 def _quick_horizon(flow) -> float:
     """The flow's T under --quick: at most QUICK_T, and the most whole steps
-    of its dt that fit there when T is longer."""
-    T = _read(flow, "T", "config.flow", _real, DEFAULT_FLOW["T"])
-    dt = _read(flow, "dt", "config.flow", _real, DEFAULT_FLOW["dt"])
-    if T <= QUICK_T or dt <= 0.0:
+    of its dt that fit there when T is longer.  A dt that no horizon can
+    take leaves T as it is, for the horizon rule to reject."""
+    T = _read(flow, "T", "config.flow", _real)
+    dt = _read(flow, "dt", "config.flow", _real)
+    if T <= QUICK_T or dt <= 0.0 or QUICK_T / dt == math.inf:
         return T
     if _steps_to(QUICK_T, dt) is not None:
         return QUICK_T
@@ -334,7 +482,7 @@ def _config_from_args(args) -> RunConfig:
             d[key] = value
     if getattr(args, "epsilon", None) is not None:
         d["epsilon_schedule"] = [args.epsilon]
-    flow = _read(d, "flow", "config", _mapping, {})
+    flow = {**DEFAULT_FLOW, **_read(d, "flow", "config", _mapping, {})}
     for key in ("T", "dt"):
         if getattr(args, key, None) is not None:
             flow[key] = getattr(args, key)

@@ -29,8 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, ModelError
-from .elliptic_periods import (ConstantTau, LocalLogTau, TauModel,
-                               WeierstrassFamilyTau, tau_field)
+from .elliptic_periods import ConstantTau, TauModel, tau_field
 from .torus_field import (Grid, ScalarField, green_values, lap_values,
                           make_grid, pair_distance, solve_poisson_values)
 
@@ -44,7 +43,6 @@ __all__ = [
     "assemble_density",
     "lp_threshold",
     "validate_lp",
-    "model_from_json_dict",
     "product_model",
 ]
 
@@ -266,155 +264,6 @@ def validate_lp(model: FibrationModel) -> dict:
         "high_changes": {f"{a}->{b}": high[b] / high[a] - 1.0
                          for a, b in pairs},
     }
-
-
-# ---------------------------------------------------------------------------
-# JSON model files
-# ---------------------------------------------------------------------------
-
-_REQUIRED = object()
-
-
-def _read(d, key, path, convert, default=_REQUIRED):
-    """convert(d[key]), or default when the key is absent; a missing
-    required key or a value convert rejects raises a ConfigurationError
-    that names the key path."""
-    if key not in d:
-        if default is _REQUIRED:
-            raise ConfigurationError(f"{path}: missing required key {key!r}")
-        return default
-    try:
-        return convert(d[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"{path}.{key}: {exc}") from None
-
-
-def _known_keys(d, known, path):
-    """ConfigurationError naming the first key of d not in known."""
-    for key in d:
-        if key not in known:
-            raise ConfigurationError(f"{path}.{key}: unknown key")
-
-
-def _real(v):
-    if isinstance(v, (bool, str)):  # JSON true/false or "0.1": not a number
-        raise TypeError(f"must be a number, got {v!r}")
-    x = float(v)
-    if not math.isfinite(x):
-        raise ValueError(f"must be finite, got {v!r}")
-    return x
-
-
-def _integer(v):
-    if isinstance(v, bool):
-        raise TypeError(f"must be an integer, got {v!r}")
-    k = int(v)
-    if k != v:
-        raise ValueError(f"must be an integer, got {v!r}")
-    return k
-
-
-def _string(v):
-    if not isinstance(v, str):
-        raise TypeError(f"must be a string, got {v!r}")
-    return v
-
-
-def _mapping(v):
-    if not isinstance(v, dict):     # dict(v) would take a list of pairs too
-        raise TypeError(f"must be an object, got {v!r}")
-    return dict(v)
-
-
-def _pair(v):
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        raise ValueError(f"expected [x, y], got {v!r}")
-    return _real(v[0]), _real(v[1])
-
-
-def _complex(v):
-    return complex(*_pair(v))
-
-
-def _modes(v):
-    """[[kx, ky, re, im], ...] as (kx, ky, complex amplitude) tuples."""
-    return tuple((_integer(kx), _integer(ky), complex(_real(re), _real(im)))
-                 for kx, ky, re, im in v)
-
-
-def _tau_from_dict(d: dict, path="tau_model") -> TauModel:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigurationError(f"{path}: expected an object with a 'kind' key")
-    kind = d["kind"]
-    known = {
-        "constant": {"kind", "tau"},
-        "ib_local": {"kind", "baseline", "cap_radius"},
-        "weierstrass": {"kind", "g2", "g3", "g2_modes", "g3_modes"},
-    }
-    if not isinstance(kind, str) or kind not in known:
-        raise ConfigurationError(f"{path}.kind: unknown kind {kind!r}")
-    _known_keys(d, known[kind], path)
-    try:
-        if kind == "constant":
-            return ConstantTau(_read(d, "tau", path, _complex, 1j))
-        if kind == "ib_local":
-            return LocalLogTau(
-                baseline=_read(d, "baseline", path, _real, 1.0),
-                cap_radius=_read(d, "cap_radius", path, _real, 0.25))
-        return WeierstrassFamilyTau(
-            g2=_read(d, "g2", path, _complex, 4.0 + 0j),
-            g3=_read(d, "g3", path, _complex, 0j),
-            g2_modes=_read(d, "g2_modes", path, _modes, ()),
-            g3_modes=_read(d, "g3_modes", path, _modes, ()))
-    except ModelError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
-
-
-_MODEL_KEYS = {"beta", "delta", "cone_point", "fibers", "tau_model",
-               "fiber_area", "grid_n"}
-
-
-def model_from_json_dict(d: dict) -> FibrationModel:
-    """Parse and validate a model dict.  The keys fiber_area (positive)
-    and grid_n (an integer) are accepted and validated but unused."""
-    path = "model"
-    if not isinstance(d, dict):
-        raise ConfigurationError(f"{path}: expected a JSON object")
-    _known_keys(d, _MODEL_KEYS, path)
-    beta = _read(d, "beta", path, _real)
-    delta = _read(d, "delta", path, _real)
-    cone_point = _read(d, "cone_point", path, _pair)
-    if not (0.0 < beta < 1.0):
-        raise ConfigurationError(f"{path}.beta: must lie in (0, 1), got {beta}")
-    if delta <= 0:
-        raise ConfigurationError(f"{path}.delta: must be positive, got {delta}")
-    fiber_dicts = d.get("fibers", [])
-    if not isinstance(fiber_dicts, list):
-        raise ConfigurationError(f"{path}.fibers: expected a list")
-    fibers = []
-    for i, fd in enumerate(fiber_dicts):
-        fpath = f"{path}.fibers[{i}]"
-        if not isinstance(fd, dict):
-            raise ConfigurationError(f"{fpath}: expected an object")
-        _known_keys(fd, {"point", "m", "b"}, fpath)
-        pt = _read(fd, "point", fpath, _pair)
-        m = _read(fd, "m", fpath, _integer, 1)
-        b = _read(fd, "b", fpath, _integer, 0)
-        if m < 1:
-            raise ConfigurationError(f"{fpath}.m: must be >= 1, got {m}")
-        if b < 0:
-            raise ConfigurationError(f"{fpath}.b: must be >= 0, got {b}")
-        fibers.append(SingularFiber(point=pt, multiplicity=m, ib_index=b))
-    tau = _tau_from_dict(d.get("tau_model", {"kind": "constant", "tau": [0, 1]}),
-                         f"{path}.tau_model")
-    if _read(d, "fiber_area", path, _real, 1.0) <= 0:
-        raise ConfigurationError(f"{path}.fiber_area: must be positive")
-    _read(d, "grid_n", path, _integer, None)
-    try:
-        return FibrationModel(beta=beta, delta=delta, cone_point=cone_point,
-                              fibers=tuple(fibers), tau_model=tau)
-    except ModelError as exc:
-        raise ConfigurationError(f"{path}: {exc}")
 
 
 def product_model() -> FibrationModel:

@@ -131,10 +131,13 @@ def _steps_to(t, dt):
 
 def _step_count(T, dt, where="flow"):
     """The number of dt steps in the horizon T, for 0 < dt <= T <= T_MAX
-    (a NaN fails) and T a whole number of steps; ConfigurationError naming
-    where otherwise."""
+    (a NaN fails), T/dt finite (a subnormal dt overflows it) and T a whole
+    number of steps; ConfigurationError naming where otherwise."""
     if not 0.0 < dt <= T <= T_MAX:
         raise ConfigurationError(f"{where}: need 0 < dt <= T <= {T_MAX:g}")
+    if T / dt == math.inf:
+        raise ConfigurationError(f"{where}: need 0 < dt <= T <= {T_MAX:g} "
+                                 f"with T/dt finite, got dt={dt}")
     steps = _steps_to(T, dt)
     if steps is None:
         raise ConfigurationError(

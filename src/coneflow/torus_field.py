@@ -118,13 +118,19 @@ def _inverse(hat: np.ndarray) -> np.ndarray:
 
 
 def make_grid(n: int) -> Grid:
-    """Build an N x N grid; N must be even and at least 16."""
+    """Build an N x N grid; N must be even, at least 16 and small enough
+    that numpy can index an N x N complex array."""
     if not isinstance(n, (int, np.integer)):
         raise ConfigurationError(f"grid size must be an integer, got {n!r}")
+    n = int(n)
     if n < 16 or n % 2 != 0:
         raise ConfigurationError(
             f"grid size must be even and >= 16 for spectral symmetry, got {n}")
-    return Grid(n=int(n), spacing=1.0 / int(n))
+    if n * n * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+        raise ConfigurationError(
+            f"grid size {n} is too large: numpy cannot index an N x N "
+            "complex array")
+    return Grid(n=n, spacing=1.0 / n)
 
 
 # ---------------------------------------------------------------------------

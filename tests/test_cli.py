@@ -222,6 +222,16 @@ BAD_INPUTS = {
         "config.epsilon_schedule: must not be empty",
     "config_flow_pairs":
         "config.flow: must be an object, got [['T', 4.0], ['dt', 0.5]]",
+    "flag_dt_subnormal": "config.flow: need 0 < dt <= T <= 50 with T/dt "
+                         "finite, got dt=5e-324",
+    "flag_dt_subnormal_quick": "config.flow: need 0 < dt <= T <= 50 with "
+                               "T/dt finite, got dt=5e-324",
+    "flag_grid_n_unindexable": "grid size 2000000000 is too large",
+    "model_not_utf8": "model: malformed JSON in ./model.json: 'utf-8' codec "
+                      "can't decode byte 0xff",
+    "config_not_utf8": "config: malformed JSON in config.json: 'utf-8' "
+                       "codec can't decode byte 0xff",
+    "periods_not_utf8": "curves.csv: 'utf-8' codec can't decode byte 0xff",
 }
 
 # model keys merged into BAD_MODEL for the cases above; json.dumps writes
@@ -281,7 +291,18 @@ BAD_FLAGS = {
     # eps^2 underflows to 0, which chi_values cannot raise to beta - 1 < 0
     "flag_epsilon_underflows": ["flow", "run", "--quick", "--epsilon",
                                 "1e-170"],
+    # T/dt overflows to inf, which no step count can round
+    "flag_dt_subnormal": ["flow", "run", "--grid-n", "64", "--T", "1",
+                          "--dt", "5e-324"],
+    "flag_dt_subnormal_quick": ["flow", "run", "--quick", "--dt", "5e-324"],
+    # its N x N complex arrays would hold more bytes than np.intp counts
+    "flag_grid_n_unindexable": ["model", "check", "--grid-n", "2000000000"],
 }
+
+# the file of each case written as these bytes instead, which no UTF-8
+# text starts with
+NOT_UTF8 = {"model_not_utf8": "model.json", "config_not_utf8": "config.json",
+            "periods_not_utf8": "curves.csv"}
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
@@ -303,6 +324,8 @@ def test_bad_input_gives_one_error_line(case, tmp_path):
             "periods_non_finite_cell": "nan,1",
             "periods_overflowing_cell": "1e200,1"}.get(case, "3,1")
     (tmp_path / "curves.csv").write_text(f"# g2, g3\n4,0\n{cell}\n")
+    if case in NOT_UTF8:
+        (tmp_path / NOT_UTF8[case]).write_bytes(b"\xff\xfe")
     if case.startswith("periods"):
         args = ["periods", "--input", "curves.csv", "--out", "out"]
     elif case in BAD_FLAGS:

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from coneflow import cli
-from coneflow.elliptic_periods import (LocalLogTau, WeierstrassFamilyTau,
-                                       tau_field)
+from coneflow.elliptic_periods import (ConstantTau, LocalLogTau,
+                                       WeierstrassFamilyTau, tau_field)
 from coneflow.errors import ConfigurationError, ModelError
 from coneflow.fibration_model import (LP_GRIDS, FibrationModel, SingularFiber,
                                       _snap_model, assemble_density,
                                       build_background, lp_threshold,
-                                      model_from_json_dict, product_model,
-                                      required_area, validate_lp)
+                                      product_model, required_area,
+                                      validate_lp)
 from coneflow.torus_field import (green_values, lap_values, make_grid,
                                   periodic_distance)
 from tests.conftest import i1_model
@@ -331,19 +331,30 @@ def test_model_json_round_trip(i1):
          "tau_model": {"kind": "ib_local", "baseline": 1.0,
                        "cap_radius": 0.25},
          "fiber_area": 1.0, "grid_n": 128}
-    assert model_from_json_dict(d) == i1
+    assert cli.model_from_json_dict(d) == i1
+
+
+def test_model_json_defaults_are_the_classes_own():
+    # the parser passes only the keys a file holds, so every default is
+    # the dataclass's
+    d = {"beta": 0.5, "delta": 0.1, "cone_point": [0.5, 0.5]}
+    assert cli.model_from_json_dict(d) == FibrationModel(0.5, 0.1, (0.5, 0.5))
+    for kind, cls in [("constant", ConstantTau), ("ib_local", LocalLogTau),
+                      ("weierstrass", WeierstrassFamilyTau)]:
+        model = cli.model_from_json_dict(dict(d, tau_model={"kind": kind}))
+        assert model.tau_model == cls()
 
 
 def test_model_json_unknown_key():
     with pytest.raises(ConfigurationError, match="unknown key"):
-        model_from_json_dict({"beta": 0.5, "delta": 0.1,
-                              "cone_point": [0.5, 0.5], "betaa": 1})
+        cli.model_from_json_dict({"beta": 0.5, "delta": 0.1,
+                                  "cone_point": [0.5, 0.5], "betaa": 1})
 
 
 def test_model_json_range_error_names_key():
     with pytest.raises(ConfigurationError, match="beta"):
-        model_from_json_dict({"beta": 1.2, "delta": 0.1,
-                              "cone_point": [0.5, 0.5]})
+        cli.model_from_json_dict({"beta": 1.2, "delta": 0.1,
+                                  "cone_point": [0.5, 0.5]})
 
 
 @pytest.mark.parametrize("overrides, key", [
@@ -361,7 +372,7 @@ def test_model_json_bad_value_names_key_path(overrides, key):
     d = {"beta": 0.5, "delta": 0.1, "cone_point": [0.5, 0.5]}
     d.update(overrides)
     with pytest.raises(ConfigurationError, match=key):
-        model_from_json_dict(d)
+        cli.model_from_json_dict(d)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -340,10 +340,11 @@ def test_run_flow_rejects_long_horizon(problem64):
 
 
 @pytest.mark.parametrize("T, dt", [(float("nan"), 0.05), (1.0, float("nan")),
-                                   (1.0, float("inf"))])
+                                   (1.0, float("inf")), (1.0, 5e-324)])
 def test_non_finite_horizons_are_rejected(problem32, oracle, T, dt):
-    # a NaN or infinite horizon or step is neither a crash nor a
-    # zero-step flow, for the reduced flow and the 4D oracle alike
+    # a NaN or infinite horizon or step, or a subnormal step whose T/dt
+    # overflows, is neither a crash nor a zero-step flow, for the reduced
+    # flow and the 4D oracle alike
     with pytest.raises(ConfigurationError, match="need 0 < dt <= T <= 50"):
         run_flow(problem32, T, dt, **observers(problem32))
     with pytest.raises(ConfigurationError, match="need 0 < dt <= T <= 50"):

@@ -5,12 +5,15 @@ the standard library's ast module: every name a module exports through
 __all__ must exist, and every module-level import must be used, so a
 deleted function cannot leave a stale export or import behind.  Every
 import of the package's own modules sits at module level, so a lazy
-import cannot hide an import cycle.  No module writes an underscore
-attribute of another object, so no object carries private state that
-some other code sets behind its back.  No knob hides in the environment:
-no module reads an environment variable.  The cone field
-delta chi(eps^2 + q) has one formula: only ke_solver (KEProblem) calls
-chi_values, besides cone_smoothing, which defines it.  No module reads a
+import cannot hide an import cycle.  A module imports another module's
+underscore name only when the name is on an allow-list with the reason
+it is shared, so private helpers stay with the module that uses them.
+No module writes an underscore attribute of another object, so no
+object carries private state that some other code sets behind its back.
+No knob hides in the environment: no module reads an environment
+variable.  The cone field delta chi(eps^2 + q) has one formula: only
+ke_solver (KEProblem) calls chi_values, besides cone_smoothing, which
+defines it.  No module reads a
 .kind attribute, so no code dispatches on a tau model's kind string: each
 tau model forms its own Im tau and moduli density.  Importing the CLI
 loads no scipy module, nor does building and stepping the 4D
@@ -97,6 +100,34 @@ def test_package_imports_are_at_module_level():
         nested += [f"{module}.py:{node.lineno}" for node in ast.walk(tree)
                    if is_package_import(node) and id(node) not in top]
     assert not nested, f"package imports below module level at {nested}"
+
+
+# The underscore names that modules import from one another, each with
+# the reason it is shared.
+SHARED_PRIVATE_NAMES = {
+    "_step_count": "the one horizon rule: cli checks a run config's T and "
+                   "dt with the rule run_flow applies",
+    "_steps_to": "the one horizon rule's step count, by which cli caps a "
+                 "--quick horizon and verify picks its trace times",
+    "_lap_multiplier": "the Laplacian symbol, whose bits the Newton and "
+                       "flow-step operators share with lap_values",
+    "_fiber_threshold": "F-Lp's growth rule, which verify applies to "
+                        "validate_lp's integrals",
+}
+
+
+def test_underscore_names_are_imported_only_from_the_allow_list():
+    imported = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, f"{module}.py")) as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and is_package_import(node):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        imported.setdefault(alias.name, []).append(module)
+    assert imported.keys() == SHARED_PRIVATE_NAMES.keys(), \
+        f"underscore names imported across modules: {imported}"
 
 
 def assigned_attributes(node):

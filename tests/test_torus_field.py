@@ -38,6 +38,13 @@ def test_make_grid_rejects(bad):
         make_grid(bad)
 
 
+def test_make_grid_rejects_a_grid_numpy_cannot_index():
+    # 2**31 x 2**31 complex values take 2**66 bytes, beyond np.intp; the
+    # check allocates nothing
+    with pytest.raises(ConfigurationError, match="too large"):
+        make_grid(2**31)
+
+
 def test_laplacian_of_constant():
     assert np.abs(lap_values(np.full((64, 64), 3.7))).max() < 1e-12
 
