@@ -25,7 +25,9 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from .elliptic_periods import (ConstantTau, LocalLogTau, WeierstrassCurve,
                                WeierstrassFamilyTau, discriminant,
@@ -34,7 +36,7 @@ from .errors import ConeflowError, ConfigurationError, ModelError
 from .fibration_model import FibrationModel, SingularFiber, lp_threshold
 from .flow_engine import _step_count, _steps_to
 from .ke_solver import build_problem, continuation_solve
-from .torus_field import write_field_csv, write_field_pgm
+from .torus_field import make_grid
 from .verify import run_verification_suite, target_flow
 
 DEFAULT_GRID_N = 128
@@ -154,9 +156,9 @@ def _fiber_from_dict(d, path):
     if not isinstance(d, dict):
         raise ConfigurationError(f"{path}: expected an object")
     _known_keys(d, {"point", "m", "b"}, path)
+    ib_index = {"ib_index": _read(d, "b", path, _integer)} if "b" in d else {}
     return _build(SingularFiber, path, point=_read(d, "point", path, _pair),
-                  multiplicity=_read(d, "m", path, _integer, 1),
-                  ib_index=_read(d, "b", path, _integer, 0))
+                  multiplicity=_read(d, "m", path, _integer, 1), **ib_index)
 
 
 _MODEL_KEYS = {"beta", "delta", "cone_point", "fibers", "tau_model",
@@ -209,9 +211,8 @@ def parse_config_dict(d: dict, base_dir=".") -> RunConfig:
         else os.path.join(base_dir, model)
     if not os.path.exists(model_path):
         raise ConfigurationError(f"config.model: no such file {model_path!r}")
-    grid_n = _read(d, "grid_n", "config", _integer, DEFAULT_GRID_N)
-    if grid_n < 16 or grid_n % 2:
-        raise ConfigurationError(f"config.grid_n: must be even and >= 16, got {grid_n}")
+    grid_n = _read(d, "grid_n", "config", lambda v: make_grid(_integer(v)).n,
+                   DEFAULT_GRID_N)
     schedule = _read(d, "epsilon_schedule", "config",
                      lambda v: tuple(map(_real, v)),
                      DEFAULT_EPSILON_SCHEDULE)
@@ -244,29 +245,78 @@ def load_model(path):
 
 
 # ---------------------------------------------------------------------------
-# atomic artifact writing
+# output artifacts: each one's bytes, written by one atomic writer
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path, writer):
-    """Write through a temp file in the same directory, then rename."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=os.path.basename(path) + ".")
-    os.close(fd)
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
+def _field_csv(f) -> str:
+    """A field as text: a "# N=<n>" line, then each row of values in repr
+    form, comma-separated."""
+    lines = [f"# N={f.grid.n}"]
+    lines += [",".join(repr(float(v)) for v in row) for row in f.values]
+    return "\n".join(lines) + "\n"
+
+
+def _field_pgm(f) -> bytes:
+    """A field as an 8-bit binary PGM heatmap, scaled from its min to its
+    max, which the header's comment records."""
+    v = f.values
+    lo, hi = float(v.min()), float(v.max())
+    if hi > lo:
+        scaled = np.rint((v - lo) / (hi - lo) * 255.0).astype(np.uint8)
+    else:
+        scaled = np.zeros_like(v, dtype=np.uint8)
+    header = f"P5\n# min={lo!r} max={hi!r}\n{f.grid.n} {f.grid.n}\n255\n"
+    return header.encode("ascii") + scaled.tobytes()
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _verification_json(reports) -> str:
+    """verify all's report: each statement's EstimateReport fields and its
+    verdict, keyed by the statement."""
+    return _json_text({k: {**asdict(r), "passed": r.passed}
+                       for k, r in reports.items()})
+
+
+def _trajectory_csv(traj) -> str:
+    """One row per step: t, the sup gap on each mask (sorted by name), the
+    energy and the minimum density."""
+    names = sorted(traj.gaps)
+    lines = ["t," + ",".join(f"gap[{k}]" for k in names)
+             + ",energy,min_density"]
+    for i, t in enumerate(traj.times):
+        row = [t] + [traj.gaps[k][i] for k in names] \
+            + [traj.energy[i], traj.min_density[i]]
+        lines.append(",".join(map(repr, row)))
+    return "\n".join(lines) + "\n"
+
+
+def _periods_csv(rows) -> str:
+    """One row per curve of (g2, g3, w1, w2, tau, disc), each complex
+    number as its real and imaginary parts."""
+    lines = ["# g2_re,g2_im,g3_re,g3_im,w1_re,w1_im,w2_re,w2_im,"
+             "tau_re,tau_im,disc_re,disc_im"]
+    lines += [",".join(repr(v) for z in row for v in (z.real, z.imag))
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _write_artifacts(out_dir, artifacts):
+    """Write each {name: text or bytes} artifact into out_dir, in order:
+    through a temp file in out_dir, renamed over the name, so a file is
+    either its old bytes or all of its new ones."""
+    os.makedirs(out_dir or ".", exist_ok=True)
+    for name, data in artifacts.items():
+        fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=name + ".")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data.encode() if isinstance(data, str) else data)
+            os.replace(tmp, os.path.join(out_dir, name))
+        except BaseException:
             os.unlink(tmp)
-
-
-def write_json(path, obj):
-    def _w(tmp):
-        with open(tmp, "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    _atomic_write(path, _w)
+            raise
 
 
 # ---------------------------------------------------------------------------
@@ -298,33 +348,20 @@ def _ke_report(report, sols):
 def _cmd_solve_ke(cfg: RunConfig, model, problem) -> int:
     sols, report = continuation_solve(problem, list(cfg.epsilon_schedule))
     sol = sols[-1]
-    out = cfg.output_dir
-    _atomic_write(os.path.join(out, "ke_solution.csv"),
-                  lambda tmp: write_field_csv(sol.v, tmp))
-    write_json(os.path.join(out, "ke_report.json"), _ke_report(report, sols))
+    _write_artifacts(cfg.output_dir, {
+        "ke_solution.csv": _field_csv(sol.v),
+        "ke_report.json": _json_text(_ke_report(report, sols))})
     print(f"solved at eps={sol.epsilon}: residual {sol.residual_sup:.3e}")
     return 0
 
 
 def _cmd_flow_run(cfg: RunConfig, model, problem) -> int:
     _, state, traj, decay = target_flow(problem, cfg.flow["T"], cfg.flow["dt"])
-    out = cfg.output_dir
-
-    def _write_traj(tmp):
-        names = sorted(traj.gaps)
-        with open(tmp, "w") as fh:
-            fh.write("t," + ",".join(f"gap[{k}]" for k in names)
-                     + ",energy,min_density\n")
-            for i, t in enumerate(traj.times):
-                row = [repr(t)] + [repr(traj.gaps[k][i]) for k in names] \
-                    + [repr(traj.energy[i]), repr(traj.min_density[i])]
-                fh.write(",".join(row) + "\n")
-    _atomic_write(os.path.join(out, "trajectory.csv"), _write_traj)
-    _atomic_write(os.path.join(out, "final_phi.csv"),
-                  lambda tmp: write_field_csv(state.phi, tmp))
-    _atomic_write(os.path.join(out, "final_phi.pgm"),
-                  lambda tmp: write_field_pgm(state.phi, tmp))
-    write_json(os.path.join(out, "decay_report.json"), dict(decay))
+    _write_artifacts(cfg.output_dir, {
+        "trajectory.csv": _trajectory_csv(traj),
+        "final_phi.csv": _field_csv(state.phi),
+        "final_phi.pgm": _field_pgm(state.phi),
+        "decay_report.json": _json_text(dict(decay))})
     final_gaps = {k: traj.gaps[k][-1] for k in traj.gaps}
     print(f"flow reached t={state.t:g}; final gaps: " + json.dumps(
         final_gaps, sort_keys=True))
@@ -334,9 +371,8 @@ def _cmd_flow_run(cfg: RunConfig, model, problem) -> int:
 def _cmd_verify_all(cfg: RunConfig, model, problem) -> int:
     reports = run_verification_suite(model, problem, cfg.flow["T"],
                                      cfg.flow["dt"])
-    payload = {k: r.to_json_dict() for k, r in sorted(reports.items())}
-    write_json(os.path.join(cfg.output_dir, "verification_report.json"),
-               payload)
+    _write_artifacts(cfg.output_dir, {
+        "verification_report.json": _verification_json(reports)})
     all_pass = True
     for key in sorted(reports):
         status = "pass" if reports[key].passed else "FAIL"
@@ -378,17 +414,7 @@ def _cmd_periods(input_path, output_dir) -> int:
         except ModelError as exc:
             raise ConfigurationError(f"{where}: {exc}") from None
         rows.append((g2, g3, w1, w2, tau, disc))
-
-    def _w(tmp):
-        with open(tmp, "w") as fh:
-            fh.write("# g2_re,g2_im,g3_re,g3_im,w1_re,w1_im,w2_re,w2_im,"
-                     "tau_re,tau_im,disc_re,disc_im\n")
-            for g2, g3, w1, w2, tau, disc in rows:
-                vals = [g2.real, g2.imag, g3.real, g3.imag, w1.real, w1.imag,
-                        w2.real, w2.imag, tau.real, tau.imag,
-                        disc.real, disc.imag]
-                fh.write(",".join(repr(v) for v in vals) + "\n")
-    _atomic_write(os.path.join(output_dir, "periods.csv"), _w)
+    _write_artifacts(output_dir, {"periods.csv": _periods_csv(rows)})
     print(f"wrote periods for {len(rows)} curves")
     return 0
 

@@ -45,15 +45,6 @@ class EstimateReport:
     def passed(self) -> bool:
         return bool(self.max_violation <= 0.0)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "constants": self.constants,
-            "max_violation": self.max_violation,
-            "passed": self.passed,
-            "samples": self.samples,
-        }
-
 
 @dataclass(frozen=True)
 class BarrierSigma:

@@ -47,6 +47,7 @@ STEP_TOL = 1e-12
 STEP_MAX_NEWTON = 30
 STEP_CG_FLOOR = 1e-13
 T_MAX = 50.0        # the longest flow horizon a run may ask for
+MAX_STEPS = 100_000  # the most steps a flow may take to reach its horizon
 
 
 @dataclass(frozen=True)
@@ -131,13 +132,15 @@ def _steps_to(t, dt):
 
 def _step_count(T, dt, where="flow"):
     """The number of dt steps in the horizon T, for 0 < dt <= T <= T_MAX
-    (a NaN fails), T/dt finite (a subnormal dt overflows it) and T a whole
-    number of steps; ConfigurationError naming where otherwise."""
+    (a NaN fails), T/dt at most MAX_STEPS (a T/dt that overflows fails
+    too) and T a whole number of steps; ConfigurationError naming where
+    otherwise."""
     if not 0.0 < dt <= T <= T_MAX:
         raise ConfigurationError(f"{where}: need 0 < dt <= T <= {T_MAX:g}")
-    if T / dt == math.inf:
-        raise ConfigurationError(f"{where}: need 0 < dt <= T <= {T_MAX:g} "
-                                 f"with T/dt finite, got dt={dt}")
+    if T / dt > MAX_STEPS:
+        raise ConfigurationError(
+            f"{where}: need 0 < dt <= T <= {T_MAX:g} in at most {MAX_STEPS} "
+            f"steps, got T/dt={T / dt:g}")
     steps = _steps_to(T, dt)
     if steps is None:
         raise ConfigurationError(

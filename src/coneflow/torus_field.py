@@ -30,8 +30,6 @@ __all__ = [
     "make_grid",
     "periodic_distance",
     "circle_samples",
-    "write_field_csv",
-    "write_field_pgm",
 ]
 
 
@@ -255,28 +253,3 @@ def circle_samples(f: ScalarField, center, radius: float, n_angles: int = None):
     xs = center[0] + radius * cos
     ys = center[1] + radius * sin
     return bilinear_sample(f.values, xs, ys)
-
-
-# ---------------------------------------------------------------------------
-# snapshot export: textual CSV and 8-bit PGM heatmaps
-# ---------------------------------------------------------------------------
-
-def write_field_csv(f: ScalarField, path):
-    lines = [f"# N={f.grid.n}"]
-    for row in f.values:
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_field_pgm(f: ScalarField, path):
-    v = f.values
-    lo, hi = float(v.min()), float(v.max())
-    if hi > lo:
-        scaled = np.rint((v - lo) / (hi - lo) * 255.0).astype(np.uint8)
-    else:
-        scaled = np.zeros_like(v, dtype=np.uint8)
-    header = f"P5\n# min={lo!r} max={hi!r}\n{f.grid.n} {f.grid.n}\n255\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(scaled.tobytes())

@@ -1,4 +1,5 @@
 import cmath
+import io
 import json
 import os
 import random
@@ -13,6 +14,8 @@ from coneflow import cli, fibration_model, flow_engine, ke_solver
 from coneflow.cli import (DEFAULT_EPSILON_SCHEDULE, _build_parser,
                           _config_from_args, main, parse_config_dict)
 from coneflow.errors import ConfigurationError
+from coneflow.torus_field import ScalarField
+from tests.conftest import mesh
 
 
 @pytest.fixture()
@@ -189,7 +192,8 @@ BAD_INPUTS = {
     "periods_non_finite_cell": "curves.csv:3: values must be finite",
     "periods_overflowing_cell": "curves.csv:3: discriminant overflows",
     "weierstrass_overflows": "Weierstrass family overflows on the grid",
-    "flag_grid_n_zero": "config.grid_n: must be even and >= 16, got 0",
+    "flag_grid_n_zero": "config.grid_n: grid size must be even and >= 16 "
+                        "for spectral symmetry, got 0",
     "flag_dt_above_T": "config.flow: need 0 < dt <= T <= 50",
     "flag_epsilon_zero": "config.epsilon_schedule: value 0.0 out of (0, 1]",
     "flag_epsilon_two": "config.epsilon_schedule: value 2.0 out of (0, 1]",
@@ -222,11 +226,14 @@ BAD_INPUTS = {
         "config.epsilon_schedule: must not be empty",
     "config_flow_pairs":
         "config.flow: must be an object, got [['T', 4.0], ['dt', 0.5]]",
-    "flag_dt_subnormal": "config.flow: need 0 < dt <= T <= 50 with T/dt "
-                         "finite, got dt=5e-324",
-    "flag_dt_subnormal_quick": "config.flow: need 0 < dt <= T <= 50 with "
-                               "T/dt finite, got dt=5e-324",
-    "flag_grid_n_unindexable": "grid size 2000000000 is too large",
+    "flag_dt_subnormal": "config.flow: need 0 < dt <= T <= 50 in at most "
+                         "100000 steps, got T/dt=inf",
+    "flag_dt_subnormal_quick": "config.flow: need 0 < dt <= T <= 50 in at "
+                               "most 100000 steps, got T/dt=inf",
+    "flag_dt_endless": "config.flow: need 0 < dt <= T <= 50 in at most "
+                       "100000 steps, got T/dt=5e+301",
+    "flag_grid_n_unindexable": "config.grid_n: grid size 2000000000 is too "
+                               "large",
     "model_not_utf8": "model: malformed JSON in ./model.json: 'utf-8' codec "
                       "can't decode byte 0xff",
     "config_not_utf8": "config: malformed JSON in config.json: 'utf-8' "
@@ -291,10 +298,13 @@ BAD_FLAGS = {
     # eps^2 underflows to 0, which chi_values cannot raise to beta - 1 < 0
     "flag_epsilon_underflows": ["flow", "run", "--quick", "--epsilon",
                                 "1e-170"],
-    # T/dt overflows to inf, which no step count can round
+    # T/dt overflows to inf, past any step cap
     "flag_dt_subnormal": ["flow", "run", "--grid-n", "64", "--T", "1",
                           "--dt", "5e-324"],
     "flag_dt_subnormal_quick": ["flow", "run", "--quick", "--dt", "5e-324"],
+    # T/dt is finite but past the step cap: about 5e301 steps
+    "flag_dt_endless": ["flow", "run", "--grid-n", "64", "--T", "50",
+                        "--dt", "1e-300"],
     # its N x N complex arrays would hold more bytes than np.intp counts
     "flag_grid_n_unindexable": ["model", "check", "--grid-n", "2000000000"],
 }
@@ -624,6 +634,52 @@ def test_no_writes_outside_output_dir(model_file, tmp_path, monkeypatch):
                "--out", str(out)])
     assert rc == 0
     assert list(work.iterdir()) == []
+
+
+def test_artifact_writes_are_atomic(tmp_path, monkeypatch):
+    # the second artifact's rename fails: the first is written, the second
+    # keeps its old bytes, and no temp file is left behind
+    (tmp_path / "b.csv").write_bytes(b"old b\n")
+    renames = []
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        renames.append(dst)
+        if len(renames) == 2:
+            raise OSError("rename failed")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        cli._write_artifacts(str(tmp_path), {"a.csv": "new a\n",
+                                             "b.csv": b"new b\n"})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
+    assert (tmp_path / "a.csv").read_bytes() == b"new a\n"
+    assert (tmp_path / "b.csv").read_bytes() == b"old b\n"
+
+
+def test_csv_round_trip(grid64):
+    rng = np.random.default_rng(9)
+    f = ScalarField(grid64, rng.normal(size=(64, 64)))
+    text = cli._field_csv(f)
+    assert np.array_equal(np.loadtxt(io.StringIO(text), delimiter=","),
+                          f.values)
+
+
+def test_csv_header(grid64):
+    text = cli._field_csv(ScalarField(grid64, np.ones((64, 64))))
+    assert text.splitlines()[0] == "# N=64"
+
+
+def test_pgm_output(grid64):
+    x, _ = mesh(grid64)
+    f = ScalarField(grid64, np.sin(2 * np.pi * x))
+    data = cli._field_pgm(f)
+    assert data.startswith(b"P5\n# min=")
+    header, rest = data.split(b"255\n", 1)
+    assert len(rest) == 64 * 64
+    # determinism: a second formatting is byte-identical
+    assert cli._field_pgm(f) == data
 
 
 @pytest.mark.slow

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from coneflow import cli
 from coneflow.errors import ConfigurationError, ModelError
 from coneflow.estimates import (TRACE_LAMBDAS, EstimateReport,
                                 _min_dominating_constant, cone_angle,
@@ -263,7 +264,8 @@ def test_estimate_report_passed_follows_max_violation():
     for violation, passed in ((1.0, False), (0.0, True), (-2.5, True)):
         rep = EstimateReport(name="x", constants={}, max_violation=violation)
         assert rep.passed is passed
-        assert rep.to_json_dict()["passed"] is passed
+        assert json.loads(cli._verification_json({"x": rep}))["x"][
+            "passed"] is passed
 
 
 def fake_lp(low_changes, high_changes=(0.5, 0.5)):
@@ -348,5 +350,5 @@ def test_report_json_deterministic(grid64):
     f = constant(grid64, 1.0)
     r1 = verify_trace_bound([f], b, "trace-bound")
     r2 = verify_trace_bound([f], b, "trace-bound")
-    assert json.dumps(r1.to_json_dict(), sort_keys=True) == \
-        json.dumps(r2.to_json_dict(), sort_keys=True)
+    assert cli._verification_json({"trace-bound": r1}) == \
+        cli._verification_json({"trace-bound": r2})

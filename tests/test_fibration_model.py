@@ -339,6 +339,9 @@ def test_model_json_defaults_are_the_classes_own():
     # the dataclass's
     d = {"beta": 0.5, "delta": 0.1, "cone_point": [0.5, 0.5]}
     assert cli.model_from_json_dict(d) == FibrationModel(0.5, 0.1, (0.5, 0.5))
+    # a fiber without b: m's default 1 is the file format's, b's the class's
+    model = cli.model_from_json_dict(dict(d, fibers=[{"point": [0.25, 0.25]}]))
+    assert model.fibers == (SingularFiber((0.25, 0.25), 1),)
     for kind, cls in [("constant", ConstantTau), ("ib_local", LocalLogTau),
                       ("weierstrass", WeierstrassFamilyTau)]:
         model = cli.model_from_json_dict(dict(d, tau_model={"kind": kind}))

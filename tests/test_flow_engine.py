@@ -340,15 +340,24 @@ def test_run_flow_rejects_long_horizon(problem64):
 
 
 @pytest.mark.parametrize("T, dt", [(float("nan"), 0.05), (1.0, float("nan")),
-                                   (1.0, float("inf")), (1.0, 5e-324)])
+                                   (1.0, float("inf")), (1.0, 5e-324),
+                                   (50.0, 1e-300)])
 def test_non_finite_horizons_are_rejected(problem32, oracle, T, dt):
-    # a NaN or infinite horizon or step, or a subnormal step whose T/dt
-    # overflows, is neither a crash nor a zero-step flow, for the reduced
-    # flow and the 4D oracle alike
+    # a NaN or infinite horizon or step, a subnormal step whose T/dt
+    # overflows, or a tiny one whose T/dt is finite but past MAX_STEPS, is
+    # neither a crash, a zero-step flow nor an endless one, for the
+    # reduced flow and the 4D oracle alike
     with pytest.raises(ConfigurationError, match="need 0 < dt <= T <= 50"):
         run_flow(problem32, T, dt, **observers(problem32))
     with pytest.raises(ConfigurationError, match="need 0 < dt <= T <= 50"):
         oracle.run(T, dt)
+
+
+def test_step_cap_admits_its_own_count():
+    assert flow_engine._step_count(50.0, 5e-4) == flow_engine.MAX_STEPS
+    with pytest.raises(ConfigurationError,
+                       match="in at most 100000 steps, got T/dt=125000"):
+        flow_engine._step_count(50.0, 4e-4)
 
 
 @pytest.mark.parametrize("dt", [0.3, 0.6])

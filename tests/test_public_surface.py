@@ -11,9 +11,11 @@ it is shared, so private helpers stay with the module that uses them.
 No module writes an underscore attribute of another object, so no
 object carries private state that some other code sets behind its back.
 No knob hides in the environment: no module reads an environment
-variable.  The cone field delta chi(eps^2 + q) has one formula: only
-ke_solver (KEProblem) calls chi_values, besides cone_smoothing, which
-defines it.  No module reads a
+variable.  Only cli touches files: no other module calls open,
+os.replace or os.fdopen or uses tempfile, so every artifact is formed and
+written in one place.  The cone field delta chi(eps^2 + q) has one
+formula: only ke_solver (KEProblem) calls chi_values, besides
+cone_smoothing, which defines it.  No module reads a
 .kind attribute, so no code dispatches on a tau model's kind string: each
 tau model forms its own Im tau and moduli density.  Importing the CLI
 loads no scipy module, nor does building and stepping the 4D
@@ -192,6 +194,32 @@ def test_no_module_reads_the_environment():
             for where, line in environment_reads(ast.parse(fh.read())):
                 reads.setdefault((module, where), []).append(line)
     assert not reads, f"the environment is read at {reads}"
+
+
+def file_operations(tree):
+    """[(operation, line)] of every call of open, os.replace or os.fdopen
+    and of every use of the tempfile module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+                "open", "os.replace", "os.fdopen"):
+            found.append((ast.unparse(node.func), node.lineno))
+        elif isinstance(node, ast.Name) and node.id == "tempfile" or \
+                isinstance(node, ast.ImportFrom) and node.module == "tempfile":
+            found.append(("tempfile", node.lineno))
+    return found
+
+
+def test_only_cli_touches_files():
+    found = {}
+    for module in MODULES:
+        if module == "cli":
+            continue
+        with open(os.path.join(SRC, f"{module}.py")) as fh:
+            operations = file_operations(ast.parse(fh.read()))
+        if operations:
+            found[module] = operations
+    assert not found, f"files are opened, written or renamed at {found}"
 
 
 def chi_values_calls(tree):

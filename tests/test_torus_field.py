@@ -7,9 +7,8 @@ from coneflow.torus_field import (ScalarField, bilinear_sample,
                                   circle_samples, from_half_spectrum,
                                   gradient_values, green_values,
                                   half_spectrum, lap_values, make_grid,
-                                  solve_poisson_values, write_field_csv,
-                                  write_field_pgm, _inverse, _lap_multiplier,
-                                  _phases, _unit_circle)
+                                  solve_poisson_values, _inverse,
+                                  _lap_multiplier, _phases, _unit_circle)
 from tests.conftest import mesh
 
 
@@ -295,31 +294,3 @@ def test_field_values_immutable(grid64):
     with pytest.raises(ValueError):
         f.values[0, 0] = 2.0
 
-
-def test_csv_round_trip(tmp_path, grid64):
-    rng = np.random.default_rng(9)
-    f = ScalarField(grid64, rng.normal(size=(64, 64)))
-    path = tmp_path / "field.csv"
-    write_field_csv(f, path)
-    assert np.array_equal(np.loadtxt(path, delimiter=","), f.values)
-
-
-def test_csv_header(tmp_path, grid64):
-    path = tmp_path / "field.csv"
-    write_field_csv(ScalarField(grid64, np.ones((64, 64))), path)
-    assert path.read_text().splitlines()[0] == "# N=64"
-
-
-def test_pgm_output(tmp_path, grid64):
-    x, _ = mesh(grid64)
-    f = ScalarField(grid64, np.sin(2 * np.pi * x))
-    path = tmp_path / "field.pgm"
-    write_field_pgm(f, path)
-    data = path.read_bytes()
-    assert data.startswith(b"P5\n# min=")
-    header, rest = data.split(b"255\n", 1)
-    assert len(rest) == 64 * 64
-    # determinism: a second write is byte-identical
-    path2 = tmp_path / "field2.pgm"
-    write_field_pgm(f, path2)
-    assert path2.read_bytes() == data
