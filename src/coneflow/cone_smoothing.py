@@ -4,9 +4,9 @@ chi(eps, x, beta) = beta * int_0^x ((eps^2 + r)^beta - eps^(2 beta)) / r dr.
 
 At eps = 0 this is exactly x^beta; for eps > 0 it is a smooth, monotone,
 concave profile squeezed between 0 and x^beta that converges to x^beta
-uniformly on [0,1] as eps -> 0.  The integrand has a removable singularity
-at r = 0 (limit beta * eps^(2 beta - 2)), handled by a short Taylor head
-before adaptive quadrature.
+uniformly on [0,1] as eps -> 0.  chi_values evaluates it over an array of
+arguments by Gauss-Legendre panels; the integrand's removable singularity
+at r = 0 (limit beta * eps^(2 beta - 2)) takes its limit value there.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ConfigurationError
 
 __all__ = [
-    "chi",
     "chi_values",
 ]
 
@@ -24,8 +23,12 @@ __all__ = [
 def _check_args(eps, x, beta):
     """ConfigurationError unless eps and every x (a number or a nonempty
     array) are finite and nonnegative (a NaN is neither) and 0 < beta < 1,
-    and unless a positive eps has a fourth power e2 * e2 that is not 0, as
-    chi's Taylor head divides by it."""
+    and unless a positive eps has a fourth power e2 * e2 that is not 0.
+    The last rule rejects every eps whose square underflows to 0, where
+    the integrand's limit e2^(beta - 1) would divide by zero; the
+    quadrature oracle chi in tests/oracles.py, whose Taylor head divides
+    by eps^4, checks its arguments here too, so both kernels accept the
+    same eps."""
     if not (0.0 <= eps < np.inf and 0.0 <= np.min(x) and np.max(x) < np.inf):
         raise ConfigurationError("chi requires finite eps >= 0 and x >= 0")
     e2 = eps * eps
@@ -34,35 +37,6 @@ def _check_args(eps, x, beta):
             f"chi: eps={eps:g} is too small (eps^4 underflows to 0)")
     if not (0.0 < beta < 1.0):
         raise ConfigurationError("beta must lie in (0, 1)")
-
-
-QUAD_TOL = 1e-12       # absolute and relative tolerance of chi's quadrature
-
-
-def chi(eps: float, x: float, beta: float) -> float:
-    """Kernel value by adaptive quadrature, absolute error <= 1e-10.
-
-    The segment [0, min(x, 1e-3 eps^2)] is integrated by the Taylor
-    expansion of ((1+u)^beta - 1)/u, the rest by scipy's adaptive rule.
-    """
-    _check_args(eps, x, beta)
-    if x == 0.0:
-        return 0.0
-    if eps == 0.0:
-        return float(x**beta)
-    e2 = eps * eps
-    a = min(x, 1e-3 * e2)
-    # int_0^a: beta * e2^(beta-1) * [a + (b-1) a^2/(4 e2) + (b-1)(b-2) a^3/(18 e2^2)]
-    head = beta * e2**(beta - 1.0) * (
-        a
-        + (beta - 1.0) * a * a / (4.0 * e2)
-        + (beta - 1.0) * (beta - 2.0) * a**3 / (18.0 * e2 * e2))
-    tail = 0.0
-    if x > a:
-        from scipy.integrate import quad    # deferred: slow to import
-        tail, _ = quad(lambda r: ((e2 + r)**beta - e2**beta) / r, a, x,
-                       epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
-    return float(beta * (head + tail))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -96,9 +70,9 @@ def chi_values(eps: float, x, beta: float) -> np.ndarray:
     are that dense.  The q fields of the grid are: against the beta = 1/2
     closed form the error is at most 2e-12 for N = 64 to 512 and eps down
     to 2/N.  Sparse arguments are not: a lone x = 1 is off by 4.5e-3 at
-    eps = 0.01 and by 6.6e-5 at eps = 0.05; chi evaluates those.  Each
-    sort-side array is dropped once spent, so the transients stay at a few
-    arrays of x's size.
+    eps = 0.01 and by 6.6e-5 at eps = 0.05; the quadrature oracle chi in
+    tests/oracles.py evaluates those.  Each sort-side array is dropped once
+    spent, so the transients stay at a few arrays of x's size.
     """
     x = np.asarray(x, dtype=float)
     _check_args(eps, x if x.size else 0.0, beta)

@@ -97,7 +97,8 @@ def from_half_spectrum(hat: np.ndarray) -> np.ndarray:
     Callers apply only multipliers that are real and even in k between
     half_spectrum and this inverse; for those the result equals the real
     part of the full complex transform pair, Nyquist row and column
-    included.  (An odd multiplier would not: see ProductFlow4D.)
+    included.  (An odd multiplier would not: see ProductFlow4D in
+    tests/oracles.py.)
     """
     n = hat.shape[0]
     np.fft.ifft(hat, axis=0, norm="forward", out=hat)

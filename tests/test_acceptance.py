@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from coneflow.cone_smoothing import chi, chi_values
+from coneflow.cone_smoothing import chi_values
 from coneflow.estimates import (_min_dominating_constant, cone_angle,
                                 multiplicity_exponent, ricci_residual,
                                 sigma_barrier)
 from coneflow.fibration_model import LP_GRIDS, product_model, validate_lp
-from coneflow.flow_engine import ProductFlow4D
 from coneflow.ke_solver import (build_problem, extrapolated_solution,
                                 newton_solve)
 from coneflow.torus_field import ScalarField, lap_values
@@ -25,6 +24,7 @@ from coneflow import verify
 from coneflow.verify import target_flow
 
 from tests.conftest import i1_model, m2_model, mesh
+from tests.oracles import ProductFlow4D, chi
 
 
 def report(criterion, passed, detail):

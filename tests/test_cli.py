@@ -505,6 +505,59 @@ def test_flow_run_quick_byte_identical_across_blas_threads(model_file,
     assert runs[1] == runs[0]
 
 
+# Runs the model subcommands in one interpreter, each into its own output
+# directory, with scipy blocked from import when argv[2] is "block".
+NO_SCIPY_RUN = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+if sys.argv[2] == "block":
+    sys.meta_path.insert(0, NoScipy())
+from coneflow.cli import main
+for i, command in enumerate([["model", "check", "--grid-n", "64"],
+                             ["solve-ke", "--grid-n", "64"],
+                             ["flow", "run", "--quick"],
+                             ["verify", "all", "--quick"]]):
+    code = main(command + ["--model", sys.argv[1], "--out", f"out{i}"])
+    print(f"exit {code}", flush=True)
+try:
+    import scipy.fft
+    print("scipy importable")
+except ImportError:
+    print("scipy blocked")
+"""
+
+
+def test_cli_runs_without_scipy(model_file, tmp_path):
+    # no module of the package needs scipy: every model subcommand gives
+    # the same exit code, stdout and artifact bytes with scipy blocked
+    src = os.path.dirname(os.path.dirname(coneflow.__file__))
+    runs = {}
+    for side in ("block", "allow"):
+        cwd = tmp_path / side
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY_RUN, model_file, side], cwd=cwd,
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        runs[side] = (lines[:-1], lines[-1], {
+            str(p.relative_to(cwd)): p.read_bytes()
+            for p in sorted(cwd.rglob("*")) if p.is_file()})
+    blocked, allowed = runs["block"], runs["allow"]
+    assert (blocked[1], allowed[1]) == ("scipy blocked", "scipy importable")
+    assert [line for line in blocked[0] if line.startswith("exit ")] == \
+        ["exit 0", "exit 0", "exit 0", "exit 2"]
+    assert len(blocked[2]) == 7      # model check writes no artifact
+    assert (blocked[0], blocked[2]) == (allowed[0], allowed[2])
+
+
 def test_verify_all_byte_identical_across_reruns(model_file, tmp_path,
                                                  monkeypatch, capsys):
     # lemma-3.2 and prop-3.7 both read run_flow's decay report: each run

@@ -5,9 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from coneflow import cone_smoothing
-from coneflow.cone_smoothing import chi, chi_values
+from coneflow.cone_smoothing import chi_values
 from coneflow.errors import ConfigurationError
 from coneflow.torus_field import green_values, make_grid
+from tests.oracles import chi
 
 
 def chi_half_closed_form(eps, x):

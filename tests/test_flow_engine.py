@@ -9,12 +9,12 @@ from coneflow.errors import ConfigurationError, PositivityError
 from coneflow import flow_engine
 from coneflow.estimates import ricci_residual
 from coneflow.fibration_model import product_model
-from coneflow.flow_engine import (FlowOps, ProductFlow4D, fit_decay_slope,
-                                  flow_step, run_flow)
+from coneflow.flow_engine import FlowOps, fit_decay_slope, flow_step, run_flow
 from coneflow.ke_solver import (KESolution, build_problem, ke_residual,
                                 newton_solve)
 from coneflow.torus_field import ScalarField, lap_values
 from tests.conftest import mesh, observers
+from tests.oracles import ProductFlow4D
 
 
 def make_problem(n=64, eps=0.1, beta=0.5, delta=0.1):

@@ -17,11 +17,12 @@ written in one place.  The cone field delta chi(eps^2 + q) has one
 formula: only ke_solver (KEProblem) calls chi_values, besides
 cone_smoothing, which defines it.  No module reads a
 .kind attribute, so no code dispatches on a tau model's kind string: each
-tau model forms its own Im tau and moduli density.  Importing the CLI
-loads no scipy module, nor does building and stepping the 4D
-oracle (only the chi quadrature imports it, when it runs).  The package
-itself binds no name, so each name has one import path, its module's,
-and importing the package alone loads none of them.  preconditioned_cg
+tau model forms its own Im tau and moduli density.  No module imports
+scipy, at any depth, so numpy is the package's one dependency; importing
+the CLI loads no scipy module, nor does building and stepping the 4D
+oracle in tests/oracles.py.  The package itself binds no name, so each
+name has one import path, its module's, and importing the package alone
+loads none of them.  preconditioned_cg
 keeps the signature that the benchmark tracer and the tests'
 cg_tolerances wrap, flow_step takes only a state and its ops, so a
 second time-stepping scheme cannot return as an option, and run_flow
@@ -43,7 +44,8 @@ import pytest
 import coneflow
 
 SRC = os.path.dirname(coneflow.__file__)
-BENCH = os.path.join(os.path.dirname(os.path.dirname(SRC)), "bench")
+ROOT = os.path.dirname(os.path.dirname(SRC))
+BENCH = os.path.join(ROOT, "bench")
 MODULES = sorted(name[:-3] for name in os.listdir(SRC) if name.endswith(".py"))
 
 
@@ -263,15 +265,35 @@ def test_no_module_reads_a_kind_attribute():
 def modules_after(code, prefix="scipy"):
     """The modules whose names start with prefix that are loaded once code
     has run in a fresh interpreter, so that no other test's import is
-    counted."""
+    counted; the package and the tests' own modules are importable."""
     code += ("\nprint(sorted(m for m in sys.modules"
              f" if m.startswith({prefix!r})))")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([os.path.dirname(SRC), ROOT]))
     proc = subprocess.run([sys.executable, "-c", "import sys\n" + code],
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+def scipy_imports(tree):
+    """Lines of every import of scipy or a scipy submodule, at any depth."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "scipy" for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] == "scipy"]
+
+
+def test_src_imports_no_scipy():
+    found = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, f"{module}.py")) as fh:
+            lines = scipy_imports(ast.parse(fh.read()))
+        if lines:
+            found[module] = lines
+    assert not found, f"scipy is imported at {found}"
 
 
 def test_import_loads_no_scipy():
@@ -294,8 +316,8 @@ def test_package_init_binds_no_name():
 def test_oracle_step_loads_no_scipy():
     assert modules_after(
         "from coneflow.fibration_model import product_model\n"
-        "from coneflow.flow_engine import ProductFlow4D\n"
         "from coneflow.ke_solver import build_problem\n"
+        "from tests.oracles import ProductFlow4D\n"
         "oracle = ProductFlow4D(build_problem(product_model(), 16, 0.2),\n"
         "                       nf=8, nb=16)\n"
         "oracle.run(T=0.01, dt=0.01, reduced_reference=True)") == "[]"
@@ -360,21 +382,10 @@ def layer_names(tree):
             and isinstance(node.value, str) for part in node.value.split(".")}
 
 
-# Definitions that only the tests call, each an independent oracle.
-TEST_ORACLES = {
-    "chi": "the adaptive-quadrature kernel that checks chi_values",
-    "ProductFlow4D": "the 4D flow that checks the reduced flow (criterion 7)",
-}
 # Functions whose defaulted parameters only the tests set, each with why.
 TEST_SET_DEFAULTS = {
     "cli.main": "the console entry point: argv defaults to sys.argv, and "
                 "the tests pass their own",
-    "flow_engine.ProductFlow4D.__init__": "the oracle's grid sizes and fiber "
-                                          "area are chosen by each test",
-    "flow_engine.ProductFlow4D.initial_state": "the oracle's perturbed fiber "
-                                               "mode is a test's choice",
-    "flow_engine.ProductFlow4D.run": "the oracle's start and reference "
-                                     "comparison are a test's choice",
 }
 
 
@@ -396,8 +407,7 @@ def test_every_definition_is_used_by_the_package_or_the_benchmark():
                 used |= {(part, None) for part in layer_names(tree)}
     unused = {name: module for name, module in defined.items()
               if not any(n == name and owner != name for n, owner in used)}
-    assert unused.keys() == TEST_ORACLES.keys(), \
-        f"defined in src/ but used only by the tests: {unused}"
+    assert not unused, f"defined in src/ but used only by the tests: {unused}"
 
 
 def defaulted_parameters(tree, module):
